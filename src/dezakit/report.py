@@ -141,7 +141,11 @@ def build_report(g: Graph, source: str = "graph") -> dict:
                 "theta2": str(outcome.theta2), "m2": outcome.m2, "m5": outcome.m5,
                 "theta3": str(outcome.theta3), "m3": outcome.m3, "m4": outcome.m4,
             }
-        checks["singular"] = _singular_dict(_attempt(theorems.singular_check, spec))
+        if report["strongly_deza"] is not None and report["strongly_deza"]["verdict"]:
+            checks["singular"] = _singular_dict(_attempt(theorems.singular_check, spec))
+        else:
+            # the singularity theorem is about strongly Deza graphs only
+            checks["singular"] = {"skipped": "not strongly Deza"}
         if params is not None:
             if spec.distinct_count() <= 5:
                 checks["eigenvalue_count"] = _case_dict(

@@ -2,7 +2,8 @@
 
 The oracle helpers here deliberately avoid the library's own code paths:
 distances via Floyd-Warshall, triangle and common-neighbour counts via
-direct enumeration, determinants via Bareiss elimination.  Expected values
+direct enumeration, determinants via Bareiss elimination, characteristic
+polynomials via Faddeev-LeVerrier over the integers.  Expected values
 frozen into tests were computed with these.
 """
 
@@ -43,6 +44,26 @@ def brute_distances(g: Graph) -> np.ndarray:
         dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
     dist[dist >= big] = -1
     return dist
+
+
+def faddeev_leverrier(g: Graph) -> tuple[int, ...]:
+    """Ascending coefficients of det(xI - M) by the Faddeev-LeVerrier
+    recurrence over object-dtype big integers: n matrix products, O(n^4)."""
+    n = g.n
+    a = g.adj.astype(object)
+    eye = np.eye(n, dtype=object)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    mk = a.copy()
+    for k in range(1, n + 1):
+        t = int(np.trace(mk))
+        if t % k:
+            raise ArithmeticError("inexact division in Faddeev-LeVerrier")
+        ck = -(t // k)
+        coeffs[n - k] = ck
+        if k < n:
+            mk = a.dot(mk + ck * eye)
+    return tuple(coeffs)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

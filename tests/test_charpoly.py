@@ -1,13 +1,22 @@
-"""Exact characteristic polynomials against an independent determinant."""
+"""Exact characteristic polynomials against independent oracles: Bareiss
+determinants, the Faddeev-LeVerrier recurrence and closed forms."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
-from conftest import random_graph
-from dezakit import families
+from conftest import faddeev_leverrier, random_graph
+from dezakit import charpoly, families
 from dezakit.charpoly import CharPoly, char_poly, poly_divmod_monic, poly_eval, poly_mul, poly_try_divide
-from dezakit.verify import bareiss_determinant
+from dezakit.graph6 import MAX_N
+from dezakit.graphs import Graph, complement
+from dezakit.verify import bareiss_determinant, corpus
+
+
+def _prime_count(g):
+    return len(charpoly.primes_for(g.n, int(g.degrees().max(initial=0))))
 
 
 def test_small_examples():
@@ -60,3 +69,97 @@ def test_poly_helpers():
     assert poly_eval((1, 2, 3), 10) == 321
     with pytest.raises(ValueError, match="monic"):
         poly_divmod_monic((1, 1), (1, 2))
+
+
+def test_matches_faddeev_leverrier_on_random_graphs():
+    rng = random.Random(2026)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 30), rng.choice((0.1, 0.3, 0.5, 0.8)))
+        assert char_poly(g).coeffs == faddeev_leverrier(g)
+
+
+def test_matches_faddeev_leverrier_on_corpus():
+    counts = []
+    for g in corpus().values():
+        assert char_poly(g).coeffs == faddeev_leverrier(g)
+        counts.append(_prime_count(g))
+    assert max(counts) >= 3  # taylor-paley-13, 2rook4, johnson-7-3
+
+
+@pytest.mark.parametrize("make, primes", [
+    pytest.param(lambda: families.paley(61), 7, id="paley-61"),
+    pytest.param(lambda: complement(families.paley(61)), 7, id="paley-61-complement"),
+    pytest.param(lambda: families.johnson(8, 3), 5, id="johnson-8-3"),
+])
+def test_matches_faddeev_leverrier_with_several_primes(make, primes):
+    g = make()
+    assert _prime_count(g) == primes
+    assert char_poly(g).coeffs == faddeev_leverrier(g)
+
+
+def test_complete_graph_at_graph6_cap():
+    # worst case of the coefficient bound: n = 258, k = 257
+    g = families.complete(MAX_N)
+    assert _prime_count(g) == 41
+    x_plus_1_power = tuple(math.comb(MAX_N - 1, i) for i in range(MAX_N))
+    expected = poly_mul((-(MAX_N - 1), 1), x_plus_1_power)
+    assert char_poly(g).coeffs == expected
+
+
+def test_complete_bipartite_at_graph6_cap():
+    half = MAX_N // 2
+    g = families.complete_multipartite([half, half])
+    assert _prime_count(g) == 36
+    expected = (0,) * (MAX_N - 2) + (-half * half, 0, 1)
+    assert char_poly(g).coeffs == expected
+
+
+def _is_prime(p):
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_prime_list_covers_the_bound():
+    primes = charpoly.modular_primes()
+    assert all(a > b for a, b in zip(primes, primes[1:]))
+    assert primes[0] < charpoly.PRIME_LIMIT
+    cap = charpoly.primes_for(MAX_N, MAX_N - 1)
+    assert all(_is_prime(p) for p in cap)
+    assert math.prod(cap) > 2 * charpoly.coefficient_bound(MAX_N, MAX_N - 1)
+    # the list also covers the largest order int64 accumulation allows ...
+    top = charpoly.primes_for(charpoly.MAX_ORDER, charpoly.MAX_ORDER - 1)
+    assert len(top) < len(primes)
+    # ... and a sum of MAX_ORDER products of two residues fits int64
+    largest = (charpoly.PRIME_LIMIT - 1) ** 2
+    assert charpoly.MAX_ORDER * largest + charpoly.PRIME_LIMIT < 2**63
+    assert MAX_N * largest < 2**61
+
+
+def test_coefficient_bound_holds():
+    rng = random.Random(7)
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(1, 16), rng.random())
+        bound = charpoly.coefficient_bound(g.n, int(g.degrees().max(initial=0)))
+        assert max(abs(c) for c in faddeev_leverrier(g)) <= bound
+    assert charpoly.coefficient_bound(5, 0) == 1
+
+
+def test_order_limit():
+    g = Graph(np.zeros((charpoly.MAX_ORDER + 1,) * 2, dtype=np.uint8))
+    with pytest.raises(ValueError, match="n <="):
+        char_poly(g)
+
+
+def test_hessenberg_mod_small_primes():
+    # tiny primes make zero pivots and row swaps common; every prime still
+    # yields the true residue of every coefficient
+    rng = random.Random(11)
+    p = np.array([2, 3, 5, 7, 11], dtype=np.int64)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 14), rng.choice((0.2, 0.5, 0.9)))
+        h = np.repeat(g.adj.astype(np.int64)[None], len(p), axis=0)
+        charpoly._hessenberg(h, p)
+        assert not np.tril(h, -2).any()
+        residues = charpoly._hessenberg_charpoly(h, p)
+        exact = np.array(faddeev_leverrier(g), dtype=object)
+        for q, row in zip(p.tolist(), residues.tolist()):
+            assert row == (exact % q).tolist()

@@ -2,6 +2,7 @@
 
 import json
 
+from dezakit.graph6 import parse_graph6
 from dezakit.report import (
     SCHEMA,
     build_report,
@@ -47,6 +48,17 @@ def test_report_desargues_not_inconsistent(desargues):
     rep = build_report(desargues, source="desargues")
     assert "skipped" in rep["theorems"]["eigenvalue_count"]
     assert rep["theorems"]["witness"]["branch"] == "halved-strongly-deza"
+    assert report_inconsistencies(rep) == []
+
+
+def test_report_singular_not_strongly_deza():
+    # 6-regular on 10 vertices, not Deza, with 0 and irrational eigenvalues:
+    # outside the singularity theorem's hypothesis, so skipped, not flagged
+    g = parse_graph6("IUvj^fqNW")
+    rep = build_report(g, source="IUvj^fqNW")
+    assert rep["regular_degree"] == 6 and rep["deza"] is None
+    assert any(e.get("value") == "0" for e in rep["spectrum"])
+    assert rep["theorems"]["singular"] == {"skipped": "not strongly Deza"}
     assert report_inconsistencies(rep) == []
 
 
