@@ -1,9 +1,8 @@
-"""Hot counting kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot counting kernels, vectorised with numpy.
 
-The jitted path is the default.  Set ``DEZAKIT_DISABLE_NUMBA=1`` before
-import to force the numpy implementations; they are also selected
-automatically when numba is not importable.  Both implementations are kept
-importable side by side so the benchmark suite can compare them.
+Each kernel has exactly one implementation.  The tests check them against
+independent brute-force oracles (Floyd-Warshall distances, enumerated
+triangles and common neighbours, a per-pair scan of intersection numbers).
 
 All kernels take a dense ``uint8`` adjacency matrix (symmetric, zero
 diagonal).  Counts fit comfortably in int64 at the supported sizes.
@@ -11,59 +10,11 @@ diagonal).  Counts fit comfortably in int64 at the supported sizes.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-DISABLE_ENV = "DEZAKIT_DISABLE_NUMBA"
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-NUMBA_ENABLED = HAVE_NUMBA and os.environ.get(DISABLE_ENV, "") not in (
-    "1",
-    "true",
-    "yes",
-)
-
-
-# ---------------------------------------------------------------------------
-# all-pairs BFS distances (-1 marks unreachable pairs)
-
-
-def _distances_loops(adj):
-    n = adj.shape[0]
-    dist = np.full((n, n), -1, dtype=np.int32)
-    queue = np.empty(n, dtype=np.int32)
-    for s in range(n):
-        dist[s, s] = 0
-        queue[0] = s
-        head = 0
-        tail = 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = dist[s, u]
-            for v in range(n):
-                if adj[u, v] != 0 and dist[s, v] < 0:
-                    dist[s, v] = du + 1
-                    queue[tail] = v
-                    tail += 1
-    return dist
-
-
-def _distances_numpy(adj):
+def all_pairs_distances(adj: np.ndarray) -> np.ndarray:
+    """All-pairs BFS distances; -1 marks unreachable pairs."""
     # layered expansion of all BFS frontiers at once
     n = adj.shape[0]
     a = adj.astype(bool)
@@ -81,37 +32,12 @@ def _distances_numpy(adj):
     return dist
 
 
-# ---------------------------------------------------------------------------
-# distinct off-diagonal common-neighbour counts (early exit after 3 values)
+def pair_values(adj: np.ndarray):
+    """Distinct off-diagonal entries of M^2, capped at three.
 
-
-def _pair_values_loops(adj):
-    n = adj.shape[0]
-    v0 = -1
-    v1 = -1
-    v2 = -1
-    count = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            c = 0
-            for w in range(n):
-                if adj[u, w] != 0 and adj[v, w] != 0:
-                    c += 1
-            if c == v0 or c == v1 or c == v2:
-                continue
-            if count == 0:
-                v0 = c
-            elif count == 1:
-                v1 = c
-            else:
-                v2 = c
-            count += 1
-            if count == 3:
-                return count, v0, v1, v2
-    return count, v0, v1, v2
-
-
-def _pair_values_numpy(adj):
+    Returns (count, v0, v1, v2) with the smallest values in ascending order
+    and -1 in unused slots.
+    """
     n = adj.shape[0]
     m2 = adj.astype(np.int64) @ adj.astype(np.int64)
     vals = np.unique(m2[~np.eye(n, dtype=bool)])
@@ -121,42 +47,13 @@ def _pair_values_numpy(adj):
     return min(len(vals), 3), out[0], out[1], out[2]
 
 
-# ---------------------------------------------------------------------------
-# common-neighbour counts split by adjacency class (SRG profile)
+def class_values(adj: np.ndarray):
+    """Common-neighbour profile split by adjacency (SRG test).
 
-
-def _class_values_loops(adj):
-    # returns (#distinct over adjacent pairs, value, #distinct over
-    # non-adjacent pairs, value); distinct counts are capped at 2
-    n = adj.shape[0]
-    nlam = 0
-    lam = -1
-    nmu = 0
-    mu = -1
-    for u in range(n):
-        for v in range(u + 1, n):
-            c = 0
-            for w in range(n):
-                if adj[u, w] != 0 and adj[v, w] != 0:
-                    c += 1
-            if adj[u, v] != 0:
-                if nlam == 0:
-                    lam = c
-                    nlam = 1
-                elif c != lam:
-                    nlam = 2
-            else:
-                if nmu == 0:
-                    mu = c
-                    nmu = 1
-                elif c != mu:
-                    nmu = 2
-            if nlam == 2 and nmu == 2:
-                return nlam, lam, nmu, mu
-    return nlam, lam, nmu, mu
-
-
-def _class_values_numpy(adj):
+    Returns (#distinct over adjacent pairs, smallest value, #distinct over
+    non-adjacent pairs, smallest value); distinct counts are capped at 2
+    and an empty class gives (0, -1).
+    """
     n = adj.shape[0]
     m2 = adj.astype(np.int64) @ adj.astype(np.int64)
     offdiag = ~np.eye(n, dtype=bool)
@@ -170,62 +67,19 @@ def _class_values_numpy(adj):
     return nlam, lam, nmu, mu
 
 
-# ---------------------------------------------------------------------------
-# triangle count
-
-
-def _triangles_loops(adj):
-    n = adj.shape[0]
-    t = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if adj[u, v] != 0:
-                for w in range(v + 1, n):
-                    if adj[u, w] != 0 and adj[v, w] != 0:
-                        t += 1
-    return t
-
-
-def _triangles_numpy(adj):
+def triangle_count(adj: np.ndarray) -> int:
     a = adj.astype(np.int64)
     return int(np.trace(a @ a @ a)) // 6
 
 
-# ---------------------------------------------------------------------------
-# intersection numbers (distance-regularity scan over all ordered pairs)
+def intersection_counts(adj: np.ndarray, dist: np.ndarray, diameter: int):
+    """Intersection numbers (b_i, c_i, a_i) for i = 0..diameter.
 
-
-def _intersection_loops(adj, dist, diameter):
-    n = adj.shape[0]
-    b = np.full(diameter + 1, -1, dtype=np.int64)
-    c = np.full(diameter + 1, -1, dtype=np.int64)
-    a = np.full(diameter + 1, -1, dtype=np.int64)
-    for x in range(n):
-        for y in range(n):
-            i = dist[x, y]
-            ci = 0
-            ai = 0
-            bi = 0
-            for w in range(n):
-                if adj[y, w] != 0:
-                    dw = dist[x, w]
-                    if dw == i - 1:
-                        ci += 1
-                    elif dw == i:
-                        ai += 1
-                    elif dw == i + 1:
-                        bi += 1
-            if b[i] == -1:
-                b[i] = bi
-                c[i] = ci
-                a[i] = ai
-            elif b[i] != bi or c[i] != ci or a[i] != ai:
-                return False, x, y, b, c, a
-    return True, -1, -1, b, c, a
-
-
-def _intersection_numpy(adj, dist, diameter):
-    n = adj.shape[0]
+    Returns (ok, x, y, b, c, a).  When some pair (x, y) at distance i has a
+    neighbour-distance count differing from the first pair at that
+    distance, ok is False and (x, y) is that pair.
+    """
+    diameter = int(diameter)
     b = np.full(diameter + 1, -1, dtype=np.int64)
     c = np.full(diameter + 1, -1, dtype=np.int64)
     a = np.full(diameter + 1, -1, dtype=np.int64)
@@ -246,45 +100,3 @@ def _intersection_numpy(adj, dist, diameter):
                 return False, x, y, b, c, a
             store[i] = int(vals[0])
     return True, -1, -1, b, c, a
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-_distances_jit = njit(cache=True)(_distances_loops)
-_pair_values_jit = njit(cache=True)(_pair_values_loops)
-_class_values_jit = njit(cache=True)(_class_values_loops)
-_triangles_jit = njit(cache=True)(_triangles_loops)
-_intersection_jit = njit(cache=True)(_intersection_loops)
-
-
-def all_pairs_distances(adj: np.ndarray) -> np.ndarray:
-    if NUMBA_ENABLED:
-        return _distances_jit(adj)
-    return _distances_numpy(adj)
-
-
-def pair_values(adj: np.ndarray):
-    """Distinct off-diagonal entries of M^2, capped at three."""
-    if NUMBA_ENABLED:
-        return _pair_values_jit(adj)
-    return _pair_values_numpy(adj)
-
-
-def class_values(adj: np.ndarray):
-    """Common-neighbour profile split by adjacency (SRG test)."""
-    if NUMBA_ENABLED:
-        return _class_values_jit(adj)
-    return _class_values_numpy(adj)
-
-
-def triangle_count(adj: np.ndarray) -> int:
-    if NUMBA_ENABLED:
-        return int(_triangles_jit(adj))
-    return _triangles_numpy(adj)
-
-
-def intersection_counts(adj: np.ndarray, dist: np.ndarray, diameter: int):
-    if NUMBA_ENABLED:
-        return _intersection_jit(adj, dist, int(diameter))
-    return _intersection_numpy(adj, dist, int(diameter))

@@ -258,8 +258,11 @@ def classify_eigenvalue_count(g: Graph) -> TheoremCase:
 
     Two distinct values: disjoint cliques of order k+1 with a = 0,
     b = k-1.  Three distinct values: a strongly regular graph with
-    {lam, mu} = {a, b}, or a disconnected union of (v, k, b, b) strongly
-    regular components, or a union of complete bipartite K_{k,k}.
+    {lam, mu} = {a, b}, or a union of complete bipartite K_{k,k}, or a
+    disconnected union of strongly regular components with one parameter
+    set (v, k, lam, mu) and {lam, mu} contained in {a, b}.  Pairs in
+    different components have no common neighbour, so a = 0 there and a
+    component may be, for instance, a pentagon or a Petersen graph.
     """
     params = detect_deza(g)
     if params is None:
@@ -293,11 +296,10 @@ def classify_eigenvalue_count(g: Graph) -> TheoremCase:
             for c, srg in zip(comps, comp_srgs)
         ):
             kind = "union-kkk"
-        elif all(
-            srg is not None
-            and srg.n == comps[0].n
-            and (srg.lam, srg.mu) == (b, b)
-            for srg in comp_srgs
+        elif (
+            comp_srgs[0] is not None
+            and all(srg == comp_srgs[0] for srg in comp_srgs)
+            and {comp_srgs[0].lam, comp_srgs[0].mu} <= {a, b}
         ):
             kind = "union-srg"
         else:

@@ -2,8 +2,9 @@
 
 The oracle helpers here deliberately avoid the library's own code paths:
 distances via Floyd-Warshall, triangle and common-neighbour counts via
-direct enumeration, determinants via Bareiss elimination, characteristic
-polynomials via Faddeev-LeVerrier over the integers.  Expected values
+direct enumeration, intersection numbers via a per-pair neighbour scan,
+determinants via Bareiss elimination, characteristic polynomials via
+Faddeev-LeVerrier over the integers.  Expected values
 frozen into tests were computed with these.
 """
 
@@ -44,6 +45,34 @@ def brute_distances(g: Graph) -> np.ndarray:
         dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
     dist[dist >= big] = -1
     return dist
+
+
+def brute_intersection_counts(adj: np.ndarray, dist: np.ndarray, diameter: int):
+    """(ok, b, c, a) from a per-pair scan: for every ordered pair (x, y) at
+    distance i, count the neighbours w of y at distance i-1, i, i+1 from x."""
+    n = adj.shape[0]
+    seen: dict[int, tuple[int, int, int]] = {}
+    ok = True
+    for x in range(n):
+        for y in range(n):
+            i = int(dist[x, y])
+            counts = [0, 0, 0]  # b, c, a
+            for w in range(n):
+                if adj[y, w]:
+                    dw = int(dist[x, w])
+                    if dw == i + 1:
+                        counts[0] += 1
+                    elif dw == i - 1:
+                        counts[1] += 1
+                    elif dw == i:
+                        counts[2] += 1
+            if seen.setdefault(i, tuple(counts)) != tuple(counts):
+                ok = False
+    b, c, a = (
+        np.array([seen[i][j] for i in range(diameter + 1)], dtype=np.int64)
+        for j in range(3)
+    )
+    return ok, b, c, a
 
 
 def faddeev_leverrier(g: Graph) -> tuple[int, ...]:

@@ -1,73 +1,87 @@
-"""The jitted kernels and their numpy fallbacks must agree exactly."""
+"""The counting kernels against the brute-force oracles in conftest."""
 
-import os
 import random
-import subprocess
-import sys
+from itertools import combinations
 
 import numpy as np
 
-from conftest import brute_distances, random_graph
+from conftest import (
+    brute_common_neighbours,
+    brute_distances,
+    brute_intersection_counts,
+    brute_triangles,
+    random_graph,
+)
 from dezakit import _kernels
 from dezakit.graphs import distance_data
 
 
-def _random_adjacencies(count=12, max_n=25, seed=97):
+def _random_graphs(count=12, max_n=25, seed=97):
     rng = random.Random(seed)
-    graphs = [random_graph(rng, rng.randint(1, max_n), rng.choice((0.2, 0.5, 0.8)))
-              for _ in range(count)]
-    return [g.adj for g in graphs]
+    return [random_graph(rng, rng.randint(1, max_n), rng.choice((0.2, 0.5, 0.8)))
+            for _ in range(count)]
+
+
+def _pair_counts(g, adjacent):
+    return {
+        brute_common_neighbours(g, u, v)
+        for u, v in combinations(range(g.n), 2)
+        if adjacent is None or bool(g.adj[u, v]) == adjacent
+    }
+
+
+def _profile(g, dist, x, y):
+    i = dist[x, y]
+    nb = g.adj[y].astype(bool)
+    return [int(((dist[x] == i + s) & nb).sum()) for s in (-1, 0, 1)]
 
 
 def test_distances_agree():
-    for adj in _random_adjacencies():
-        a = _kernels._distances_jit(adj)
-        b = _kernels._distances_numpy(adj)
-        assert np.array_equal(a, b)
+    for g in _random_graphs():
+        assert np.array_equal(_kernels.all_pairs_distances(g.adj), brute_distances(g))
 
 
 def test_pair_values_agree():
-    for adj in _random_adjacencies():
-        jit = _kernels._pair_values_jit(adj)
-        fallback = _kernels._pair_values_numpy(adj)
-        # the jit path reports values in first-seen order; compare as sets
-        assert jit[0] == fallback[0]
-        if jit[0] <= 2:
-            assert sorted(v for v in jit[1:] if v >= 0) == sorted(
-                v for v in fallback[1:] if v >= 0
-            )
+    for g in _random_graphs():
+        vals = sorted(_pair_counts(g, None))[:3]
+        expected = (len(vals), *vals, *[-1] * (3 - len(vals)))
+        assert _kernels.pair_values(g.adj) == expected
 
 
 def test_class_values_agree():
-    for adj in _random_adjacencies():
-        jit = _kernels._class_values_jit(adj)
-        fallback = _kernels._class_values_numpy(adj)
-        assert jit[0] == fallback[0] and jit[2] == fallback[2]
-        if jit[0] == 1:
-            assert jit[1] == fallback[1]
-        if jit[2] == 1:
-            assert jit[3] == fallback[3]
+    for g in _random_graphs():
+        expected = []
+        for adjacent in (True, False):
+            vals = _pair_counts(g, adjacent)
+            expected += [min(len(vals), 2), min(vals, default=-1)]
+        assert _kernels.class_values(g.adj) == tuple(expected)
 
 
 def test_triangles_agree():
-    for adj in _random_adjacencies():
-        assert _kernels._triangles_jit(adj) == _kernels._triangles_numpy(adj)
+    for g in _random_graphs():
+        assert _kernels.triangle_count(g.adj) == brute_triangles(g)
 
 
-def test_intersection_counts_agree():
+def test_intersection_counts_agree(petersen, heawood, c7, cube, desargues):
     rng = random.Random(3)
-    adjs = [random_graph(rng, rng.randint(2, 15), 0.6).adj for _ in range(10)]
-    for adj in adjs:
-        dist = _kernels._distances_numpy(adj)
+    graphs = [random_graph(rng, rng.randint(2, 15), 0.6) for _ in range(10)]
+    graphs += [petersen, heawood, c7, cube, desargues]
+    for g in graphs:
+        dist = _kernels.all_pairs_distances(g.adj)
         if (dist < 0).any():
             continue
         d = int(dist.max())
-        ok1, x1, y1, b1, c1, a1 = _kernels._intersection_jit(adj, dist, d)
-        ok2, x2, y2, b2, c2, a2 = _kernels._intersection_numpy(adj, dist, d)
-        assert bool(ok1) == bool(ok2)
-        if ok1:
-            assert np.array_equal(b1, b2) and np.array_equal(c1, c2)
-            assert np.array_equal(a1, a2)
+        ok, x, y, b, c, a = _kernels.intersection_counts(g.adj, dist, d)
+        ok_ref, b_ref, c_ref, a_ref = brute_intersection_counts(g.adj, dist, d)
+        assert ok == ok_ref
+        if ok:
+            assert np.array_equal(b, b_ref) and np.array_equal(c, c_ref)
+            assert np.array_equal(a, a_ref)
+        else:
+            # the reported pair's counts differ from the first pair's at
+            # the same distance
+            first = np.argwhere(dist == dist[x, y])[0]
+            assert _profile(g, dist, x, y) != _profile(g, dist, *first)
 
 
 def test_distances_match_floyd_warshall():
@@ -75,20 +89,3 @@ def test_distances_match_floyd_warshall():
     for _ in range(10):
         g = random_graph(rng, rng.randint(1, 20), 0.3)
         assert np.array_equal(distance_data(g).dist, brute_distances(g))
-
-
-def test_disable_flag_selects_numpy_path():
-    code = (
-        "from dezakit import _kernels\n"
-        "from dezakit.verify import corpus\n"
-        "from dezakit.distreg import intersection_array\n"
-        "assert not _kernels.NUMBA_ENABLED\n"
-        "assert str(intersection_array(corpus()['heawood'])) == '{3,2,2;1,1,3}'\n"
-        "print('fallback-ok')\n"
-    )
-    env = dict(os.environ, DEZAKIT_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert "fallback-ok" in out.stdout

@@ -62,6 +62,16 @@ def test_report_singular_not_strongly_deza():
     assert report_inconsistencies(rep) == []
 
 
+def test_report_two_pentagons():
+    # 2.C5 is Deza (10,2,1,0) with SRG(5,2,0,1) components, which the
+    # three-eigenvalue classification accepts
+    g = parse_graph6("IQ`?GcGGG")
+    rep = build_report(g, source="IQ`?GcGGG")
+    assert rep["deza"] == {"n": 10, "k": 2, "b": 1, "a": 0}
+    assert rep["theorems"]["eigenvalue_count"]["witness"]["kind"] == "union-srg"
+    assert report_inconsistencies(rep) == []
+
+
 def test_report_ddg_fields(heawood):
     rep = build_report(heawood, source="hw")
     assert rep["ddg"]["m"] == 2 and rep["ddg"]["n"] == 7

@@ -93,12 +93,15 @@ def test_trace_identity_shape_errors(petersen):
 def test_classify_counts(petersen, two_k33, octahedron_lg):
     case = classify_eigenvalue_count(families.disjoint_cliques(3, 4))
     assert case.case == "prop3-2eig" and case.witness["order"] == 4
-    assert classify_eigenvalue_count(two_k33).case == "prop3-3eig-disconn"
+    case = classify_eigenvalue_count(two_k33)
+    assert case.case == "prop3-3eig-disconn" and case.witness["kind"] == "union-kkk"
     assert classify_eigenvalue_count(petersen).case == "prop3-3eig-srg"
     assert classify_eigenvalue_count(octahedron_lg).case == "prop3-4eig"
     rook = line_graph(families.complete_multipartite([4, 4]))
-    case = classify_eigenvalue_count(disjoint_union([rook, rook]))
-    assert case.case == "prop3-3eig-disconn" and case.witness["kind"] == "union-srg"
+    # a = 0 across components; the components' {lam, mu} lie in {a, b}
+    for comp in (rook, families.cycle(5), petersen):
+        case = classify_eigenvalue_count(disjoint_union([comp, comp]))
+        assert case.case == "prop3-3eig-disconn" and case.witness["kind"] == "union-srg"
 
 
 def test_classify_counts_flags_six_eigenvalues(desargues):
