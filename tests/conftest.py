@@ -104,6 +104,25 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph(a)
 
 
+def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:
+    """A k-regular graph on n vertices (n * k even, k < n): a circulant
+    shuffled by degree-preserving double-edge swaps."""
+    offsets = list(range(1, k // 2 + 1)) + ([n // 2] if k % 2 else [])
+    edges = sorted({tuple(sorted((v, (v + s) % n))) for v in range(n) for s in offsets})
+    present = set(edges)
+    for _ in range(10 * len(edges)):
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], edges[j]
+        if rng.random() < 0.5:
+            c, d = d, c
+        ad, cb = tuple(sorted((a, d))), tuple(sorted((c, b)))
+        if len({a, b, c, d}) == 4 and ad not in present and cb not in present:
+            present -= {edges[i], edges[j]}
+            present |= {ad, cb}
+            edges[i], edges[j] = ad, cb
+    return Graph.from_edges(n, edges)
+
+
 # ---------------------------------------------------------------------------
 # named graphs (session-scoped; everything downstream is cached anyway)
 

@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_graph
-from dezakit import families
+from conftest import random_graph, random_regular_graph
+from dezakit import families, spectra
+from dezakit.charpoly import char_poly, modular_primes, poly_mul
 from dezakit.eigenvalues import Eigenvalue, Spectrum
 from dezakit.graphs import disjoint_union
 from dezakit.spectra import (
@@ -16,6 +17,7 @@ from dezakit.spectra import (
     is_cospectral,
     spectrum_from_pairs,
 )
+from dezakit.verify import corpus
 
 
 def _spec(pairs):
@@ -147,3 +149,123 @@ def test_spectrum_from_pairs_merges():
     )
     assert spec.multiplicity(Eigenvalue.integer(1)) == 3
     assert spec.multiplicity(Eigenvalue.integer(5)) == 0
+
+
+# -- exact (Yun) proposals and the numeric step ------------------------------
+
+
+@pytest.fixture
+def fresh_cache():
+    spectra._spectrum_cached.cache_clear()
+    yield
+    spectra._spectrum_cached.cache_clear()
+
+
+@pytest.fixture
+def numeric_calls(monkeypatch):
+    """The graphs the numeric step runs on, in order."""
+    numeric, calls = spectra._numeric_assist, []
+    monkeypatch.setattr(spectra, "_numeric_assist", lambda g: calls.append(g) or numeric(g))
+    return calls
+
+
+def _no_numeric(g):
+    raise AssertionError("the numeric step ran")
+
+
+def _power(factor, e):
+    out = (1,)
+    for _ in range(e):
+        out = poly_mul(out, factor)
+    return out
+
+
+def test_yun_quadratics_per_multiplicity():
+    # (x^2 - 3)(x^2 + x - 1)^2 (x^2 - 2)^3: one quadratic per multiplicity
+    rem = poly_mul(poly_mul((-3, 0, 1), _power((-1, 1, 1), 2)), _power((-2, 0, 1), 3))
+    p = modular_primes()[0]
+    assert spectra._yun_quadratics(rem, 3, p) == [(0, -3), (-1, -1), (0, -2)]
+    # two quadratics of equal multiplicity form a quartic Yun factor
+    rem = poly_mul(_power((-3, 0, 1), 2), _power((-2, 0, 1), 2))
+    assert spectra._yun_quadratics(rem, 3, p) == []
+    # the bounds filter: x^2 - 3 cannot divide det(xI - M) when k = 1
+    assert spectra._yun_quadratics(_power((-3, 0, 1), 4), 1, p) == []
+
+
+@pytest.mark.parametrize("make, text", [
+    pytest.param(lambda: families.paley(61),
+                 "{30^1, ((-1+√61)/2)^30, ((-1-√61)/2)^30}", id="paley-61"),
+    pytest.param(lambda: families.paley(101),
+                 "{50^1, ((-1+√101)/2)^50, ((-1-√101)/2)^50}", id="paley-101"),
+    pytest.param(lambda: families.cycle(5),
+                 "{2^1, ((-1+√5)/2)^2, ((-1-√5)/2)^2}", id="c5"),
+    pytest.param(families.icosahedron, "{5^1, (√5)^3, (-1)^5, (-√5)^3}", id="icosahedron"),
+    pytest.param(lambda: families.bundled_graph("klein24"),
+                 "{7^1, (√7)^8, (-1)^7, (-√7)^8}", id="klein24"),
+    pytest.param(lambda: families.taylor_double_cover(families.paley(13)),
+                 "{13^1, (√13)^7, (-1)^13, (-√13)^7}", id="taylor-13"),
+    pytest.param(lambda: families.paley(257),
+                 "{128^1, ((-1+√257)/2)^128, ((-1-√257)/2)^128}", id="paley-257"),
+])
+def test_exact_step_needs_no_eigensolver(make, text, monkeypatch, fresh_cache):
+    monkeypatch.setattr(spectra, "_numeric_assist", _no_numeric)
+    assert str(exact_spectrum(make())) == text
+
+
+def test_unlucky_prime_falls_back_to_numeric(monkeypatch, fresh_cache, numeric_calls):
+    g = families.paley(61)
+    _, rem = spectra._extract_integer_roots(char_poly(g).coeffs, 30)
+    assert spectra._yun_quadratics(rem, 30, modular_primes()[0]) == [(-1, -15)]
+    # x^2 + x - 15 has discriminant 61, so mod 61 it is (x + 31)^2
+    assert [c % 61 for c in rem] == [c % 61 for c in _power((31, 1), 60)]
+    assert spectra._yun_quadratics(rem, 30, 61) == []
+
+    yun = spectra._yun_quadratics
+    monkeypatch.setattr(spectra, "_yun_quadratics", lambda rem, bound, p: yun(rem, bound, 61))
+    spec = exact_spectrum(g)
+    assert numeric_calls == [g]
+    assert spec.multiplicity(Eigenvalue.quadratic(-1, 1, 61, 2)) == 30
+    assert spec.multiplicity(Eigenvalue.quadratic(-1, -1, 61, 2)) == 30
+
+
+def test_exact_and_numeric_proposals_combine(fresh_cache, numeric_calls):
+    # P3 + P4 + C5: the residual (x^2 + x - 1)^3 (x^2 - x - 1)(x^2 - 2) has
+    # Yun factors a_3 = x^2 + x - 1 (proposed exactly) and the quartic a_1,
+    # whose quadratics only the numeric step proposes
+    from dezakit.graphs import Graph
+
+    path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    union = disjoint_union([path3, path4, families.cycle(5)])
+    spec = exact_spectrum(union)
+    assert numeric_calls == [union]
+    assert str(spec) == (
+        "{2^1, ((1+√5)/2)^1, (√2)^1, ((-1+√5)/2)^3, 0^1,"
+        " ((1-√5)/2)^1, (-√2)^1, ((-1-√5)/2)^3}"
+    )
+
+
+def _spectrum_or_residual(g):
+    spectra._spectrum_cached.cache_clear()
+    try:
+        return exact_spectrum(g)
+    except NonQuadraticSpectrumError as exc:
+        return exc.residual
+
+
+def test_exact_step_agrees_with_numeric_step(monkeypatch, fresh_cache):
+    rng = random.Random(4)
+    graphs = list(corpus().values())
+    while len(graphs) < 225:
+        n = rng.randint(8, 14)
+        k = rng.randint(1, n - 1)
+        if n * k % 2 == 0:
+            graphs.append(random_regular_graph(rng, n, k))
+    with_yun = [_spectrum_or_residual(g) for g in graphs]
+    monkeypatch.setattr(spectra, "_yun_quadratics", lambda rem, bound, p: [])
+    without_yun = [_spectrum_or_residual(g) for g in graphs]
+    assert with_yun == without_yun
+    # both outcomes occur: spectra with quadratic eigenvalues and residuals
+    assert any(isinstance(r, tuple) for r in with_yun)
+    assert any(isinstance(r, Spectrum) and any(not ev.is_integer for ev, _ in r)
+               for r in with_yun)
