@@ -52,12 +52,7 @@ from .graphs import (
     structural_profile,
 )
 from .report import build_report
-from .spectra import (
-    NonQuadraticSpectrumError,
-    distinct_abs_values,
-    exact_spectrum,
-    is_cospectral,
-)
+from .spectra import NonQuadraticSpectrumError, exact_spectrum
 from .theorems import (
     AffineFamily,
     SrgEigen,

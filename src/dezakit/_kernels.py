@@ -4,8 +4,9 @@ Each kernel has exactly one implementation.  The tests check them against
 independent brute-force oracles (Floyd-Warshall distances, enumerated
 triangles and common neighbours, a per-pair scan of intersection numbers).
 
-All kernels take a dense ``uint8`` adjacency matrix (symmetric, zero
-diagonal).  Counts fit comfortably in int64 at the supported sizes.
+Kernels take the dense ``uint8`` adjacency matrix (symmetric, zero
+diagonal) and, where they need it, its int64 square M^2.  Counts fit
+comfortably in int64 at the supported sizes.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ def all_pairs_distances(adj: np.ndarray) -> np.ndarray:
     return dist
 
 
-def pair_values(adj: np.ndarray):
+def pair_values(m2: np.ndarray):
     """Distinct off-diagonal entries of M^2, capped at three.
 
     Returns (count, v0, v1, v2) with the smallest values in ascending order
     and -1 in unused slots.
     """
-    n = adj.shape[0]
-    m2 = adj.astype(np.int64) @ adj.astype(np.int64)
+    n = m2.shape[0]
     vals = np.unique(m2[~np.eye(n, dtype=bool)])
     out = [-1, -1, -1]
     for i, v in enumerate(vals[:3]):
@@ -47,7 +47,7 @@ def pair_values(adj: np.ndarray):
     return min(len(vals), 3), out[0], out[1], out[2]
 
 
-def class_values(adj: np.ndarray):
+def class_values(adj: np.ndarray, m2: np.ndarray):
     """Common-neighbour profile split by adjacency (SRG test).
 
     Returns (#distinct over adjacent pairs, smallest value, #distinct over
@@ -55,7 +55,6 @@ def class_values(adj: np.ndarray):
     and an empty class gives (0, -1).
     """
     n = adj.shape[0]
-    m2 = adj.astype(np.int64) @ adj.astype(np.int64)
     offdiag = ~np.eye(n, dtype=bool)
     amask = adj.astype(bool)
     lam_vals = np.unique(m2[amask & offdiag])
@@ -67,9 +66,9 @@ def class_values(adj: np.ndarray):
     return nlam, lam, nmu, mu
 
 
-def triangle_count(adj: np.ndarray) -> int:
-    a = adj.astype(np.int64)
-    return int(np.trace(a @ a @ a)) // 6
+def triangle_count(adj: np.ndarray, m2: np.ndarray) -> int:
+    """trace(M^3)/6, read as the sum of M^2 over the edges."""
+    return int((m2 * adj).sum()) // 6
 
 
 def intersection_counts(adj: np.ndarray, dist: np.ndarray, diameter: int):

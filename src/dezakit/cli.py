@@ -209,7 +209,7 @@ def cmd_children(args) -> int:
     if params is None:
         print("children: input is not a Deza graph", file=sys.stderr)
         return EXIT_VERIFY
-    pair = deza_mod.children(item, params)
+    pair = deza_mod.children(item)
     if args.json:
         _emit(json.dumps({
             "deza": list(params.as_tuple()),

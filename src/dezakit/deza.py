@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .errors import ContradictionError
 from .eigenvalues import Eigenvalue, Spectrum
-from .graphs import Graph, common_neighbour_matrix, is_disjoint_clique_union
+from .graphs import Graph, common_neighbour_matrix, is_disjoint_clique_union, per_graph
 from .spectra import exact_spectrum, spectrum_from_pairs
 
 
@@ -87,6 +87,7 @@ class StronglyDezaResult:
     child_b_srg: SrgParams | None
 
 
+@per_graph
 def detect_deza(g: Graph) -> DezaParams | None:
     """Deza parameters (n, k, b, a), or None.
 
@@ -96,7 +97,7 @@ def detect_deza(g: Graph) -> DezaParams | None:
     k = g.regular_degree()
     if k is None or g.is_complete() or g.is_edgeless():
         return None
-    count, v0, v1, _ = _kernels.pair_values(g.adj)
+    count, v0, v1, _ = _kernels.pair_values(common_neighbour_matrix(g))
     if count > 2:
         return None
     if count == 1:
@@ -105,15 +106,17 @@ def detect_deza(g: Graph) -> DezaParams | None:
     return DezaParams(g.n, k, hi, lo)
 
 
-def children(g: Graph, params: DezaParams) -> ChildPair:
-    """Children (A joins the a-pairs, B the b-pairs).
+@per_graph
+def children(g: Graph) -> ChildPair:
+    """Children of a Deza graph (A joins the a-pairs, B the b-pairs).
 
-    For b = a the convention is child A = complete, child B = edgeless.
-    Verifies the defining matrix identity M^2 = a*A + b*B + k*I before
-    returning.
+    For b = a the convention is child A = complete, child B = edgeless; a
+    child equal to g is g itself (an SRG with lambda != mu is one of its
+    own children).  Verifies M^2 = a*A + b*B + k*I before returning.
     """
-    if detect_deza(g) != params:
-        raise ValueError(f"graph is not a Deza graph with parameters {params.as_tuple()}")
+    params = detect_deza(g)
+    if params is None:
+        raise ValueError("children need a Deza graph")
     n, k, b, a = params.as_tuple()
     m2 = common_neighbour_matrix(g)
     offdiag = ~np.eye(n, dtype=bool)
@@ -128,9 +131,11 @@ def children(g: Graph, params: DezaParams) -> ChildPair:
         a * adj_a.astype(np.int64) + b * adj_b.astype(np.int64) + k * np.eye(n, dtype=np.int64),
     ):
         raise ContradictionError("children violate M^2 = aA + bB + kI")
-    return ChildPair(Graph(adj_a), Graph(adj_b))
+    pair = [g if np.array_equal(adj, g.adj) else Graph(adj) for adj in (adj_a, adj_b)]
+    return ChildPair(*pair)
 
 
+@per_graph
 def detect_srg(g: Graph) -> SrgParams | None:
     """SRG parameters (n, k, lambda, mu), or None.
 
@@ -142,7 +147,7 @@ def detect_srg(g: Graph) -> SrgParams | None:
     k = g.regular_degree()
     if k is None or g.is_complete() or g.is_edgeless():
         return None
-    nlam, lam, nmu, mu = _kernels.class_values(g.adj)
+    nlam, lam, nmu, mu = _kernels.class_values(g.adj, common_neighbour_matrix(g))
     if nlam != 1 or nmu != 1:
         return None
     return SrgParams(g.n, k, lam, mu)
@@ -157,7 +162,7 @@ def is_strongly_deza(g: Graph) -> StronglyDezaResult:
     params = detect_deza(g)
     if params is None or params.b == params.a:
         return StronglyDezaResult(False, params, None, None)
-    pair = children(g, params)
+    pair = children(g)
     child_a_srg = detect_srg(pair.child_a)
     child_b_srg = detect_srg(pair.child_b)
     verdict = child_a_srg is not None and child_b_srg is not None
@@ -170,7 +175,7 @@ def is_divisible_design(g: Graph) -> DdgParams | None:
     params = detect_deza(g)
     if params is None or params.b == params.a:
         return None
-    pair = children(g, params)
+    pair = children(g)
     for child, within, cross in (
         (pair.child_a, params.a, params.b),
         (pair.child_b, params.b, params.a),
@@ -246,7 +251,7 @@ def verify_child_formula(g: Graph) -> bool:
         raise ValueError("needs a Deza graph with b > a")
     spec = exact_spectrum(g)
     formula_a, formula_b = child_spectra_formula(spec, params)
-    pair = children(g, params)
+    pair = children(g)
     direct_a = exact_spectrum(pair.child_a)
     direct_b = exact_spectrum(pair.child_b)
     match = formula_a == direct_a and formula_b == direct_b

@@ -130,7 +130,7 @@ def drg_deza_classification(g: Graph, ia: IntersectionArray) -> TheoremCase:
             f"expected Deza parameters {expected.as_tuple()}, detector says "
             f"{None if params is None else params.as_tuple()}"
         )
-    pair = children(g, params)
+    pair = children(g)
     dd = distance_data(g)
     if a1 == 0:
         case = "deza-a1-zero"

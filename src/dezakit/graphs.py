@@ -3,10 +3,15 @@
 Vertices are always 0..n-1.  Adjacency is kept as a read-only symmetric
 uint8 matrix with zero diagonal; at the supported sizes (n <= 258) dense
 storage keeps every operation matrix-shaped and kernel-friendly.
+
+A graph is also its analysis context: a ``per_graph`` function stores its
+result on the graph, so each fact is computed once and dropped with the
+graph.  Threads need no lock: a race can only compute one value twice.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -21,10 +26,11 @@ UNREACHABLE = -1
 class Graph:
     """Simple undirected graph given by its 0/1 adjacency matrix."""
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj", "_hash", "_facts")
 
     def __init__(self, adj) -> None:
-        a = np.ascontiguousarray(np.asarray(adj, dtype=np.uint8))
+        # a private copy, so later writes to the caller's array cannot reach it
+        a = np.array(adj, dtype=np.uint8, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency matrix must be square")
         n = int(a.shape[0])
@@ -40,6 +46,7 @@ class Graph:
         self.n = n
         self.adj = a
         self._hash = hash((n, a.tobytes()))
+        self._facts: dict = {}
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -61,9 +68,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u, v])
-
-    def neighbours(self, u: int) -> list[int]:
-        return [int(v) for v in np.nonzero(self.adj[u])[0]]
 
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=1, dtype=np.int64)
@@ -90,6 +94,20 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+def per_graph(fn):
+    """Memoise fn(g) on the graph g.  None is a valid fact; an exception
+    is not stored, so the next call raises it afresh."""
+
+    @functools.wraps(fn)
+    def fact(g: Graph):
+        facts = g._facts
+        if fn not in facts:
+            facts[fn] = fn(g)
+        return facts[fn]
+
+    return fact
 
 
 @dataclass(frozen=True)
@@ -121,10 +139,13 @@ def common_neighbours(g: Graph, u: int, v: int) -> int:
     return int((g.adj[u] & g.adj[v]).sum())
 
 
+@per_graph
 def common_neighbour_matrix(g: Graph) -> np.ndarray:
-    """M^2 as an int64 matrix (diagonal holds the degrees)."""
+    """M^2 as a read-only int64 matrix (diagonal holds the degrees)."""
     a = g.adj.astype(np.int64)
-    return a @ a
+    m2 = a @ a
+    m2.setflags(write=False)
+    return m2
 
 
 def complement(g: Graph) -> Graph:
@@ -148,6 +169,7 @@ def line_graph(g: Graph) -> Graph:
     return Graph(a)
 
 
+@per_graph
 def distance_data(g: Graph) -> DistanceData:
     dist = _kernels.all_pairs_distances(g.adj)
     dist.setflags(write=False)
@@ -179,23 +201,16 @@ def components(g: Graph) -> list[list[int]]:
 
 
 def bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
-    """2-colouring by BFS; None when an odd cycle exists."""
-    colour = np.full(g.n, -1, dtype=np.int8)
-    for s in range(g.n):
-        if colour[s] >= 0:
-            continue
-        colour[s] = 0
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            for v in g.neighbours(u):
-                if colour[v] < 0:
-                    colour[v] = 1 - colour[u]
-                    queue.append(v)
-                elif colour[v] == colour[u]:
-                    return None
-    side0 = [v for v in range(g.n) if colour[v] == 0]
-    side1 = [v for v in range(g.n) if colour[v] == 1]
+    """2-colouring by the parity of each vertex's distance from the least
+    vertex of its component; None when an odd cycle exists."""
+    dist = distance_data(g).dist
+    root = (dist >= 0).argmax(axis=0)
+    colour = dist[root, np.arange(g.n)] % 2
+    us, vs = np.nonzero(g.adj)
+    if (colour[us] == colour[vs]).any():
+        return None
+    side0 = [int(v) for v in np.nonzero(colour == 0)[0]]
+    side1 = [int(v) for v in np.nonzero(colour == 1)[0]]
     return side0, side1
 
 
@@ -235,7 +250,7 @@ def halved_graphs(g: Graph) -> tuple[Graph, Graph]:
 
 def triangle_count(g: Graph) -> int:
     """Number of triangles, via closed-walk counting (trace(M^3)/6)."""
-    return _kernels.triangle_count(g.adj)
+    return _kernels.triangle_count(g.adj, common_neighbour_matrix(g))
 
 
 def structural_profile(g: Graph) -> StructuralProfile:

@@ -89,7 +89,7 @@ def build_report(g: Graph, source: str = "graph") -> dict:
             "formula_spectra_match": None,
         }
         if spec is not None:
-            pair = deza_mod.children(g, params)
+            pair = deza_mod.children(g)
             formula_a, formula_b = deza_mod.child_spectra_formula(spec, params)
             direct_a = exact_spectrum(pair.child_a)
             direct_b = exact_spectrum(pair.child_b)
@@ -161,7 +161,6 @@ def build_report(g: Graph, source: str = "graph") -> dict:
                 checks["last_case"] = _case_dict(
                     _attempt(theorems.classify_last_case, spec, params)
                 )
-                sd = deza_mod.is_strongly_deza(g)
                 if sd.verdict and sd.child_a_srg is not None:
                     if spec.distinct_count() >= 4:
                         checks["square_case"] = _case_dict(

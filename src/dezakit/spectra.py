@@ -38,13 +38,11 @@ a non-quadratic spectrum.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import mpmath
 
 from .charpoly import char_poly, modular_primes, poly_eval, poly_mul, poly_try_divide
 from .eigenvalues import Eigenvalue, Spectrum, is_perfect_square
-from .graphs import Graph
+from .graphs import Graph, per_graph
 
 #: working precision (bits) of the assisting eigensolver
 ASSIST_PREC_BITS = 128
@@ -195,8 +193,13 @@ def _reconstruct(n, int_mults, quad_powers):
     return poly
 
 
-@lru_cache(maxsize=None)
-def _spectrum_cached(g: Graph) -> Spectrum:
+@per_graph
+def exact_spectrum(g: Graph) -> Spectrum:
+    """Exact eigenvalues with certified multiplicities.
+
+    Raises NonQuadraticSpectrumError when an eigenvalue of algebraic degree
+    three or more is present (e.g. the 7-cycle).
+    """
     cp = char_poly(g)
     bound = int(g.degrees().max(initial=0))
     int_mults, rem = _extract_integer_roots(cp.coeffs, bound)
@@ -228,25 +231,6 @@ def _spectrum_cached(g: Graph) -> Spectrum:
     if spec.sum_of_squares() != 2 * g.edge_count():
         raise ArithmeticError("sum of squared eigenvalues is not 2|E|")
     return spec
-
-
-def exact_spectrum(g: Graph) -> Spectrum:
-    """Exact eigenvalues with certified multiplicities.
-
-    Raises NonQuadraticSpectrumError when an eigenvalue of algebraic degree
-    three or more is present (e.g. the 7-cycle).
-    """
-    return _spectrum_cached(g)
-
-
-def distinct_abs_values(spec: Spectrum) -> int:
-    """Number of distinct absolute values among the eigenvalues."""
-    return spec.distinct_abs_count()
-
-
-def is_cospectral(s1: Spectrum, s2: Spectrum) -> bool:
-    """Exact equality of eigenvalue/multiplicity multisets."""
-    return s1 == s2
 
 
 def spectrum_from_pairs(pairs) -> Spectrum:

@@ -344,7 +344,7 @@ def strongly_deza_witness(g: Graph) -> DezaWitness:
         if not result.verdict:
             raise ContradictionError("connected non-bipartite case must be strongly Deza")
         return DezaWitness("strongly-deza", False, True, None, None)
-    pair = children(g, params)
+    pair = children(g)
     b_components = len(components(pair.child_b))
     halves = halved_graphs(g)
     labels = []

@@ -1,11 +1,11 @@
 """Shared fixtures and independent brute-force oracles.
 
 The oracle helpers here deliberately avoid the library's own code paths:
-distances via Floyd-Warshall, triangle and common-neighbour counts via
-direct enumeration, intersection numbers via a per-pair neighbour scan,
-determinants via Bareiss elimination, characteristic polynomials via
-Faddeev-LeVerrier over the integers.  Expected values
-frozen into tests were computed with these.
+distances via Floyd-Warshall, 2-colourings via breadth-first search,
+triangle and common-neighbour counts via direct enumeration, intersection
+numbers via a per-pair neighbour scan, determinants via Bareiss
+elimination, characteristic polynomials via Faddeev-LeVerrier over the
+integers.  Expected values frozen into tests were computed with these.
 """
 
 from __future__ import annotations
@@ -45,6 +45,28 @@ def brute_distances(g: Graph) -> np.ndarray:
         dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
     dist[dist >= big] = -1
     return dist
+
+
+def brute_bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
+    """2-colouring by breadth-first search from the least uncoloured vertex
+    of each component (colour 0); None when an odd cycle exists."""
+    colour = [-1] * g.n
+    for s in range(g.n):
+        if colour[s] >= 0:
+            continue
+        colour[s] = 0
+        queue = [s]
+        while queue:
+            u = queue.pop()
+            for v in range(g.n):
+                if not g.adj[u, v]:
+                    continue
+                if colour[v] < 0:
+                    colour[v] = 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    return None
+    return [v for v in range(g.n) if colour[v] == 0], [v for v in range(g.n) if colour[v] == 1]
 
 
 def brute_intersection_counts(adj: np.ndarray, dist: np.ndarray, diameter: int):
@@ -124,7 +146,7 @@ def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# named graphs (session-scoped; everything downstream is cached anyway)
+# named graphs (session-scoped; the facts memoised on each are shared by the tests)
 
 
 @pytest.fixture(scope="session")

@@ -65,7 +65,7 @@ def test_detect_srg(petersen, c6):
 
 def test_children_octahedron_line_graph(octahedron_lg):
     params = detect_deza(octahedron_lg)
-    pair = children(octahedron_lg, params)
+    pair = children(octahedron_lg)
     assert is_disjoint_clique_union(pair.child_a) == (3, 4)
     assert exact_spectrum(pair.child_a) == _spec(
         [(Eigenvalue.integer(3), 3), (Eigenvalue.integer(-1), 9)]
@@ -76,7 +76,7 @@ def test_children_octahedron_line_graph(octahedron_lg):
 
 
 def test_children_heawood(heawood):
-    pair = children(heawood, detect_deza(heawood))
+    pair = children(heawood)
     assert exact_spectrum(pair.child_a) == _spec(
         [(Eigenvalue.integer(7), 1), (Eigenvalue.integer(0), 12), (Eigenvalue.integer(-7), 1)]
     )
@@ -86,7 +86,7 @@ def test_children_heawood(heawood):
 def test_children_matrix_identity(octahedron_lg, heawood, icosahedron):
     for g in (octahedron_lg, heawood, icosahedron):
         params = detect_deza(g)
-        pair = children(g, params)
+        pair = children(g)
         m2 = g.adj.astype(np.int64) @ g.adj.astype(np.int64)
         lhs = (
             params.a * pair.child_a.adj.astype(np.int64)
@@ -104,14 +104,23 @@ def test_children_equal_parameter_convention():
     rook = line_graph(families.complete_multipartite([4, 4]))
     params = detect_deza(rook)
     assert params == DezaParams(16, 6, 2, 2)
-    pair = children(rook, params)
+    pair = children(rook)
     assert pair.child_a.is_complete()
     assert pair.child_b.is_edgeless()
 
 
-def test_children_parameter_mismatch(petersen):
-    with pytest.raises(ValueError, match="parameters"):
-        children(petersen, DezaParams(10, 3, 2, 0))
+def test_children_need_a_deza_graph():
+    # irregular, complete, edgeless, and regular with three common-neighbour
+    # counts (the triangular prism: 0 on rungs, 1 in triangles, 2 otherwise)
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    prism = Graph.from_edges(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    )
+    edgeless = Graph(np.zeros((4, 4), dtype=np.uint8))
+    for g in (star, families.complete(5), edgeless, prism):
+        assert detect_deza(g) is None
+        with pytest.raises(ValueError, match="Deza graph"):
+            children(g)
 
 
 def test_is_strongly_deza(octahedron_lg, icosahedron, c6, k444):

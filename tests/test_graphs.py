@@ -1,16 +1,27 @@
 """Graph type, structural queries, and the graph operators."""
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
 
-from conftest import brute_common_neighbours, brute_distances, brute_triangles, random_graph
+from conftest import (
+    brute_bipartition,
+    brute_common_neighbours,
+    brute_distances,
+    brute_triangles,
+    random_graph,
+)
 from dezakit import families
+from dezakit.deza import children
 from dezakit.graphs import (
     UNREACHABLE,
     Graph,
     bipartite_double,
+    bipartition,
+    common_neighbour_matrix,
     common_neighbours,
     complement,
     components,
@@ -21,6 +32,7 @@ from dezakit.graphs import (
     is_bipartite,
     is_disjoint_clique_union,
     line_graph,
+    per_graph,
     structural_profile,
     triangle_count,
 )
@@ -44,6 +56,56 @@ def test_adjacency_read_only():
     g = families.complete(3)
     with pytest.raises(ValueError):
         g.adj[0, 1] = 0
+
+
+def test_graph_copies_its_input():
+    base = families.cycle(6).adj.copy()
+    g = Graph(base[:, :])
+    fingerprint, dd = hash(g), distance_data(g)
+    base[0, 1] = base[1, 0] = 0
+    # the graph, its hash and its memoised facts ignore the write ...
+    assert g.adj[0, 1] == 1 and g == families.cycle(6)
+    assert hash(g) == fingerprint == hash(Graph(g.adj))
+    assert distance_data(g) is dd and dd.diameter == 3
+    # ... and the caller's array stays writable
+    a = np.zeros((3, 3), dtype=np.uint8)
+    Graph(a)
+    a[0, 1] = a[1, 0] = 1
+    assert Graph(a).edge_count() == 1
+
+
+def test_per_graph_memoises_on_the_graph():
+    calls = []
+
+    @per_graph
+    def fact(g):
+        calls.append(g)
+        if g.n == 1:
+            raise ValueError("no fact for K1")
+        return None
+
+    g = families.cycle(4)
+    # None is a fact like any other: computed once
+    assert fact(g) is None and fact(g) is None and len(calls) == 1
+    # an equal graph is another graph: nothing is shared by value
+    assert fact(Graph(g.adj)) is None and len(calls) == 2
+    # an exception is not stored
+    k1 = Graph(np.zeros((1, 1), dtype=np.uint8))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="K1"):
+            fact(k1)
+    assert len(calls) == 4
+
+
+def test_facts_are_dropped_with_the_graph():
+    g = families.paley(13)
+    m2 = weakref.ref(common_neighbour_matrix(g))
+    # an SRG with lambda != mu is its own child: a cycle through its facts
+    assert g in (children(g).child_a, children(g).child_b)
+    assert common_neighbour_matrix(g) is m2()
+    del g
+    gc.collect()
+    assert m2() is None
 
 
 def test_from_edges_rejects_loops():
@@ -184,6 +246,24 @@ def test_components_and_bipartite():
     assert components(g) == [[0, 1, 2, 3], [4, 5, 6]]
     assert not is_bipartite(g)
     assert is_bipartite(families.cycle(8))
+
+
+def test_bipartition_matches_bfs():
+    c6, c8, c5 = (families.cycle(n) for n in (6, 8, 5))
+    assert bipartition(disjoint_union([c6, c8])) == (
+        [0, 2, 4, 6, 8, 10, 12], [1, 3, 5, 7, 9, 11, 13]
+    )
+    assert bipartition(disjoint_union([c6, c5])) is None
+    rng = random.Random(23)
+    graphs = [disjoint_union([c6, c8]), disjoint_union([c6, c5]), families.complete(1)]
+    graphs += [random_graph(rng, rng.randint(1, 16), rng.choice((0.1, 0.2, 0.4)))
+               for _ in range(200)]
+    outcomes = [bipartition(g) for g in graphs]
+    assert outcomes == [brute_bipartition(g) for g in graphs]
+    # both outcomes occur, on connected and on disconnected inputs
+    assert any(sides is None for sides in outcomes)
+    assert any(sides is not None and len(components(g)) > 1
+               for g, sides in zip(graphs, outcomes))
 
 
 def test_bipartite_double(petersen):

@@ -13,7 +13,7 @@ from conftest import (
     random_graph,
 )
 from dezakit import _kernels
-from dezakit.graphs import distance_data
+from dezakit.graphs import common_neighbour_matrix, distance_data
 
 
 def _random_graphs(count=12, max_n=25, seed=97):
@@ -45,7 +45,7 @@ def test_pair_values_agree():
     for g in _random_graphs():
         vals = sorted(_pair_counts(g, None))[:3]
         expected = (len(vals), *vals, *[-1] * (3 - len(vals)))
-        assert _kernels.pair_values(g.adj) == expected
+        assert _kernels.pair_values(common_neighbour_matrix(g)) == expected
 
 
 def test_class_values_agree():
@@ -54,12 +54,12 @@ def test_class_values_agree():
         for adjacent in (True, False):
             vals = _pair_counts(g, adjacent)
             expected += [min(len(vals), 2), min(vals, default=-1)]
-        assert _kernels.class_values(g.adj) == tuple(expected)
+        assert _kernels.class_values(g.adj, common_neighbour_matrix(g)) == tuple(expected)
 
 
 def test_triangles_agree():
     for g in _random_graphs():
-        assert _kernels.triangle_count(g.adj) == brute_triangles(g)
+        assert _kernels.triangle_count(g.adj, common_neighbour_matrix(g)) == brute_triangles(g)
 
 
 def test_intersection_counts_agree(petersen, heawood, c7, cube, desargues):

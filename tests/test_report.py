@@ -1,8 +1,13 @@
 """Report building, JSON round trips, expectation matching."""
 
 import json
+import sys
 
+import pytest
+
+from dezakit import _kernels, families, graphs, spectra
 from dezakit.graph6 import parse_graph6
+from dezakit.graphs import Graph
 from dezakit.report import (
     SCHEMA,
     build_report,
@@ -93,3 +98,55 @@ def test_matches_expectation(heawood):
     assert problems and "expected 15" in problems[0]
     problems = matches_expectation(rep, {"nosuchkey": 1})
     assert problems and "missing" in problems[0]
+
+
+def _count_computations(monkeypatch, fact):
+    """Swap the per-graph fact for a counting copy at every site in the
+    package that holds it; returns the (graph, value) pairs it computes."""
+    computed = []
+
+    def compute(g):
+        computed.append((g, fact.__wrapped__(g)))
+        return computed[-1][1]
+
+    counted = graphs.per_graph(compute)
+    for name, module in list(sys.modules.items()):
+        if name == "dezakit" or name.startswith("dezakit."):
+            for key, value in list(vars(module).items()):
+                if value is fact:
+                    monkeypatch.setattr(module, key, counted)
+    return computed
+
+
+def _record(monkeypatch, module, name, calls):
+    """Record the last argument of every call to module.name."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args[-1]) or original(*args))
+
+
+@pytest.mark.parametrize("make, char_polys", [
+    pytest.param(lambda: families.bundled_graph("klein24"), None, id="klein24"),
+    # the complement child is computed; the other child is the graph itself
+    pytest.param(lambda: families.paley(61), 2, id="paley-61"),
+])
+def test_report_computes_each_fact_once(make, char_polys, monkeypatch):
+    g = Graph(make().adj)  # no fact computed yet
+    m2 = _count_computations(monkeypatch, graphs.common_neighbour_matrix)
+    distances, kernel_m2, pair_values, polys = [], [], [], []
+    _record(monkeypatch, _kernels, "all_pairs_distances", distances)
+    for kernel in ("class_values", "triangle_count"):
+        _record(monkeypatch, _kernels, kernel, kernel_m2)
+    _record(monkeypatch, _kernels, "pair_values", pair_values)
+    _record(monkeypatch, spectra, "char_poly", polys)
+    report = build_report(g)
+    assert report_inconsistencies(report) == []
+    # once per Graph object; each graph owns its adjacency array, and the
+    # lists keep them alive, so no id is reused
+    assert m2 and len({id(h) for h, _ in m2}) == len(m2)
+    assert distances and len({id(adj) for adj in distances}) == len(distances)
+    assert pair_values and len({id(a) for a in pair_values}) == len(pair_values)
+    assert polys and len({id(h) for h in polys}) == len(polys)
+    if char_polys is not None:
+        assert len(polys) == char_polys
+    # the kernels read the memoised M^2 rather than multiplying it out
+    assert {id(a) for a in kernel_m2 + pair_values} <= {id(value) for _, value in m2}

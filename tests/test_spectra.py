@@ -9,14 +9,8 @@ from conftest import random_graph, random_regular_graph
 from dezakit import families, spectra
 from dezakit.charpoly import char_poly, modular_primes, poly_mul
 from dezakit.eigenvalues import Eigenvalue, Spectrum
-from dezakit.graphs import disjoint_union
-from dezakit.spectra import (
-    NonQuadraticSpectrumError,
-    distinct_abs_values,
-    exact_spectrum,
-    is_cospectral,
-    spectrum_from_pairs,
-)
+from dezakit.graphs import Graph, disjoint_union
+from dezakit.spectra import NonQuadraticSpectrumError, exact_spectrum, spectrum_from_pairs
 from dezakit.verify import corpus
 
 
@@ -126,20 +120,36 @@ def test_conference_paley_61():
 def test_distinct_abs_values(petersen):
     spec = _spec([(Eigenvalue.integer(6), 1), (Eigenvalue.integer(2), 3),
                   (Eigenvalue.integer(0), 2), (Eigenvalue.integer(-2), 6)])
-    assert distinct_abs_values(spec) == 3
-    assert distinct_abs_values(exact_spectrum(petersen)) == 3
-    assert distinct_abs_values(exact_spectrum(families.complete(2))) == 1
+    assert spec.distinct_abs_count() == 3
+    assert exact_spectrum(petersen).distinct_abs_count() == 3
+    assert exact_spectrum(families.complete(2)).distinct_abs_count() == 1
 
 
 def test_is_cospectral(icosahedron, c6):
-    assert is_cospectral(exact_spectrum(icosahedron), exact_spectrum(icosahedron))
+    assert exact_spectrum(icosahedron) == exact_spectrum(Graph(icosahedron.adj))
     k33 = families.complete_multipartite([3, 3])
-    assert not is_cospectral(exact_spectrum(k33), exact_spectrum(c6))
+    assert exact_spectrum(k33) != exact_spectrum(c6)
     # same multiplicity multisets {1,5,4} vs {1,4,5}, different eigenvalues
     pet = exact_spectrum(families.petersen())
     k2x5 = exact_spectrum(families.complete_multipartite([2] * 5))
     assert sorted(m for _, m in pet) == sorted(m for _, m in k2x5)
-    assert not is_cospectral(pet, k2x5)
+    assert pet != k2x5
+
+
+def test_spectrum_lives_on_its_graph(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectra, "char_poly", lambda g: calls.append(g) or char_poly(g))
+    g = families.petersen()
+    spec = exact_spectrum(g)
+    assert exact_spectrum(g) is spec and len(calls) == 1
+    # an equal graph is a new analysis: no cache spans graphs
+    assert exact_spectrum(Graph(g.adj)) == spec and len(calls) == 2
+    # a failure is not stored: C7 is computed again
+    c7 = families.cycle(7)
+    for _ in range(2):
+        with pytest.raises(NonQuadraticSpectrumError):
+            exact_spectrum(c7)
+    assert len(calls) == 4
 
 
 def test_spectrum_from_pairs_merges():
@@ -152,13 +162,6 @@ def test_spectrum_from_pairs_merges():
 
 
 # -- exact (Yun) proposals and the numeric step ------------------------------
-
-
-@pytest.fixture
-def fresh_cache():
-    spectra._spectrum_cached.cache_clear()
-    yield
-    spectra._spectrum_cached.cache_clear()
 
 
 @pytest.fixture
@@ -207,12 +210,12 @@ def test_yun_quadratics_per_multiplicity():
     pytest.param(lambda: families.paley(257),
                  "{128^1, ((-1+√257)/2)^128, ((-1-√257)/2)^128}", id="paley-257"),
 ])
-def test_exact_step_needs_no_eigensolver(make, text, monkeypatch, fresh_cache):
+def test_exact_step_needs_no_eigensolver(make, text, monkeypatch):
     monkeypatch.setattr(spectra, "_numeric_assist", _no_numeric)
     assert str(exact_spectrum(make())) == text
 
 
-def test_unlucky_prime_falls_back_to_numeric(monkeypatch, fresh_cache, numeric_calls):
+def test_unlucky_prime_falls_back_to_numeric(monkeypatch, numeric_calls):
     g = families.paley(61)
     _, rem = spectra._extract_integer_roots(char_poly(g).coeffs, 30)
     assert spectra._yun_quadratics(rem, 30, modular_primes()[0]) == [(-1, -15)]
@@ -228,12 +231,10 @@ def test_unlucky_prime_falls_back_to_numeric(monkeypatch, fresh_cache, numeric_c
     assert spec.multiplicity(Eigenvalue.quadratic(-1, -1, 61, 2)) == 30
 
 
-def test_exact_and_numeric_proposals_combine(fresh_cache, numeric_calls):
+def test_exact_and_numeric_proposals_combine(numeric_calls):
     # P3 + P4 + C5: the residual (x^2 + x - 1)^3 (x^2 - x - 1)(x^2 - 2) has
     # Yun factors a_3 = x^2 + x - 1 (proposed exactly) and the quartic a_1,
     # whose quadratics only the numeric step proposes
-    from dezakit.graphs import Graph
-
     path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     union = disjoint_union([path3, path4, families.cycle(5)])
@@ -246,14 +247,14 @@ def test_exact_and_numeric_proposals_combine(fresh_cache, numeric_calls):
 
 
 def _spectrum_or_residual(g):
-    spectra._spectrum_cached.cache_clear()
+    # a fresh Graph, so no spectrum memoised on g is reused
     try:
-        return exact_spectrum(g)
+        return exact_spectrum(Graph(g.adj))
     except NonQuadraticSpectrumError as exc:
         return exc.residual
 
 
-def test_exact_step_agrees_with_numeric_step(monkeypatch, fresh_cache):
+def test_exact_step_agrees_with_numeric_step(monkeypatch):
     rng = random.Random(4)
     graphs = list(corpus().values())
     while len(graphs) < 225:
