@@ -2,8 +2,9 @@
 
 Graphs are exact 0/1 matrices, eigenvalues are integers or canonical
 quadratic irrationals, and every classification is verified by integer
-arithmetic; floating point only ever proposes candidates.  See the README
-for the command-line interface and the built-in reproduction suite.
+arithmetic; no floating point is used, not even to propose candidates.
+See the README for the command-line interface and the built-in
+reproduction suite.
 """
 
 from . import families

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import _kernels
 from .deza import DezaParams, detect_deza, children, is_divisible_design
 from .errors import ContradictionError, SpectrumShapeError
@@ -18,7 +20,6 @@ from .graphs import (
     Graph,
     components,
     distance_data,
-    distance_i_graph,
     is_bipartite,
     is_disjoint_clique_union,
     triangle_count,
@@ -107,8 +108,15 @@ def intersection_array(g: Graph) -> IntersectionArray | None:
 
 
 def is_antipodal(g: Graph, ia: IntersectionArray) -> bool:
-    """The distance-d graph is a disjoint union of cliques."""
-    return is_disjoint_clique_union(distance_i_graph(g, ia.d)) is not None
+    """The distance-d graph is a disjoint union of equal cliques: every
+    class {v} ∪ {u : d(u, v) = d} is closed and all have one size."""
+    related = (distance_data(g).dist == ia.d) | np.eye(g.n, dtype=bool)
+    # the classes are closed when u and v are related exactly if their
+    # classes have the same least member
+    least = related.argmax(axis=1)
+    sizes = related.sum(axis=1)
+    closed = (related == (least[:, None] == least[None, :])).all()
+    return bool(closed and (sizes == sizes[0]).all())
 
 
 def drg_deza_classification(g: Graph, ia: IntersectionArray) -> TheoremCase:

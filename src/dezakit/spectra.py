@@ -3,49 +3,43 @@
 Strategy: compute the exact characteristic polynomial, strip every integer
 root in [-k, k] by exact synthetic division (k = maximum degree, a hard
 bound on the spectral radius), then factor what remains into monic integer
-quadratics.  Quadratic candidates are proposed in two steps and every one
-is verified by exact polynomial division, so nothing ever depends on a
-proposal being right.
+quadratics.  Quadratic candidates are proposed by one exact step over
+GF(p), p = modular_primes()[0] (about 6.7e7), and every one is verified by
+exact polynomial division over the integers.  No floating point is used.
 
-Exact proposals come first.  Yun's squarefree decomposition (Yun 1976; von
-zur Gathen & Gerhard, Modern Computer Algebra, sec. 14.6) of the residual
-over GF(p), p = modular_primes()[0] (about 6.7e7), writes it as a product
-of a_i^i with each a_i squarefree; every monic a_i of degree two is lifted
-to the symmetric range as a candidate x^2 - b x + c.  A quadratic factor
-has both roots in [-k, k], so |b| <= 2k and |c| <= k^2 < p/2, and when p
-is lucky (p > deg, and p divides no discriminant or resultant of the
-factors) the lift is the integer factor itself.  The graphs this package
-is about have few distinct eigenvalues with large multiplicities, so their
-residual is usually a power of one quadratic, such as (x^2 + x - 15)^30
-for Paley(61), and this step settles it in O(d^2) word operations.
+The step works on f, the residual reduced mod p (von zur Gathen & Gerhard,
+Modern Computer Algebra, ch. 14; Cantor & Zassenhaus, Math. Comp. 36,
+1981).  Its radical R = f / gcd(f, f') is squarefree because p > deg f.
+L = gcd(R, x^p - x) is the product of R's linear factors and
+Q = gcd(R / L, x^(p^2) - x) that of its irreducible quadratic factors;
+both powers come from repeated squaring mod R.  Equal-degree splitting
+with the shifts x + a, a = 1, 2, ..., in that order, breaks L into roots
+and Q into quadratics, so a run is reproducible.  Each irreducible
+quadratic of Q and each pair (r + s, r s) of distinct roots of L is lifted
+to the symmetric range and kept when it is admissible.
 
-The numeric step runs only on what the exact step leaves: a high-precision
-symmetric eigensolver (128 working bits) proposes every pair of eigenvalues
-whose sum and product round to integers.  These proposals are complete:
-both roots of every quadratic factor of det(xI - M) are eigenvalues, every
-two computed eigenvalues are paired, and at 128 bits their error is far
-below the 1e-6 window in which the sum and product are rounded.
+Why every quadratic factor is proposed, at this one prime.  Let
+x^2 - b x + c be a factor of the residual.  Its roots are irrational
+eigenvalues in [-k, k], so |b| <= 2k, |c| <= k^2 and its discriminant
+satisfies 0 < b^2 - 4c <= 8 k^2 < p.  Mod p it is therefore squarefree:
+either an irreducible factor of Q, or (x - r)(x - s) with r != s both
+roots of L.  Both |b| and |c| are below p / 2, so the symmetric lift gives
+back the integer factor exactly.  p > max(8 k^2, deg f) holds for every
+order char_poly accepts and is checked on each call.  When L and Q are
+both 1 nothing is proposed, which proves at once that the residual has no
+quadratic factor.
 
-An unlucky prime cannot give a wrong answer.  It can merge or split Yun
-factors mod p, so a degree-two factor may go unproposed or a lifted
-candidate may be no factor at all; the former is supplied by the numeric
-step, the latter fails exact division.  Exact division, the reconstruction
-of the characteristic polynomial and the trace check decide the result,
-so a missed factor could only raise NonQuadraticSpectrumError; it could
-never produce a wrong spectrum.  Any residual of degree >= 3 is reported as
-a non-quadratic spectrum.
+A proposal is never trusted.  Exact division, the reconstruction of the
+characteristic polynomial and the trace check decide the result; a
+candidate that is no factor fails exact division.  Any residual of degree
+>= 3 that is left is reported as a non-quadratic spectrum.
 """
 
 from __future__ import annotations
 
-import mpmath
-
 from .charpoly import char_poly, modular_primes, poly_eval, poly_mul, poly_try_divide
 from .eigenvalues import Eigenvalue, Spectrum, is_perfect_square
 from .graphs import Graph, per_graph
-
-#: working precision (bits) of the assisting eigensolver
-ASSIST_PREC_BITS = 128
 
 
 class NonQuadraticSpectrumError(ValueError):
@@ -71,12 +65,6 @@ def _extract_integer_roots(coeffs, bound: int):
     return mults, rem
 
 
-def _numeric_assist(g: Graph):
-    with mpmath.workprec(ASSIST_PREC_BITS):
-        m = mpmath.matrix(g.adj.tolist())
-        return list(mpmath.eigsy(m, eigvals_only=True))
-
-
 def _admissible(b: int, c: int, bound: int) -> bool:
     """x^2 - b x + c can be an irreducible factor of det(xI - M) when the
     maximum degree is bound."""
@@ -84,21 +72,6 @@ def _admissible(b: int, c: int, bound: int) -> bool:
         return False
     disc = b * b - 4 * c
     return disc > 0 and not is_perfect_square(disc)
-
-
-def _candidate_quadratics(values, bound: int):
-    cands = set()
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            b = values[i] + values[j]
-            c = values[i] * values[j]
-            bi = int(mpmath.nint(b))
-            ci = int(mpmath.nint(c))
-            if abs(b - bi) > 1e-6 or abs(c - ci) > 1e-6:
-                continue
-            if _admissible(bi, ci, bound):
-                cands.add((bi, ci))
-    return sorted(cands)
 
 
 # -- polynomials over GF(p): ascending coefficient lists, no trailing zeros
@@ -143,30 +116,80 @@ def _monic_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _yun_quadratics(rem, bound: int, p: int):
-    """Candidates (b, c), by multiplicity, from the monic degree-two
-    factors of Yun's squarefree decomposition of the monic integer
-    polynomial rem over GF(p), lifted to the symmetric range.  Exact when
-    p is lucky; see the module docstring for why an unlucky p is harmless."""
+def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            out[i : i + len(b)] = [o + ai * bj for o, bj in zip(out[i : i + len(b)], b)]
+    return _trim([c % p for c in out])
+
+
+def _powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """base^e mod f over GF(p), by repeated squaring."""
+    base = _divmod_mod(base, f, p)[1]
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _divmod_mod(_mul_mod(out, out, p), f, p)[1]
+        if bit == "1":
+            out = _divmod_mod(_mul_mod(out, base, p), f, p)[1]
+    return out
+
+
+def _equal_degree_factors(f: list[int], d: int, p: int) -> list[list[int]]:
+    """The monic irreducible factors of a monic squarefree f over GF(p)
+    whose irreducible factors all have degree d (Cantor-Zassenhaus, with
+    the shifts x + a, a = 1, 2, ... in turn instead of random elements)."""
+    e = (p**d - 1) // 2
+    done, todo = [], [f]
+    a = 0
+    while todo:
+        a += 1
+        pending = []
+        for g in todo:
+            if len(g) - 1 == d:
+                done.append(g)
+                continue
+            s = _monic_gcd_mod(g, _sub_mod(_powmod([a, 1], e, g, p), [1], p), p)
+            if 1 < len(s) < len(g):
+                pending += [s, _divmod_mod(g, s, p)[0]]
+            else:
+                pending.append(g)
+        todo = pending
+    return done
+
+
+def _quadratic_candidates(rem, bound: int, p: int):
+    """Every admissible (b, c) whose x^2 - b x + c divides the monic integer
+    polynomial rem is among the returned candidates; see the module
+    docstring for why this holds at the prime p."""
+    if p <= max(8 * bound * bound, len(rem) - 1):
+        raise ArithmeticError(f"prime {p} too small for degree {len(rem) - 1}, bound {bound}")
     f = [c % p for c in rem]
-    df = _derivative_mod(f, p)
-    g = _monic_gcd_mod(f, df, p)
-    c = _divmod_mod(f, g, p)[0]
-    d = _sub_mod(_divmod_mod(df, g, p)[0], _derivative_mod(c, p), p)
+    radical = _divmod_mod(f, _monic_gcd_mod(f, _derivative_mod(f, p), p), p)[0]
+    x = [0, 1]
+    xp = _powmod(x, p, radical, p)
+    linear = _monic_gcd_mod(radical, _sub_mod(xp, x, p), p)
+    rest = _divmod_mod(radical, linear, p)[0]
+    quadratic = [1]
+    if len(rest) > 1:
+        xpp = _powmod(xp, p, rest, p)
+        quadratic = _monic_gcd_mod(rest, _sub_mod(xpp, x, p), p)
+
+    # x^2 - b x + c, with b and c lifted to the symmetric range
+    pairs = set()
+    if len(quadratic) > 1:
+        for c0, c1, _ in _equal_degree_factors(quadratic, 2, p):
+            pairs.add((-c1 % p, c0))
+    if len(linear) > 2:
+        roots = [-c0 % p for c0, _ in _equal_degree_factors(linear, 1, p)]
+        for i, r in enumerate(roots):
+            for s in roots[i + 1 :]:
+                pairs.add(((r + s) % p, r * s % p))
     half = p // 2
-    cands = []
-    # every multiplicity is at most deg f; the cap only matters when p <= deg f
-    for _ in range(len(f)):
-        if len(c) <= 1:
-            break
-        a = _monic_gcd_mod(c, d, p)
-        if len(a) == 3:
-            c0, c1 = (v - p if v > half else v for v in a[:2])
-            if _admissible(-c1, c0, bound):
-                cands.append((-c1, c0))
-        c = _divmod_mod(c, a, p)[0]
-        d = _sub_mod(_divmod_mod(d, a, p)[0], _derivative_mod(c, p), p)
-    return cands
+    cands = {(b - p if b > half else b, c - p if c > half else c) for b, c in pairs}
+    return sorted(bc for bc in cands if _admissible(*bc, bound))
 
 
 def _divide_out_quadratics(rem, candidates):
@@ -207,13 +230,8 @@ def exact_spectrum(g: Graph) -> Spectrum:
     quad_powers: dict[tuple[int, int], int] = {}
     if len(rem) > 1:
         quad_powers, rem = _divide_out_quadratics(
-            rem, _yun_quadratics(rem, bound, modular_primes()[0])
+            rem, _quadratic_candidates(rem, bound, modular_primes()[0])
         )
-    if len(rem) > 1:
-        numeric_powers, rem = _divide_out_quadratics(
-            rem, _candidate_quadratics(_numeric_assist(g), bound)
-        )
-        quad_powers.update(numeric_powers)
     if len(rem) > 1:
         raise NonQuadraticSpectrumError(rem)
 

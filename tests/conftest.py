@@ -5,11 +5,13 @@ distances via Floyd-Warshall, 2-colourings via breadth-first search,
 triangle and common-neighbour counts via direct enumeration, intersection
 numbers via a per-pair neighbour scan, determinants via Bareiss
 elimination, characteristic polynomials via Faddeev-LeVerrier over the
+integers, spectra from float64 eigenvalues whose sums and products round to
 integers.  Expected values frozen into tests were computed with these.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -17,6 +19,8 @@ import numpy as np
 import pytest
 
 from dezakit import families
+from dezakit.charpoly import char_poly, poly_try_divide
+from dezakit.eigenvalues import Eigenvalue, Spectrum
 from dezakit.graphs import Graph, bipartite_double, disjoint_union, line_graph
 
 
@@ -115,6 +119,40 @@ def faddeev_leverrier(g: Graph) -> tuple[int, ...]:
         if k < n:
             mk = a.dot(mk + ck * eye)
     return tuple(coeffs)
+
+
+def float_spectrum_or_residual(g: Graph, tol: float = 1e-6):
+    """The exact spectrum of g, or the residual of det(xI - M) left when an
+    eigenvalue is not quadratic, with every factor proposed from numpy's
+    float64 eigenvalues: each value that rounds to an integer z proposes
+    x - z, each pair whose sum b and product c round to integers proposes
+    x^2 - b x + c (when b^2 - 4c is positive and not a square).  Proposals
+    are divided out of the exact characteristic polynomial as often as
+    they divide it exactly, so a wrong one changes nothing."""
+    values = np.linalg.eigvalsh(g.adj.astype(float))
+
+    def near(v):
+        return round(v) if abs(v - round(v)) <= tol else None
+
+    linear = sorted({z for z in map(near, values) if z is not None})
+    quadratic = set()
+    for i, u in enumerate(values):
+        for v in values[i + 1 :]:
+            b, c = near(u + v), near(u * v)
+            if b is not None and c is not None:
+                disc = b * b - 4 * c
+                if disc > 0 and math.isqrt(disc) ** 2 != disc:
+                    quadratic.add((b, c))
+    rem = char_poly(g).coeffs
+    entries = []
+    for factor, roots in [((-z, 1), [Eigenvalue.integer(z)]) for z in linear] + [
+        ((c, -b, 1), Eigenvalue.quadratic_roots(b, c)) for b, c in sorted(quadratic)
+    ]:
+        mult = 0
+        while (quotient := poly_try_divide(rem, factor)) is not None:
+            rem, mult = quotient, mult + 1
+        entries += [(root, mult) for root in roots if mult]
+    return Spectrum(entries) if len(rem) == 1 else rem
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

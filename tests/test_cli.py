@@ -1,8 +1,15 @@
 """Command-line surface: verbs, exit codes, determinism."""
 
 import json
+import random
 
+import pytest
+
+from conftest import random_regular_graph
+from dezakit import families
 from dezakit.cli import main
+from dezakit.graph6 import write_graph6
+from dezakit.report import report_inconsistencies
 
 
 def run(capsys, *argv):
@@ -91,7 +98,6 @@ def test_filter_all_four_vertex_graphs(tmp_path, capsys):
     import numpy as np
 
     from dezakit.deza import detect_deza
-    from dezakit.graph6 import write_graph6
     from dezakit.graphs import Graph
 
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -181,3 +187,18 @@ def test_missing_file(capsys):
 def test_usage_exit(capsys):
     assert run(capsys, "frobnicate")[0] == 64
     assert run(capsys)[0] == 64
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: random_regular_graph(random.Random(258), 258, 6), id="random-6-regular"),
+    pytest.param(lambda: families.complete(258), id="complete"),
+    pytest.param(lambda: families.complete_multipartite([129, 129]), id="complete-bipartite"),
+])
+def test_analyze_at_graph6_cap(make, tmp_path, capsys):
+    path = tmp_path / "cap.g6"
+    path.write_text(write_graph6(make()) + "\n")
+    code, out, _ = run(capsys, "analyze", "--json", str(path))
+    assert code == 0
+    [report] = json.loads(out)
+    assert report["n"] == 258
+    assert report_inconsistencies(report) == []

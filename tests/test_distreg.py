@@ -18,7 +18,8 @@ from dezakit.distreg import (
     unitary_nonisotropics_check,
 )
 from dezakit.errors import SpectrumShapeError
-from dezakit.graphs import Graph
+from dezakit.graphs import Graph, distance_i_graph, is_connected, is_disjoint_clique_union
+from dezakit.verify import corpus
 
 
 def test_intersection_arrays(heawood, icosahedron, c6, johnson63, line_petersen, taylor13, klein24):
@@ -57,6 +58,20 @@ def test_is_antipodal(heawood, icosahedron, johnson63, cube):
     # the Fano incidence graph has k_3 = 4: its distance-3 graph is 4-regular
     # bipartite, not a clique union
     assert not is_antipodal(heawood, intersection_array(heawood))
+
+
+def test_is_antipodal_matches_distance_graph():
+    # against the definition: the distance-d graph is a union of equal cliques
+    graphs = list(corpus().values()) + [families.cycle(n) for n in range(3, 13)]
+    graphs += [families.johnson(8, 4), families.kneser(7, 2), families.complete(5)]
+    seen = set()
+    for g in graphs:
+        ia = intersection_array(g) if is_connected(g) else None
+        if ia is not None:
+            expected = is_disjoint_clique_union(distance_i_graph(g, ia.d)) is not None
+            assert is_antipodal(g, ia) == expected
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_drg_deza_classification(heawood, icosahedron, johnson63, c7, petersen):

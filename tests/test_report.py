@@ -144,6 +144,8 @@ def test_report_computes_each_fact_once(make, char_polys, monkeypatch):
     # lists keep them alive, so no id is reused
     assert m2 and len({id(h) for h, _ in m2}) == len(m2)
     assert distances and len({id(adj) for adj in distances}) == len(distances)
+    # and at most once per adjacency: no equal graph is built to recompute them
+    assert len({adj.tobytes() for adj in distances}) == len(distances)
     assert pair_values and len({id(a) for a in pair_values}) == len(pair_values)
     assert polys and len({id(h) for h in polys}) == len(polys)
     if char_polys is not None:

@@ -1,13 +1,14 @@
 """Exact spectra: frozen examples, invariants, numeric cross-validation."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 
-from conftest import random_graph, random_regular_graph
+from conftest import float_spectrum_or_residual, random_graph, random_regular_graph
 from dezakit import families, spectra
-from dezakit.charpoly import char_poly, modular_primes, poly_mul
+from dezakit.charpoly import MAX_ORDER, CharPoly, char_poly, modular_primes, poly_mul
 from dezakit.eigenvalues import Eigenvalue, Spectrum
 from dezakit.graphs import Graph, disjoint_union
 from dezakit.spectra import NonQuadraticSpectrumError, exact_spectrum, spectrum_from_pairs
@@ -161,38 +162,95 @@ def test_spectrum_from_pairs_merges():
     assert spec.multiplicity(Eigenvalue.integer(5)) == 0
 
 
-# -- exact (Yun) proposals and the numeric step ------------------------------
+# -- the exact quadratic step over GF(p) ------------------------------------
+
+
+P = modular_primes()[0]
 
 
 @pytest.fixture
-def numeric_calls(monkeypatch):
-    """The graphs the numeric step runs on, in order."""
-    numeric, calls = spectra._numeric_assist, []
-    monkeypatch.setattr(spectra, "_numeric_assist", lambda g: calls.append(g) or numeric(g))
-    return calls
+def no_eigensolver(monkeypatch):
+    """Make every numpy eigensolver raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
 
 
-def _no_numeric(g):
-    raise AssertionError("the numeric step ran")
-
-
-def _power(factor, e):
+def _product(*factors):
     out = (1,)
-    for _ in range(e):
+    for factor in factors:
         out = poly_mul(out, factor)
     return out
 
 
-def test_yun_quadratics_per_multiplicity():
-    # (x^2 - 3)(x^2 + x - 1)^2 (x^2 - 2)^3: one quadratic per multiplicity
-    rem = poly_mul(poly_mul((-3, 0, 1), _power((-1, 1, 1), 2)), _power((-2, 0, 1), 3))
-    p = modular_primes()[0]
-    assert spectra._yun_quadratics(rem, 3, p) == [(0, -3), (-1, -1), (0, -2)]
-    # two quadratics of equal multiplicity form a quartic Yun factor
-    rem = poly_mul(_power((-3, 0, 1), 2), _power((-2, 0, 1), 2))
-    assert spectra._yun_quadratics(rem, 3, p) == []
+def _power(factor, e):
+    return _product(*[factor] * e)
+
+
+def _legendre(d):
+    return pow(d, (P - 1) // 2, P)
+
+
+def test_quadratic_candidates_on_synthetic_residuals():
+    cands = spectra._quadratic_candidates
+    # one quadratic per distinct factor, whatever the multiplicities
+    rem = _product((-3, 0, 1), _power((-1, 1, 1), 2), _power((-2, 0, 1), 3))
+    assert cands(rem, 3, P) == [(-1, -1), (0, -3), (0, -2)]
+    # two quadratics of equal multiplicity are both proposed
+    assert cands(_product(_power((-3, 0, 1), 2), _power((-2, 0, 1), 2)), 3, P) == [
+        (0, -3), (0, -2)]
     # the bounds filter: x^2 - 3 cannot divide det(xI - M) when k = 1
-    assert spectra._yun_quadratics(_power((-3, 0, 1), 4), 1, p) == []
+    assert cands(_power((-3, 0, 1), 4), 1, P) == []
+    # the cubic of C7 has no quadratic factor
+    assert cands(_power((-1, -2, 1, 1), 2), 2, P) == []
+
+
+def test_split_and_irreducible_quadratics_are_both_proposed():
+    # x^2 - d splits mod p when d is a square mod p, else stays irreducible
+    split = next(d for d in range(2, 50) if math.isqrt(d) ** 2 != d and _legendre(d) == 1)
+    inert = next(d for d in range(2, 50) if _legendre(d) == P - 1)
+    rem = _product((-split, 0, 1), (-inert, 0, 1), (-1, -2, 1, 1))
+    assert spectra._quadratic_candidates(rem, 7, P) == sorted([(0, -split), (0, -inert)])
+
+
+def test_quartic_with_quadratic_roots_is_left_over(monkeypatch):
+    # x^4 - 10x^2 + 1 has roots +-sqrt(2) +- sqrt(3) but no quadratic factor
+    # over the integers, though it splits into quadratics mod every prime
+    quartic = (1, 0, -10, 0, 1)
+    rem = poly_mul(quartic, (-2, 0, 1))
+    assert spectra._quadratic_candidates(rem, 4, P) == [(0, -2)]
+    # a 4-regular graph on six vertices, whose det(xI - M) is replaced by rem
+    g = families.complete_multipartite([2, 2, 2])
+    monkeypatch.setattr(spectra, "char_poly", lambda g: CharPoly(rem))
+    with pytest.raises(NonQuadraticSpectrumError) as info:
+        exact_spectrum(g)
+    assert info.value.residual == quartic
+
+
+def test_prime_covers_max_order():
+    # every quadratic factor is squarefree mod p, and lifts back exactly,
+    # for every order char_poly accepts
+    k = MAX_ORDER - 1
+    assert P > 8 * k * k and P > MAX_ORDER
+    assert 2 * k < P // 2 and k * k < P // 2
+
+
+def test_unlucky_prime_is_refused(monkeypatch):
+    g = families.paley(61)
+    _, rem = spectra._extract_integer_roots(char_poly(g).coeffs, 30)
+    assert spectra._quadratic_candidates(rem, 30, P) == [(-1, -15)]
+    # x^2 + x - 15 has discriminant 61, so mod 61 it is (x + 31)^2: the
+    # factor would be lost, and the step refuses the prime
+    assert [c % 61 for c in rem] == [c % 61 for c in _power((31, 1), 60)]
+    with pytest.raises(ArithmeticError, match="too small"):
+        spectra._quadratic_candidates(rem, 30, 61)
+    with pytest.raises(ArithmeticError, match="too small"):
+        spectra._quadratic_candidates(_power((-2, 0, 1), 6), 1, 11)
+    monkeypatch.setattr(spectra, "modular_primes", lambda: (61,))
+    with pytest.raises(ArithmeticError, match="too small"):
+        exact_spectrum(g)
 
 
 @pytest.mark.parametrize("make, text", [
@@ -210,37 +268,16 @@ def test_yun_quadratics_per_multiplicity():
     pytest.param(lambda: families.paley(257),
                  "{128^1, ((-1+√257)/2)^128, ((-1-√257)/2)^128}", id="paley-257"),
 ])
-def test_exact_step_needs_no_eigensolver(make, text, monkeypatch):
-    monkeypatch.setattr(spectra, "_numeric_assist", _no_numeric)
+def test_exact_step_needs_no_eigensolver(make, text, no_eigensolver):
     assert str(exact_spectrum(make())) == text
 
 
-def test_unlucky_prime_falls_back_to_numeric(monkeypatch, numeric_calls):
-    g = families.paley(61)
-    _, rem = spectra._extract_integer_roots(char_poly(g).coeffs, 30)
-    assert spectra._yun_quadratics(rem, 30, modular_primes()[0]) == [(-1, -15)]
-    # x^2 + x - 15 has discriminant 61, so mod 61 it is (x + 31)^2
-    assert [c % 61 for c in rem] == [c % 61 for c in _power((31, 1), 60)]
-    assert spectra._yun_quadratics(rem, 30, 61) == []
-
-    yun = spectra._yun_quadratics
-    monkeypatch.setattr(spectra, "_yun_quadratics", lambda rem, bound, p: yun(rem, bound, 61))
-    spec = exact_spectrum(g)
-    assert numeric_calls == [g]
-    assert spec.multiplicity(Eigenvalue.quadratic(-1, 1, 61, 2)) == 30
-    assert spec.multiplicity(Eigenvalue.quadratic(-1, -1, 61, 2)) == 30
-
-
-def test_exact_and_numeric_proposals_combine(numeric_calls):
-    # P3 + P4 + C5: the residual (x^2 + x - 1)^3 (x^2 - x - 1)(x^2 - 2) has
-    # Yun factors a_3 = x^2 + x - 1 (proposed exactly) and the quartic a_1,
-    # whose quadratics only the numeric step proposes
+def test_mixed_quadratics_are_proposed_exactly(no_eigensolver):
+    # P3 + P4 + C5: the residual (x^2 + x - 1)^3 (x^2 - x - 1)(x^2 - 2)
     path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     union = disjoint_union([path3, path4, families.cycle(5)])
-    spec = exact_spectrum(union)
-    assert numeric_calls == [union]
-    assert str(spec) == (
+    assert str(exact_spectrum(union)) == (
         "{2^1, ((1+√5)/2)^1, (√2)^1, ((-1+√5)/2)^3, 0^1,"
         " ((1-√5)/2)^1, (-√2)^1, ((-1-√5)/2)^3}"
     )
@@ -254,7 +291,7 @@ def _spectrum_or_residual(g):
         return exc.residual
 
 
-def test_exact_step_agrees_with_numeric_step(monkeypatch):
+def test_agrees_with_float_oracle():
     rng = random.Random(4)
     graphs = list(corpus().values())
     while len(graphs) < 225:
@@ -262,11 +299,9 @@ def test_exact_step_agrees_with_numeric_step(monkeypatch):
         k = rng.randint(1, n - 1)
         if n * k % 2 == 0:
             graphs.append(random_regular_graph(rng, n, k))
-    with_yun = [_spectrum_or_residual(g) for g in graphs]
-    monkeypatch.setattr(spectra, "_yun_quadratics", lambda rem, bound, p: [])
-    without_yun = [_spectrum_or_residual(g) for g in graphs]
-    assert with_yun == without_yun
+    exact = [_spectrum_or_residual(g) for g in graphs]
+    assert exact == [float_spectrum_or_residual(g) for g in graphs]
     # both outcomes occur: spectra with quadratic eigenvalues and residuals
-    assert any(isinstance(r, tuple) for r in with_yun)
+    assert any(isinstance(r, tuple) for r in exact)
     assert any(isinstance(r, Spectrum) and any(not ev.is_integer for ev, _ in r)
-               for r in with_yun)
+               for r in exact)
