@@ -11,12 +11,24 @@ The step works on f, the residual reduced mod p (von zur Gathen & Gerhard,
 Modern Computer Algebra, ch. 14; Cantor & Zassenhaus, Math. Comp. 36,
 1981).  Its radical R = f / gcd(f, f') is squarefree because p > deg f.
 L = gcd(R, x^p - x) is the product of R's linear factors and
-Q = gcd(R / L, x^(p^2) - x) that of its irreducible quadratic factors;
-both powers come from repeated squaring mod R.  Equal-degree splitting
-with the shifts x + a, a = 1, 2, ..., in that order, breaks L into roots
-and Q into quadratics, so a run is reproducible.  Each irreducible
-quadratic of Q and each pair (r + s, r s) of distinct roots of L is lifted
-to the symmetric range and kept when it is admissible.
+Q = gcd(R / L, x^(p^2) - x) that of its irreducible quadratic factors.
+Equal-degree splitting with the shifts x + a, a = 1, 2, ..., in that
+order, breaks L into roots and Q into quadratics, so a run is
+reproducible.  Each irreducible quadratic of Q and each pair (r + s, r s)
+of distinct roots of L is lifted to the symmetric range and kept when it
+is admissible.
+
+All the powers, x^p mod R, x^(p^2) mod R / L and the splitting powers
+(x + a)^((p^d - 1) / 2), are one primitive: (x + c)^e mod a monic f of
+degree d, by repeated squaring on int64 vectors.  A square is one
+convolution, and its coefficients at x^d and above are folded back by one
+product with a d x (d - 1) reduction matrix whose columns x^(d + j) mod f
+are built once per power.  Residues are below p < 2^26, so every sum is of
+at most d products below p^2, at most d (p - 1)^2 < 2^63 for d <= MAX_ORDER,
+and int64 is exact; deg f > MAX_ORDER is refused.  A piece of L of degree
+2 needs no power: as p = 3 (mod 4), s = disc^((p + 1) / 4) is a square
+root of its discriminant (both are checked), and its roots are
+(-c1 +- s) / 2.
 
 Why every quadratic factor is proposed, at this one prime.  Let
 x^2 - b x + c be a factor of the residual.  Its roots are irrational
@@ -37,7 +49,9 @@ candidate that is no factor fails exact division.  Any residual of degree
 
 from __future__ import annotations
 
-from .charpoly import char_poly, modular_primes, poly_eval, poly_mul, poly_try_divide
+import numpy as np
+
+from .charpoly import MAX_ORDER, char_poly, modular_primes, poly_eval, poly_mul, poly_try_divide
 from .eigenvalues import Eigenvalue, Spectrum, is_perfect_square
 from .graphs import Graph, per_graph
 
@@ -116,31 +130,50 @@ def _monic_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            out[i : i + len(b)] = [o + ai * bj for o, bj in zip(out[i : i + len(b)], b)]
-    return _trim([c % p for c in out])
-
-
-def _powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """base^e mod f over GF(p), by repeated squaring."""
-    base = _divmod_mod(base, f, p)[1]
-    out = [1]
+def _pow_x_plus(c: int, e: int, f: list[int], p: int) -> list[int]:
+    """(x + c)^e mod the monic f of degree d >= 1 over GF(p), by repeated
+    squaring on int64 vectors of d coefficients (see the module docstring
+    for the reduction matrix and why int64 is exact)."""
+    d = len(f) - 1
+    xd = np.array([-a % p for a in f[:-1]], dtype=np.int64)  # x^d mod f
+    red = np.empty((d, d - 1), dtype=np.int64)  # column j: x^(d + j) mod f
+    col = xd
+    for j in range(d - 1):
+        red[:, j] = col
+        col = col[-1] * xd
+        col[1:] += red[:-1, j]
+        col %= p
+    r = np.zeros(d, dtype=np.int64)
+    r[0] = 1
     for bit in bin(e)[2:]:
-        out = _divmod_mod(_mul_mod(out, out, p), f, p)[1]
-        if bit == "1":
-            out = _divmod_mod(_mul_mod(out, base, p), f, p)[1]
-    return out
+        sq = np.convolve(r, r) % p
+        r = (sq[:d] + red @ sq[d:]) % p
+        if bit == "1":  # times x + c
+            shifted = c * r + r[-1] * xd
+            shifted[1:] += r[:-1]
+            r = shifted % p
+    return _trim(r.tolist())
+
+
+def _split_quadratic(g: list[int], p: int) -> list[list[int]]:
+    """The linear factors of a monic squarefree x^2 + c1 x + c0 that splits
+    over GF(p), p = 3 (mod 4): its roots are (-c1 +- s) / 2, where
+    s = disc^((p + 1) / 4) is a square root of the discriminant disc."""
+    c0, c1, _ = g
+    disc = (c1 * c1 - 4 * c0) % p
+    s = pow(disc, (p + 1) // 4, p)
+    if s * s % p != disc:
+        raise ArithmeticError(f"x^2 + {c1} x + {c0} has no roots mod {p}")
+    half = (p + 1) // 2
+    return [[(c1 - s) * half % p, 1], [(c1 + s) * half % p, 1]]
 
 
 def _equal_degree_factors(f: list[int], d: int, p: int) -> list[list[int]]:
     """The monic irreducible factors of a monic squarefree f over GF(p)
     whose irreducible factors all have degree d (Cantor-Zassenhaus, with
-    the shifts x + a, a = 1, 2, ... in turn instead of random elements)."""
+    the shifts x + a, a = 1, 2, ... in turn instead of random elements; a
+    quadratic piece of a product of linear factors is split in closed
+    form)."""
     e = (p**d - 1) // 2
     done, todo = [], [f]
     a = 0
@@ -151,7 +184,10 @@ def _equal_degree_factors(f: list[int], d: int, p: int) -> list[list[int]]:
             if len(g) - 1 == d:
                 done.append(g)
                 continue
-            s = _monic_gcd_mod(g, _sub_mod(_powmod([a, 1], e, g, p), [1], p), p)
+            if d == 1 and len(g) == 3:
+                done += _split_quadratic(g, p)
+                continue
+            s = _monic_gcd_mod(g, _sub_mod(_pow_x_plus(a, e, g, p), [1], p), p)
             if 1 < len(s) < len(g):
                 pending += [s, _divmod_mod(g, s, p)[0]]
             else:
@@ -166,15 +202,18 @@ def _quadratic_candidates(rem, bound: int, p: int):
     docstring for why this holds at the prime p."""
     if p <= max(8 * bound * bound, len(rem) - 1):
         raise ArithmeticError(f"prime {p} too small for degree {len(rem) - 1}, bound {bound}")
+    if p % 4 != 3:
+        raise ArithmeticError(f"prime {p} is not 3 mod 4")
+    if len(rem) - 1 > MAX_ORDER:
+        raise ArithmeticError(f"degree {len(rem) - 1} exceeds {MAX_ORDER}")
     f = [c % p for c in rem]
     radical = _divmod_mod(f, _monic_gcd_mod(f, _derivative_mod(f, p), p), p)[0]
     x = [0, 1]
-    xp = _powmod(x, p, radical, p)
-    linear = _monic_gcd_mod(radical, _sub_mod(xp, x, p), p)
+    linear = _monic_gcd_mod(radical, _sub_mod(_pow_x_plus(0, p, radical, p), x, p), p)
     rest = _divmod_mod(radical, linear, p)[0]
     quadratic = [1]
     if len(rest) > 1:
-        xpp = _powmod(xp, p, rest, p)
+        xpp = _pow_x_plus(0, p * p, rest, p)
         quadratic = _monic_gcd_mod(rest, _sub_mod(xpp, x, p), p)
 
     # x^2 - b x + c, with b and c lifted to the symmetric range

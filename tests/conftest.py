@@ -5,7 +5,8 @@ distances via Floyd-Warshall, 2-colourings via breadth-first search,
 triangle and common-neighbour counts via direct enumeration, intersection
 numbers via a per-pair neighbour scan, determinants via Bareiss
 elimination, characteristic polynomials via Faddeev-LeVerrier over the
-integers, spectra from float64 eigenvalues whose sums and products round to
+integers, powers mod f over GF(p) via list products and long division,
+spectra from float64 eigenvalues whose sums and products round to
 integers.  Expected values frozen into tests were computed with these.
 """
 
@@ -119,6 +120,44 @@ def faddeev_leverrier(g: Graph) -> tuple[int, ...]:
         if k < n:
             mk = a.dot(mk + ck * eye)
     return tuple(coeffs)
+
+
+def _trimmed(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """a b over GF(p), on ascending coefficient lists without trailing zeros."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            out[i : i + len(b)] = [o + ai * bj for o, bj in zip(out[i : i + len(b)], b)]
+    return _trimmed([c % p for c in out])
+
+
+def rem_mod(a: list[int], f: list[int], p: int) -> list[int]:
+    """a mod the monic f over GF(p), by long division."""
+    a, d = [c % p for c in a], len(f) - 1
+    for i in range(len(a) - 1, d - 1, -1):
+        q = a[i]
+        for j in range(d + 1):
+            a[i - d + j] = (a[i - d + j] - q * f[j]) % p
+    return _trimmed(a[:d])
+
+
+def powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """base^e mod the monic f over GF(p) by repeated squaring of lists."""
+    base = rem_mod(base, f, p)
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = rem_mod(mul_mod(out, out, p), f, p)
+        if bit == "1":
+            out = rem_mod(mul_mod(out, base, p), f, p)
+    return out
 
 
 def float_spectrum_or_residual(g: Graph, tol: float = 1e-6):

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import float_spectrum_or_residual, random_graph, random_regular_graph
+from conftest import float_spectrum_or_residual, powmod, random_graph, random_regular_graph
 from dezakit import families, spectra
 from dezakit.charpoly import MAX_ORDER, CharPoly, char_poly, modular_primes, poly_mul
 from dezakit.eigenvalues import Eigenvalue, Spectrum
@@ -193,7 +193,35 @@ def _legendre(d):
     return pow(d, (P - 1) // 2, P)
 
 
-def test_quadratic_candidates_on_synthetic_residuals():
+def _split_nonsquares():
+    """Non-squares d > 1 for which x^2 - d splits mod P."""
+    return [d for d in range(2, 50) if math.isqrt(d) ** 2 != d and _legendre(d) == 1]
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to spectra.<name>."""
+    calls, fn = [], getattr(spectra, name)
+    monkeypatch.setattr(spectra, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_pow_x_plus_matches_list_oracle():
+    rng = random.Random(7)
+    for d in range(1, 41):
+        f = [rng.randrange(P) for _ in range(d)] + [1]
+        c = rng.randrange(P) if d % 2 else 0
+        for e in (P, P * P, (P - 1) // 2, (P * P - 1) // 2):
+            assert spectra._pow_x_plus(c, e, f, P) == powmod([c, 1], e, f, P)
+    # the int64 worst case: degree MAX_ORDER, every coefficient p - 1; the
+    # last square has 2 MAX_ORDER - 1 coefficients, each a sum of up to
+    # MAX_ORDER products below p^2
+    assert MAX_ORDER * (P - 1) ** 2 < 2**63
+    f = [P - 1] * MAX_ORDER + [1]
+    e = 2 * MAX_ORDER
+    assert spectra._pow_x_plus(P - 1, e, f, P) == powmod([P - 1, 1], e, f, P)
+
+
+def test_quadratic_candidates_on_synthetic_residuals(monkeypatch):
     cands = spectra._quadratic_candidates
     # one quadratic per distinct factor, whatever the multiplicities
     rem = _product((-3, 0, 1), _power((-1, 1, 1), 2), _power((-2, 0, 1), 3))
@@ -206,10 +234,27 @@ def test_quadratic_candidates_on_synthetic_residuals():
     # the cubic of C7 has no quadratic factor
     assert cands(_power((-1, -2, 1, 1), 2), 2, P) == []
 
+    # a linear part L of degree 2, 3 or 4: its roots are +-sqrt(s) for a
+    # split x^2 - s, and the one cube root of 2 (p = 2 mod 3) for x^3 - 2
+    assert P % 3 == 2
+    s1, s2 = _split_nonsquares()[:2]
+    powers = _spy(monkeypatch, "_pow_x_plus")
+    splits = _spy(monkeypatch, "_split_quadratic")
+    # degree 2: split in closed form, with no splitting power at all
+    assert cands((-s1, 0, 1), 7, P) == [(0, -s1)]
+    assert len(splits) == 1 and [e for _, e, _, _ in powers] == [P]
+    # degree 3 and 4: Cantor-Zassenhaus leaves a piece of degree 2
+    for rem, pairs in [(_product((-s1, 0, 1), (-2, 0, 0, 1)), [(0, -s1)]),
+                       (_product((-s1, 0, 1), (-s2, 0, 1)), [(0, -s1), (0, -s2)])]:
+        powers.clear()
+        splits.clear()
+        assert cands(rem, 7, P) == sorted(pairs)
+        assert splits and (P - 1) // 2 in [e for _, e, _, _ in powers]
+
 
 def test_split_and_irreducible_quadratics_are_both_proposed():
     # x^2 - d splits mod p when d is a square mod p, else stays irreducible
-    split = next(d for d in range(2, 50) if math.isqrt(d) ** 2 != d and _legendre(d) == 1)
+    split = _split_nonsquares()[0]
     inert = next(d for d in range(2, 50) if _legendre(d) == P - 1)
     rem = _product((-split, 0, 1), (-inert, 0, 1), (-1, -2, 1, 1))
     assert spectra._quadratic_candidates(rem, 7, P) == sorted([(0, -split), (0, -inert)])
@@ -248,6 +293,16 @@ def test_unlucky_prime_is_refused(monkeypatch):
         spectra._quadratic_candidates(rem, 30, 61)
     with pytest.raises(ArithmeticError, match="too small"):
         spectra._quadratic_candidates(_power((-2, 0, 1), 6), 1, 11)
+    # the closed-form square root needs p = 3 (mod 4); 67108837 is 1 mod 4
+    with pytest.raises(ArithmeticError, match="3 mod 4"):
+        spectra._quadratic_candidates(rem, 30, 67108837)
+    # int64 holds the powers up to degree MAX_ORDER only
+    with pytest.raises(ArithmeticError, match="exceeds"):
+        spectra._quadratic_candidates((1,) + (0,) * MAX_ORDER + (1,), 1, P)
+    # a closed-form root is checked, s^2 = disc, before it is used
+    inert = next(d for d in range(2, 50) if _legendre(d) == P - 1)
+    with pytest.raises(ArithmeticError, match="no roots"):
+        spectra._split_quadratic([-inert % P, 0, 1], P)
     monkeypatch.setattr(spectra, "modular_primes", lambda: (61,))
     with pytest.raises(ArithmeticError, match="too small"):
         exact_spectrum(g)
@@ -299,8 +354,11 @@ def test_agrees_with_float_oracle():
         k = rng.randint(1, n - 1)
         if n * k % 2 == 0:
             graphs.append(random_regular_graph(rng, n, k))
+    # n = 251: the powers run mod a radical of degree about 190
+    graphs.append(disjoint_union([families.paley(61), random_regular_graph(rng, 190, 6)]))
     exact = [_spectrum_or_residual(g) for g in graphs]
     assert exact == [float_spectrum_or_residual(g) for g in graphs]
+    assert isinstance(exact[-1], tuple) and len(exact[-1]) > 180
     # both outcomes occur: spectra with quadratic eigenvalues and residuals
     assert any(isinstance(r, tuple) for r in exact)
     assert any(isinstance(r, Spectrum) and any(not ev.is_integer for ev, _ in r)
