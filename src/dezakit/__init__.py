@@ -50,6 +50,7 @@ from .graphs import (
     distance_i_graph,
     halved_graphs,
     line_graph,
+    meet_graph,
     structural_profile,
 )
 from .report import build_report

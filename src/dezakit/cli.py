@@ -35,9 +35,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_lines(path: str) -> list[str]:
+    """Input lines; each byte that is not ASCII becomes a lone surrogate, so
+    parse_graph6 reports it against its own line."""
     if path == "-":
-        return sys.stdin.read().splitlines()
-    with open(path, "r", encoding="ascii") as handle:
+        stream = getattr(sys.stdin, "buffer", None)  # absent on a text-only stdin
+        if stream is None:
+            return sys.stdin.read().splitlines()
+        return stream.read().decode("ascii", "surrogateescape").splitlines()
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         return handle.read().splitlines()
 
 
@@ -88,7 +93,11 @@ def cmd_analyze(args) -> int:
 
     if args.expect:
         with open(args.expect, "r", encoding="utf-8") as handle:
-            expected = json.load(handle)
+            try:
+                expected = json.load(handle)
+            except ValueError as exc:  # malformed JSON or undecodable bytes
+                print(f"{args.expect}: {exc}", file=sys.stderr)
+                return EXIT_INPUT
         if not isinstance(expected, list):
             expected = [expected]
         problems = []

@@ -169,6 +169,7 @@ def is_strongly_deza(g: Graph) -> StronglyDezaResult:
     return StronglyDezaResult(verdict, params, child_a_srg, child_b_srg)
 
 
+@per_graph
 def is_divisible_design(g: Graph) -> DdgParams | None:
     """Divisible-design parameters when one child is m >= 2 disjoint cliques
     of equal size >= 2 (the other child is then complete multipartite)."""

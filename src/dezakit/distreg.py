@@ -22,6 +22,7 @@ from .graphs import (
     distance_data,
     is_bipartite,
     is_disjoint_clique_union,
+    per_graph,
     triangle_count,
 )
 from .spectra import exact_spectrum
@@ -39,10 +40,10 @@ class IntersectionArray:
     k_i: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        k = self.b[0]
         if len(self.b) != self.d or len(self.c) != self.d or len(self.a) != self.d:
             raise ValueError("array lengths must match the diameter")
-        if self.c[0] != 1:
+        k = self.k
+        if self.d and self.c[0] != 1:
             raise ValueError("c1 must be 1")
         for i in range(1, self.d + 1):
             bi = self.b[i] if i < self.d else 0
@@ -60,7 +61,8 @@ class IntersectionArray:
 
     @property
     def k(self) -> int:
-        return self.b[0]
+        # K1 is distance-regular of diameter 0, with empty b, c and a
+        return self.b[0] if self.d else 0
 
     def as_lists(self) -> tuple[list[int], list[int]]:
         return list(self.b), list(self.c)
@@ -71,6 +73,7 @@ class IntersectionArray:
         return "{" + bs + ";" + cs + "}"
 
 
+@per_graph
 def intersection_numbers(
     g: Graph,
 ) -> tuple[IntersectionArray | None, tuple[int, int] | None]:

@@ -10,14 +10,13 @@ record that is asserted on load.
 from __future__ import annotations
 
 import json
-import math
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
 from .eigenvalues import Spectrum
-from .graphs import Graph, disjoint_union
+from .graphs import Graph, disjoint_union, line_graph, meet_graph
 
 # ---------------------------------------------------------------------------
 # elementary families
@@ -63,14 +62,7 @@ def kneser(n: int, k: int) -> Graph:
     """k-subsets of an n-set, adjacent when disjoint."""
     if n < 2 * k:
         raise ValueError("kneser graph needs n >= 2k")
-    subsets = [frozenset(c) for c in combinations(range(n), k)]
-    m = len(subsets)
-    a = np.zeros((m, m), dtype=np.uint8)
-    for i, j in combinations(range(m), 2):
-        if not subsets[i] & subsets[j]:
-            a[i, j] = 1
-            a[j, i] = 1
-    return Graph(a)
+    return meet_graph(n, combinations(range(n), k), 0)
 
 
 def petersen() -> Graph:
@@ -81,14 +73,7 @@ def johnson(n: int, k: int) -> Graph:
     """k-subsets of an n-set, adjacent when meeting in k-1 points."""
     if not 1 <= k <= n:
         raise ValueError("johnson graph needs 1 <= k <= n")
-    subsets = [frozenset(c) for c in combinations(range(n), k)]
-    m = len(subsets)
-    a = np.zeros((m, m), dtype=np.uint8)
-    for i, j in combinations(range(m), 2):
-        if len(subsets[i] & subsets[j]) == k - 1:
-            a[i, j] = 1
-            a[j, i] = 1
-    return Graph(a)
+    return meet_graph(n, combinations(range(n), k), k - 1)
 
 
 def icosahedron() -> Graph:
@@ -103,26 +88,7 @@ def icosahedron() -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Paley graphs (prime q natively; small prime powers via embedded
-# irreducible polynomials)
-
-_IRREDUCIBLE = {
-    # q: (p, ascending monic irreducible over F_p)
-    9: (3, (1, 0, 1)),  # x^2 + 1
-    25: (5, (2, 0, 1)),  # x^2 + 2
-    49: (7, (1, 0, 1)),  # x^2 + 1
-}
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+# Paley graphs
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -142,75 +108,27 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return n, 1
 
 
-def _field_squares(q: int) -> tuple[int, set[int]]:
-    """Nonzero squares of GF(q) as element indices, plus the characteristic.
-
-    Elements are indexed by their base-p digit expansion (constant digit
-    least significant), so index arithmetic is positional.
-    """
-    p, irred = _IRREDUCIBLE[q]
-    e = len(irred) - 1
-
-    def to_vec(i):
-        v = []
-        for _ in range(e):
-            v.append(i % p)
-            i //= p
-        return v
-
-    def to_idx(v):
-        return sum(c * p**i for i, c in enumerate(v))
-
-    def mul(a, b):
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-        for i in range(len(prod) - 1, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * irred[j]) % p
-        return prod[:e]
-
-    squares = {to_idx(mul(to_vec(x), to_vec(x))) for x in range(1, q)}
-    return p, squares
-
-
 def paley(q: int) -> Graph:
-    """Quadratic-residue graph on GF(q); requires q = 1 (mod 4)."""
+    """Quadratic-residue graph on GF(q) for q = p or p^2 with q = 1 (mod 4).
+
+    Element i is a + b*t with a = i mod p and b = i div p, where t^2 = -c
+    for the least c > 0 making -c a non-square mod p; for q = p, b = 0.
+    """
     if q % 4 != 1:
         raise ValueError("paley graph needs q = 1 (mod 4)")
-    if prime_power(q) is None:
+    pe = prime_power(q)
+    if pe is None:
         raise ValueError(f"{q} is not a prime power")
-    if is_prime(q):
-        squares = {(x * x) % q for x in range(1, q)}
-        a = np.zeros((q, q), dtype=np.uint8)
-        for i in range(q):
-            for j in range(i + 1, q):
-                if (i - j) % q in squares:
-                    a[i, j] = 1
-                    a[j, i] = 1
-        return Graph(a)
-    if q not in _IRREDUCIBLE:
-        raise ValueError(f"no field table embedded for prime power {q}")
-    p, squares = _field_squares(q)
-    e = round(math.log(q, p))
-    a = np.zeros((q, q), dtype=np.uint8)
-    for i in range(q):
-        for j in range(i + 1, q):
-            # positional base-p subtraction of digit vectors
-            diff = 0
-            ii, jj = i, j
-            for pos in range(e):
-                diff += ((ii - jj) % p) * p**pos
-                ii //= p
-                jj //= p
-            if diff in squares:
-                a[i, j] = 1
-                a[j, i] = 1
-    return Graph(a)
+    p, e = pe
+    if e > 2:
+        raise ValueError(f"paley graph needs q = p or p^2, not {p}^{e}")
+    c = next(c for c in count(1) if pow(-c, (p - 1) // 2, p) == p - 1)
+    b, a = np.divmod(np.arange(1, q), p)
+    squares = np.zeros(q, dtype=bool)
+    squares[(a * a - c * b * b) % p + p * (2 * a * b % p)] = True
+    b, a = np.divmod(np.arange(q), p)
+    diff = (a[:, None] - a) % p + p * ((b[:, None] - b) % p)
+    return Graph(squares[diff].astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +212,6 @@ def trivial_design_incidence(k: int) -> Graph:
 
 def octahedron_line_graph() -> Graph:
     """Line graph of K_{2,2,2}, the smallest singular strongly Deza graph."""
-    from .graphs import line_graph
-
     return line_graph(complete_multipartite([2, 2, 2]))
 
 

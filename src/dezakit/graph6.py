@@ -29,10 +29,8 @@ class Graph6Error(ValueError):
 
 
 def _column_order_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n < 2:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    rows = np.concatenate([np.arange(v) for v in range(1, n)])
-    cols = np.repeat(np.arange(1, n), np.arange(1, n))
+    """(rows, cols) of the upper triangle in graph6's column order."""
+    cols, rows = np.tril_indices(n, -1)
     return rows, cols
 
 

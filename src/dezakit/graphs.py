@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -116,7 +115,6 @@ class DistanceData:
 
     dist: np.ndarray
     diameter: int
-    eccentricities: tuple[int, ...]
 
     @property
     def connected(self) -> bool:
@@ -154,19 +152,25 @@ def complement(g: Graph) -> Graph:
     return Graph(a)
 
 
+def meet_graph(n: int, blocks, meet: int) -> Graph:
+    """Vertices are the given subsets of range(n), in the given order; two
+    are adjacent when they share exactly ``meet`` points."""
+    blocks = list(blocks)
+    incidence = np.zeros((len(blocks), n), dtype=np.int64)
+    for i, block in enumerate(blocks):
+        incidence[i, list(block)] = 1
+    a = (incidence @ incidence.T == meet).astype(np.uint8)
+    # a block meets itself in its own size, which may equal ``meet``
+    np.fill_diagonal(a, 0)
+    return Graph(a)
+
+
 def line_graph(g: Graph) -> Graph:
     """Edge-adjacency graph; vertices are g's edges in lexicographic order."""
     edges = g.edges()
     if not edges:
         raise ValueError("line graph of an edgeless graph is undefined")
-    m = len(edges)
-    a = np.zeros((m, m), dtype=np.uint8)
-    for i, j in combinations(range(m), 2):
-        e, f = edges[i], edges[j]
-        if e[0] in f or e[1] in f:
-            a[i, j] = 1
-            a[j, i] = 1
-    return Graph(a)
+    return meet_graph(g.n, edges, 1)
 
 
 @per_graph
@@ -174,12 +178,8 @@ def distance_data(g: Graph) -> DistanceData:
     dist = _kernels.all_pairs_distances(g.adj)
     dist.setflags(write=False)
     if (dist < 0).any():
-        ecc = tuple(
-            UNREACHABLE if (row < 0).any() else int(row.max()) for row in dist
-        )
-        return DistanceData(dist, UNREACHABLE, ecc)
-    ecc = tuple(int(row.max()) for row in dist)
-    return DistanceData(dist, max(ecc), ecc)
+        return DistanceData(dist, UNREACHABLE)
+    return DistanceData(dist, int(dist.max()))
 
 
 def is_connected(g: Graph) -> bool:

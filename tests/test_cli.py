@@ -129,6 +129,45 @@ def test_filter_skips_bad_lines(tmp_path, capsys):
     assert code == 2
 
 
+def test_undecodable_bytes_are_a_line_error(tmp_path, capsys, monkeypatch):
+    import io
+
+    path = tmp_path / "mixed.g6"
+    path.write_bytes(b"A_\nA\xc3_\n")
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2 and "mixed.g6:2" in err and "non-ASCII" in err
+    code, out, err = run(capsys, "filter", "deza", str(path))
+    assert code == 0 and "warning" in err and "mixed.g6:2" in err
+    code, _, err = run(capsys, "filter", "deza", "--strict", str(path))
+    assert code == 2 and "mixed.g6:2" in err
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes())))
+    code, _, err = run(capsys, "filter", "deza", "-")
+    assert code == 0 and "warning: -:2: non-ASCII character (byte offset 1)" in err
+
+
+def test_analyze_malformed_expectations(tmp_path, capsys):
+    path = tmp_path / "g.g6"
+    path.write_text("A_\n")
+    expect = tmp_path / "expect.json"
+    expect.write_text('[{"n": 2')
+    code, _, err = run(capsys, "analyze", str(path), "--expect", str(expect))
+    assert code == 2 and "expect.json" in err
+
+
+def test_single_vertex(tmp_path, capsys):
+    path = tmp_path / "k1.g6"
+    path.write_text("@\n")
+    code, out, err = run(capsys, "analyze", "--json", str(path))
+    assert code == 0 and "inconsistency" not in err
+    [report] = json.loads(out)
+    assert report_inconsistencies(report) == []
+    drg = report["distance_regular"]
+    assert drg["is_drg"] and drg["diameter"] == 0
+    assert (drg["b"], drg["c"], drg["a"], drg["k_i"]) == ([], [], [], [1])
+    code, out, err = run(capsys, "filter", "drg", str(path))
+    assert code == 0 and out == "@\n" and "1 x {;}" in err
+
+
 def test_filter_empty(tmp_path, capsys):
     path = tmp_path / "empty.g6"
     path.write_text("")

@@ -1,11 +1,16 @@
 """Constructors: parameters and spectra pinned for every family."""
 
+import hashlib
+import random
+
 import pytest
 
+from conftest import random_graph
 from dezakit import families
 from dezakit.deza import DezaParams, SrgParams, detect_deza, detect_srg
 from dezakit.eigenvalues import Eigenvalue, Spectrum
-from dezakit.graphs import is_disjoint_clique_union, triangle_count
+from dezakit.graph6 import write_graph6
+from dezakit.graphs import is_disjoint_clique_union, line_graph, triangle_count
 from dezakit.spectra import exact_spectrum
 
 
@@ -88,6 +93,44 @@ def test_paley():
         families.paley(8)
     with pytest.raises(ValueError, match="prime power"):
         families.paley(21)
+
+
+def test_paley_squares_of_primes():
+    assert detect_srg(families.paley(121)) == SrgParams(121, 60, 29, 30)
+    assert detect_srg(families.paley(169)) == SrgParams(169, 84, 41, 42)
+    for q in (81, 125):
+        with pytest.raises(ValueError, match="p\\^2"):
+            families.paley(q)
+
+
+def _construction_grid():
+    primes = [q for q in range(5, 258, 4) if all(q % d for d in range(2, q))]
+    for q in primes + [9, 25, 49]:
+        yield families.paley(q)
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            yield families.johnson(n, k)
+        for k in range(n // 2 + 1):
+            yield families.kneser(n, k)
+    rng = random.Random(8)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(2, 14), rng.random())
+        if g.edge_count():
+            yield line_graph(g)
+
+
+def test_construction_vertex_order_is_frozen():
+    """One digest over the graph6 of Paley, Johnson, Kneser and line graphs,
+    so any change of vertex order shows."""
+    digest = hashlib.sha256()
+    count = 0
+    for g in _construction_grid():
+        digest.update(write_graph6(g).encode("ascii") + b"\n")
+        count += 1
+    assert count == 298
+    assert digest.hexdigest() == (
+        "c106dae503a6596d3716ecd0f49d5831e2a6df5b55aef7879bea86527fa98c17"
+    )
 
 
 def test_prime_power():

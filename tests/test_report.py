@@ -118,10 +118,10 @@ def _count_computations(monkeypatch, fact):
     return computed
 
 
-def _record(monkeypatch, module, name, calls):
-    """Record the last argument of every call to module.name."""
+def _record(monkeypatch, module, name, calls, arg=-1):
+    """Record argument ``arg`` (default the last) of every call to module.name."""
     original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(args[-1]) or original(*args))
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args[arg]) or original(*args))
 
 
 @pytest.mark.parametrize("make, char_polys", [
@@ -137,6 +137,8 @@ def test_report_computes_each_fact_once(make, char_polys, monkeypatch):
     for kernel in ("class_values", "triangle_count"):
         _record(monkeypatch, _kernels, kernel, kernel_m2)
     _record(monkeypatch, _kernels, "pair_values", pair_values)
+    intersections = []
+    _record(monkeypatch, _kernels, "intersection_counts", intersections, arg=0)
     _record(monkeypatch, spectra, "char_poly", polys)
     report = build_report(g)
     assert report_inconsistencies(report) == []
@@ -147,6 +149,7 @@ def test_report_computes_each_fact_once(make, char_polys, monkeypatch):
     # and at most once per adjacency: no equal graph is built to recompute them
     assert len({adj.tobytes() for adj in distances}) == len(distances)
     assert pair_values and len({id(a) for a in pair_values}) == len(pair_values)
+    assert intersections and len({id(adj) for adj in intersections}) == len(intersections)
     assert polys and len({id(h) for h in polys}) == len(polys)
     if char_polys is not None:
         assert len(polys) == char_polys
