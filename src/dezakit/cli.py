@@ -57,6 +57,18 @@ def _iter_graphs(path: str):
             yield lineno, line, exc
 
 
+def _first_graph(path: str, missing: str) -> Graph | None:
+    """The graph on the first nonempty line, parsing no other line; None
+    after reporting a bad first line, or ``missing`` when there is none."""
+    for lineno, _, item in _iter_graphs(path):
+        if isinstance(item, Graph6Error):
+            print(f"{path}:{lineno}: {item}", file=sys.stderr)
+            return None
+        return item
+    print(missing, file=sys.stderr)
+    return None
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="ascii") as handle:
@@ -206,13 +218,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_children(args) -> int:
-    rows = list(_iter_graphs(args.path))
-    if not rows:
-        print("children: no graph in input", file=sys.stderr)
-        return EXIT_INPUT
-    lineno, _, item = rows[0]
-    if isinstance(item, Graph6Error):
-        print(f"{args.path}:{lineno}: {item}", file=sys.stderr)
+    item = _first_graph(args.path, "children: no graph in input")
+    if item is None:
         return EXIT_INPUT
     params = deza_mod.detect_deza(item)
     if params is None:
@@ -237,15 +244,8 @@ def cmd_children(args) -> int:
 def cmd_cospectral(args) -> int:
     specs = []
     for path in (args.path_a, args.path_b):
-        found = None
-        for lineno, _, item in _iter_graphs(path):
-            if isinstance(item, Graph6Error):
-                print(f"{path}:{lineno}: {item}", file=sys.stderr)
-                return EXIT_INPUT
-            found = item
-            break
+        found = _first_graph(path, f"cospectral: no graph in {path}")
         if found is None:
-            print(f"cospectral: no graph in {path}", file=sys.stderr)
             return EXIT_INPUT
         try:
             specs.append(exact_spectrum(found))

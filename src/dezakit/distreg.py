@@ -20,6 +20,7 @@ from .graphs import (
     Graph,
     components,
     distance_data,
+    distance_i_graph,
     is_bipartite,
     is_disjoint_clique_union,
     per_graph,
@@ -169,9 +170,7 @@ def ddg_drg_classification(g: Graph) -> TheoremCase:
     if ia is None:
         return TheoremCase("ddg-drg", "not-distance-regular", {"ddg": list(ddg.as_tuple())})
     if ia.d == 2:
-        shape = is_disjoint_clique_union(
-            Graph((distance_data(g).dist == 2).astype("uint8"))
-        )
+        shape = is_disjoint_clique_union(distance_i_graph(g, 2))
         if shape is None:
             raise ContradictionError("diameter-2 divisible design graph must be multipartite")
         return TheoremCase(

@@ -259,6 +259,17 @@ class Eigenvalue:
         )
 
 
+def sums_to_zero(terms) -> bool:
+    """Whether the sum of c * theta over (theta, c) pairs is exactly zero:
+    its rational part and its coefficient of each sqrt(d) all vanish."""
+    acc: dict[int, Fraction] = {}
+    for ev, c in terms:
+        acc[1] = acc.get(1, 0) + Fraction(ev.p * c, ev.q)
+        if not ev.is_integer:
+            acc[ev.d] = acc.get(ev.d, 0) + Fraction(ev.u * c, ev.q)
+    return not any(acc.values())
+
+
 class Spectrum:
     """Eigenvalues with multiplicities, sorted by decreasing value.
 
@@ -282,19 +293,9 @@ class Spectrum:
         for ev, m in items:
             if not ev.is_integer and mults.get(ev.conjugate()) != m:
                 raise ValueError(f"conjugate of {ev} missing or unbalanced")
-        trace = self._radical_sum(items)
-        if any(coeff != 0 for coeff in trace.values()):
+        if not sums_to_zero(items):
             raise ValueError("spectrum trace is not zero")
         self.entries = tuple(items)
-
-    @staticmethod
-    def _radical_sum(items) -> dict[int, Fraction]:
-        acc: dict[int, Fraction] = {}
-        for ev, m in items:
-            acc[1] = acc.get(1, Fraction(0)) + Fraction(ev.p * m, ev.q)
-            if not ev.is_integer:
-                acc[ev.d] = acc.get(ev.d, Fraction(0)) + Fraction(ev.u * m, ev.q)
-        return acc
 
     @property
     def n(self) -> int:

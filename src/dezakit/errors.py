@@ -4,9 +4,9 @@
 class ContradictionError(RuntimeError):
     """A concrete instance falsified a statement the toolkit verifies.
 
-    Raised only when arithmetic on an actual graph contradicts a verified
-    relationship, which indicates a bug (or an input outside the stated
-    preconditions), never for ordinary negative answers.
+    Raised only when arithmetic on an actual graph inside a statement's
+    hypotheses contradicts it, which indicates a bug; never for ordinary
+    negative answers or for inputs outside the hypotheses.
     """
 
 

@@ -290,13 +290,11 @@ def bipartite_double(g: Graph) -> Graph:
 
 
 def is_disjoint_clique_union(g: Graph) -> tuple[int, int] | None:
-    """(count, size) when g is m equal cliques glued disjointly, else None."""
-    comp = components(g)
-    size = len(comp[0])
-    for c in comp:
-        if len(c) != size:
-            return None
-        sub = induced_subgraph(g, c)
-        if not sub.is_complete():
-            return None
-    return len(comp), size
+    """(count, size) when g is m equal cliques glued disjointly, else None:
+    every reachable pair is adjacent and all components have one size."""
+    dist = distance_data(g).dist
+    sizes = (dist >= 0).sum(axis=1)
+    size = int(sizes[0])
+    if dist.max() > 1 or (sizes != size).any():
+        return None
+    return g.n // size, size

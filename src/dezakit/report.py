@@ -8,10 +8,12 @@ key order (hence the rendered output) is deterministic.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 
 from . import deza as deza_mod
 from . import distreg
 from . import theorems
+from .eigenvalues import Eigenvalue
 from .errors import ContradictionError, InfeasibleError, SpectrumShapeError
 from .graphs import Graph, structural_profile
 from .spectra import NonQuadraticSpectrumError, exact_spectrum
@@ -22,20 +24,33 @@ _SKIPPABLE = (ValueError, InfeasibleError, SpectrumShapeError)
 
 
 def _attempt(fn, *args):
-    """Run one verifier; normal negatives become 'skipped', falsified
-    instance checks become 'contradiction' (reported, never swallowed)."""
+    """Run one classifier and record its result; an input outside its
+    hypotheses becomes 'skipped' (naming the failed hypothesis), a
+    falsified instance check becomes 'contradiction' (reported, never
+    swallowed)."""
     try:
-        return fn(*args)
+        return _record(fn(*args))
     except ContradictionError as exc:
         return {"contradiction": str(exc)}
     except _SKIPPABLE as exc:
         return {"skipped": str(exc)}
 
 
-def _case_dict(outcome) -> dict:
-    if isinstance(outcome, dict):
-        return outcome
-    return {"case": outcome.case, "witness": outcome.witness}
+def _record(value):
+    """JSON-native form of a result record: dataclass fields in declared
+    order (without a TheoremCase's theorem name), eigenvalues as strings,
+    tuples as lists."""
+    if isinstance(value, Eigenvalue):  # a dataclass too, so tested first
+        return str(value)
+    if is_dataclass(value):
+        return {
+            f.name: _record(getattr(value, f.name))
+            for f in fields(value)
+            if not (isinstance(value, theorems.TheoremCase) and f.name == "theorem")
+        }
+    if isinstance(value, tuple):
+        return [_record(item) for item in value]
+    return value
 
 
 def build_report(g: Graph, source: str = "graph") -> dict:
@@ -68,9 +83,7 @@ def build_report(g: Graph, source: str = "graph") -> dict:
         report["distinct_abs_values"] = None
 
     params = deza_mod.detect_deza(g)
-    report["deza"] = None if params is None else {
-        "n": params.n, "k": params.k, "b": params.b, "a": params.a
-    }
+    report["deza"] = None if params is None else _record(params)
     srg = deza_mod.detect_srg(g)
     report["srg"] = None if srg is None else {
         "n": srg.n, "k": srg.k, "lambda": srg.lam, "mu": srg.mu
@@ -121,82 +134,26 @@ def build_report(g: Graph, source: str = "graph") -> dict:
                 "antipodal": distreg.is_antipodal(g, array),
             }
             if array.d >= 3:
-                dr_entry["deza_case"] = _case_dict(
-                    _attempt(distreg.drg_deza_classification, g, array)
-                )
+                dr_entry["deza_case"] = _attempt(distreg.drg_deza_classification, g, array)
         if report["ddg"] is not None:
-            dr_entry["ddg_case"] = _case_dict(
-                _attempt(distreg.ddg_drg_classification, g)
-            )
+            dr_entry["ddg_case"] = _attempt(distreg.ddg_drg_classification, g)
     report["distance_regular"] = dr_entry
 
+    # which entries appear is the schema's rule; whether each classifier
+    # applies is its own
     checks: dict = {}
     if spec is not None:
-        outcome = _attempt(theorems.check_trace_identity, spec)
-        if isinstance(outcome, dict):
-            checks["trace_identity"] = outcome
-        else:
-            checks["trace_identity"] = {
-                "holds": outcome.holds,
-                "theta2": str(outcome.theta2), "m2": outcome.m2, "m5": outcome.m5,
-                "theta3": str(outcome.theta3), "m3": outcome.m3, "m4": outcome.m4,
-            }
-        if report["strongly_deza"] is not None and report["strongly_deza"]["verdict"]:
-            checks["singular"] = _singular_dict(_attempt(theorems.singular_check, spec))
-        else:
-            # the singularity theorem is about strongly Deza graphs only
-            checks["singular"] = {"skipped": "not strongly Deza"}
+        checks["trace_identity"] = _attempt(theorems.check_trace_identity, spec)
+        checks["singular"] = _attempt(theorems.singular_check, g)
         if params is not None:
-            if spec.distinct_count() <= 5:
-                checks["eigenvalue_count"] = _case_dict(
-                    _attempt(theorems.classify_eigenvalue_count, g)
-                )
-            else:
-                # more than five distinct values already rules strongly
-                # Deza out; the classifier's precondition is not met
-                checks["eigenvalue_count"] = {
-                    "skipped": f"{spec.distinct_count()} distinct eigenvalues"
-                }
+            checks["eigenvalue_count"] = _attempt(theorems.classify_eigenvalue_count, g)
             if params.b > params.a:
-                checks["last_case"] = _case_dict(
-                    _attempt(theorems.classify_last_case, spec, params)
-                )
-                if sd.verdict and sd.child_a_srg is not None:
-                    if spec.distinct_count() >= 4:
-                        checks["square_case"] = _case_dict(
-                            _attempt(
-                                theorems.classify_square_case, spec, params, sd.child_a_srg
-                            )
-                        )
-                    else:
-                        # strongly regular degenerations sit outside the
-                        # paired-eigenvalue regime the trichotomy addresses
-                        checks["square_case"] = {
-                            "skipped": "fewer than four distinct eigenvalues"
-                        }
-                witness = _attempt(theorems.strongly_deza_witness, g)
-                if isinstance(witness, dict):
-                    checks["witness"] = witness
-                else:
-                    checks["witness"] = {
-                        "branch": witness.branch,
-                        "bipartite": witness.bipartite,
-                        "child_b_components": witness.child_b_components,
-                        "halved": None if witness.halved is None else list(witness.halved),
-                    }
+                checks["last_case"] = _attempt(theorems.classify_last_case, g)
+                if sd.verdict:
+                    checks["square_case"] = _attempt(theorems.classify_square_case, g)
+                checks["witness"] = _attempt(theorems.strongly_deza_witness, g)
     report["theorems"] = checks
     return report
-
-
-def _singular_dict(outcome) -> dict:
-    if isinstance(outcome, dict):
-        return outcome
-    return {
-        "singular": outcome.singular,
-        "integral": outcome.integral,
-        "distinct": outcome.distinct,
-        "four_distinct": outcome.four_distinct,
-    }
 
 
 def report_inconsistencies(report: dict) -> list[str]:

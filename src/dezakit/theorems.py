@@ -2,10 +2,13 @@
 
 Everything here evaluates exact formulas on concrete graphs or spectra and
 either returns a structured witness record (substituted values, both sides
-of each equality) or raises: InfeasibleError / SpectrumShapeError for
-inputs outside a formula's reach, ContradictionError when an instance
-falsifies a verified relationship (which would mean a bug, not a property
-of the input).
+of each equality) or raises.  Each classifier takes what it needs (the
+graph, whose spectrum, Deza parameters and children are memoised on it, or
+a spectrum) and checks its own hypotheses first: an input outside them
+raises ValueError, InfeasibleError or SpectrumShapeError naming the failed
+hypothesis, which a report records as ``skipped``.  ContradictionError is
+raised only when an instance inside the hypotheses falsifies a verified
+relationship, which would mean a bug, not a property of the input.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from fractions import Fraction
 
 from .deza import (
     DdgParams,
-    DezaParams,
     SrgParams,
     children,
     detect_deza,
@@ -24,7 +26,7 @@ from .deza import (
     is_strongly_deza,
 )
 from .errors import ContradictionError, InfeasibleError, SpectrumShapeError
-from .eigenvalues import Eigenvalue, Spectrum, is_perfect_square
+from .eigenvalues import Eigenvalue, Spectrum, is_perfect_square, sums_to_zero
 from .graphs import (
     Graph,
     components,
@@ -100,14 +102,8 @@ def _check_srg_eigen(params: SrgParams, eigen: SrgEigen) -> None:
         raise ContradictionError("restricted eigenvalues out of order")
     if 1 + eigen.f + eigen.g != params.n:
         raise ContradictionError("SRG multiplicities do not sum to n")
-    # k + f*r + g*s must vanish exactly
-    total = Fraction(params.k)
-    radical = Fraction(0)
-    for ev, m in ((eigen.r, eigen.f), (eigen.s, eigen.g)):
-        total += Fraction(ev.p * m, ev.q)
-        if not ev.is_integer:
-            radical += Fraction(ev.u * m, ev.q)
-    if total != 0 or radical != 0:
+    k = Eigenvalue.integer(params.k)
+    if not sums_to_zero([(k, 1), (eigen.r, eigen.f), (eigen.s, eigen.g)]):
         raise ContradictionError("SRG trace identity failed")
 
 
@@ -167,13 +163,13 @@ def srg_params_from_spectrum(spec: Spectrum) -> SrgParams:
 class TracePairing:
     """The +-pair layout used to check k + (m2-m5) th2 + (m3-m4) th3 = 0."""
 
+    holds: bool
     theta2: Eigenvalue
     m2: int
     m5: int
     theta3: Eigenvalue
     m3: int
     m4: int
-    holds: bool
 
 
 def check_trace_identity(spec: Spectrum) -> TracePairing:
@@ -192,7 +188,6 @@ def check_trace_identity(spec: Spectrum) -> TracePairing:
     principal = spec.principal()
     if not principal.is_integer:
         raise SpectrumShapeError("principal eigenvalue must be an integer degree")
-    k = principal.as_int()
 
     remaining: dict[Eigenvalue, int] = {ev: m for ev, m in spec}
     remaining[principal] -= 1
@@ -239,14 +234,8 @@ def check_trace_identity(spec: Spectrum) -> TracePairing:
         ordered.append((zero, (0, 0)))
     (mag2, (m2, m5)), (mag3, (m3, m4)) = ordered[0], ordered[1]
 
-    total = Fraction(k)
-    radical: dict[int, Fraction] = {}
-    for mag, dm in ((mag2, m2 - m5), (mag3, m3 - m4)):
-        total += Fraction(mag.p * dm, mag.q)
-        if not mag.is_integer:
-            radical[mag.d] = radical.get(mag.d, Fraction(0)) + Fraction(mag.u * dm, mag.q)
-    holds = total == 0 and all(coeff == 0 for coeff in radical.values())
-    return TracePairing(mag2, m2, m5, mag3, m3, m4, holds)
+    holds = sums_to_zero([(principal, 1), (mag2, m2 - m5), (mag3, m3 - m4)])
+    return TracePairing(holds, mag2, m2, m5, mag3, m3, m4)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +245,15 @@ def check_trace_identity(spec: Spectrum) -> TracePairing:
 def classify_eigenvalue_count(g: Graph) -> TheoremCase:
     """At most five distinct eigenvalues; two- and three-value structure.
 
-    Two distinct values: disjoint cliques of order k+1 with a = 0,
-    b = k-1.  Three distinct values: a strongly regular graph with
-    {lam, mu} = {a, b}, or a union of complete bipartite K_{k,k}, or a
-    disconnected union of strongly regular components with one parameter
-    set (v, k, lam, mu) and {lam, mu} contained in {a, b}.  Pairs in
-    different components have no common neighbour, so a = 0 there and a
-    component may be, for instance, a pentagon or a Petersen graph.
+    The bound is about strongly Deza graphs, so a Deza graph with more
+    than five distinct eigenvalues lies outside it.  Two distinct values:
+    disjoint cliques of order k+1 with a = 0, b = k-1.  Three distinct
+    values: a strongly regular graph with {lam, mu} = {a, b}, or a union of
+    complete bipartite K_{k,k}, or a disconnected union of strongly regular
+    components with one parameter set (v, k, lam, mu) and {lam, mu}
+    contained in {a, b}.  Pairs in different components have no common
+    neighbour, so a = 0 there and a component may be, for instance, a
+    pentagon or a Petersen graph.
     """
     params = detect_deza(g)
     if params is None:
@@ -270,7 +261,7 @@ def classify_eigenvalue_count(g: Graph) -> TheoremCase:
     spec = exact_spectrum(g)
     distinct = spec.distinct_count()
     if distinct > 5:
-        raise ContradictionError(f"{distinct} distinct eigenvalues on a Deza input")
+        raise ValueError(f"{distinct} distinct eigenvalues")
     n, k, b, a = params.as_tuple()
     if distinct == 2:
         shape = is_disjoint_clique_union(g)
@@ -322,7 +313,6 @@ def classify_eigenvalue_count(g: Graph) -> TheoremCase:
 class DezaWitness:
     branch: str  # "strongly-deza" | "halved-strongly-deza" | "degenerate"
     bipartite: bool
-    strongly_deza: bool
     child_b_components: int | None
     halved: tuple[str, str] | None  # per half: "strongly-deza" | "complete"
 
@@ -343,7 +333,7 @@ def strongly_deza_witness(g: Graph) -> DezaWitness:
     if not bip:
         if not result.verdict:
             raise ContradictionError("connected non-bipartite case must be strongly Deza")
-        return DezaWitness("strongly-deza", False, True, None, None)
+        return DezaWitness("strongly-deza", False, None, None)
     pair = children(g)
     b_components = len(components(pair.child_b))
     halves = halved_graphs(g)
@@ -357,11 +347,11 @@ def strongly_deza_witness(g: Graph) -> DezaWitness:
             labels.append("neither")
     labels = tuple(labels)
     if result.verdict:
-        return DezaWitness("strongly-deza", True, True, b_components, labels)
+        return DezaWitness("strongly-deza", True, b_components, labels)
     if all(lab == "strongly-deza" for lab in labels):
-        return DezaWitness("halved-strongly-deza", True, False, b_components, labels)
+        return DezaWitness("halved-strongly-deza", True, b_components, labels)
     if all(lab in ("strongly-deza", "complete") for lab in labels):
-        return DezaWitness("degenerate", True, False, b_components, labels)
+        return DezaWitness("degenerate", True, b_components, labels)
     raise ContradictionError("bipartite case: neither graph nor halves strongly Deza")
 
 
@@ -369,21 +359,27 @@ def strongly_deza_witness(g: Graph) -> DezaWitness:
 # square/non-square trichotomy
 
 
-def classify_square_case(
-    spec: Spectrum, params: DezaParams, child_a: SrgParams
-) -> TheoremCase:
+def classify_square_case(g: Graph) -> TheoremCase:
     """Which of theta2^2 = k-b-s(b-a), theta3^2 = k-b-r(b-a) is a square.
 
-    child_a must be the SRG parameters of the a-pairs child.  Case i: both
-    are squares and the graph is integral.  Case ii: theta2^2 is not a
-    square, theta3^2 is a nonzero square, and the +-theta2 multiplicities
-    equal half the child multiplicity of its paired eigenvalue s; case iii
-    is the mirror image.
+    Needs a strongly Deza graph with at least four distinct eigenvalues;
+    with fewer it is a strongly regular degeneration, outside the
+    paired-eigenvalue regime.  r and s are the restricted eigenvalues of
+    its a-pairs child.  Case i: both are squares and the graph is integral.
+    Case ii: theta2^2 is not a square, theta3^2 is a nonzero square, and
+    the +-theta2 multiplicities equal half the child multiplicity of its
+    paired eigenvalue s; case iii is the mirror image.
     """
-    eigen = srg_eigen(child_a)
+    sd = is_strongly_deza(g)
+    if not sd.verdict:
+        raise ValueError("not strongly Deza")
+    spec = exact_spectrum(g)
+    if spec.distinct_count() < 4:
+        raise ValueError("fewer than four distinct eigenvalues")
+    eigen = srg_eigen(sd.child_a_srg)
     if not (eigen.r.is_integer and eigen.s.is_integer):
         raise ContradictionError("a strongly Deza child must be integral")
-    n, k, b, a = params.as_tuple()
+    n, k, b, a = sd.params.as_tuple()
     r = eigen.r.as_int()
     s = eigen.s.as_int()
     t_s = k - b - s * (b - a)  # theta2^2, paired with child eigenvalue s
@@ -488,9 +484,13 @@ class SingularCheck:
     four_distinct: bool | None
 
 
-def singular_check(spec: Spectrum) -> SingularCheck:
-    """Zero in the spectrum forces integrality (and, away from the
-    degenerate strongly-regular shapes, exactly four distinct values)."""
+def singular_check(g: Graph) -> SingularCheck:
+    """On a strongly Deza graph, zero in the spectrum forces integrality
+    (and, away from the degenerate strongly-regular shapes, exactly four
+    distinct values)."""
+    if not is_strongly_deza(g).verdict:
+        raise ValueError("not strongly Deza")
+    spec = exact_spectrum(g)
     if not spec.contains_value(0):
         return SingularCheck(False, None, spec.distinct_count(), None)
     if not spec.is_integral():
@@ -538,10 +538,15 @@ def affine_family_params(q: int, t: int) -> AffineFamily:
 # final four-eigenvalue classification
 
 
-def classify_last_case(spec: Spectrum, params: DezaParams) -> TheoremCase:
-    """Spectrum {k, theta2^m2, +-theta3^m3} with m3 = m4 and m2 theta2 = -k:
-    either theta2 = -k (bipartite incidence shape), theta2 = -1 (the
-    +-sqrt(k) shape), or the intermediate case 1 < m2 < k."""
+def classify_last_case(g: Graph) -> TheoremCase:
+    """Deza graph with b > a and spectrum {k, theta2^m2, +-theta3^m3},
+    m3 = m4 and m2 theta2 = -k: either theta2 = -k (bipartite incidence
+    shape), theta2 = -1 (the +-sqrt(k) shape), or the intermediate case
+    1 < m2 < k."""
+    params = detect_deza(g)
+    if params is None or params.b == params.a:
+        raise ValueError("needs a Deza graph with b > a")
+    spec = exact_spectrum(g)
     n, k = params.n, params.k
     if spec.distinct_count() != 4:
         raise SpectrumShapeError("needs exactly four distinct eigenvalues")

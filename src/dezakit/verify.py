@@ -274,11 +274,7 @@ def criterion_7() -> list[CheckRow]:
         "icosahedron": "square-ii",
     }
     for name in THEOREM_CORPUS:
-        g = corpus()[name]
-        sd = deza_mod.is_strongly_deza(g)
-        case = theorems.classify_square_case(
-            spectra_mod.exact_spectrum(g), sd.params, sd.child_a_srg
-        )
+        case = theorems.classify_square_case(corpus()[name])
         rows.append(_row("7", f"{name} square trichotomy verifies",
                          True, case.case in ("square-i", "square-ii", "square-iii")))
         if name in expected_cases:
@@ -293,8 +289,7 @@ def criterion_8() -> list[CheckRow]:
     rows = []
     singular_names = []
     for name in THEOREM_CORPUS:
-        spec = spectra_mod.exact_spectrum(corpus()[name])
-        res = theorems.singular_check(spec)
+        res = theorems.singular_check(corpus()[name])
         if res.singular:
             singular_names.append(name)
             rows.append(_row("8", f"{name} singular: integral with 4 distinct",
@@ -312,10 +307,7 @@ def criterion_9() -> list[CheckRow]:
         "johnson-6-3": ("last-ii", "3", 5),
     }
     for name, (label, theta3, m3) in expect.items():
-        g = corpus()[name]
-        case = theorems.classify_last_case(
-            spectra_mod.exact_spectrum(g), deza_mod.detect_deza(g)
-        )
+        case = theorems.classify_last_case(corpus()[name])
         rows.append(_row("9", f"{name} final classification",
                          (label, theta3, m3),
                          (case.case, case.witness["theta3"], case.witness["m3"])))

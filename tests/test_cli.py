@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import random_regular_graph
-from dezakit import families
+from dezakit import cli, families
 from dezakit.cli import main
 from dezakit.graph6 import write_graph6
 from dezakit.report import report_inconsistencies
@@ -195,6 +195,23 @@ def test_children(tmp_path, capsys):
     run(capsys, "construct", "johnson", "7", "3", "-o", str(path))
     code, _, err = run(capsys, "children", str(path))
     assert code == 1 and "not a Deza graph" in err
+    path.write_text("\n\n")
+    assert run(capsys, "children", str(path)) == (2, "", "children: no graph in input\n")
+    path.write_text("\n~~\nA_\n")
+    code, out, err = run(capsys, "children", str(path))
+    assert code == 2 and not out and err.startswith(f"{path}:2: ")
+
+
+def test_children_parses_only_the_first_line(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.g6"
+    line = write_graph6(families.heawood())
+    path.write_text(f"{line}\n{line}\nnot graph6\n")
+    parsed = []
+    real = cli.parse_graph6
+    monkeypatch.setattr(cli, "parse_graph6", lambda text: parsed.append(text) or real(text))
+    code, out, _ = run(capsys, "children", str(path))
+    assert code == 0 and out.startswith("deza (14, 3, 1, 0)")
+    assert parsed == [line]
 
 
 def test_cospectral(tmp_path, capsys):
@@ -207,6 +224,12 @@ def test_cospectral(tmp_path, capsys):
     run(capsys, "construct", "petersen", "-o", str(b))
     code, out, _ = run(capsys, "cospectral", str(a), str(b))
     assert code == 1 and "cospectral: False" in out
+    b.write_text("\n")
+    code, _, err = run(capsys, "cospectral", str(a), str(b))
+    assert code == 2 and err == f"cospectral: no graph in {b}\n"
+    b.write_text("~~\n")
+    code, _, err = run(capsys, "cospectral", str(b), str(a))
+    assert code == 2 and err.startswith(f"{b}:1: ")
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -29,6 +29,7 @@ from dezakit.graphs import (
     distance_data,
     distance_i_graph,
     halved_graphs,
+    induced_subgraph,
     is_bipartite,
     is_disjoint_clique_union,
     line_graph,
@@ -273,6 +274,40 @@ def test_bipartition_matches_bfs():
     assert any(sides is None for sides in outcomes)
     assert any(sides is not None and len(components(g)) > 1
                for g, sides in zip(graphs, outcomes))
+
+
+def _clique_union_by_components(g):
+    """The component-by-component definition: every component complete,
+    all of one size."""
+    comp = components(g)
+    size = len(comp[0])
+    for c in comp:
+        if len(c) != size or not induced_subgraph(g, c).is_complete():
+            return None
+    return len(comp), size
+
+
+def test_disjoint_clique_union_matches_components():
+    rng = random.Random(31)
+    graphs = [families.complete(1), Graph(np.zeros((5, 5), dtype=np.uint8))]
+    for _ in range(150):
+        # sparse random graphs: isolated vertices and many components
+        graphs.append(random_graph(rng, rng.randint(1, 14), rng.choice((0.05, 0.15, 0.5))))
+        # clique unions, equal-sized or not, some with one pair toggled
+        sizes = [rng.randint(1, 4)] * rng.randint(1, 4)
+        if rng.random() < 0.3:
+            sizes.append(rng.randint(1, 4))
+        g = disjoint_union([families.complete(s) for s in sizes])
+        if rng.random() < 0.3 and g.n > 1:
+            u, v = rng.sample(range(g.n), 2)
+            a = g.adj.copy()
+            a[u, v] = a[v, u] = 1 - a[u, v]
+            g = Graph(a)
+        graphs.append(g)
+    outcomes = [is_disjoint_clique_union(g) for g in graphs]
+    assert outcomes == [_clique_union_by_components(g) for g in graphs]
+    assert sum(shape is not None for shape in outcomes) > 50
+    assert sum(shape is None for shape in outcomes) > 50
 
 
 def test_bipartite_double(petersen):

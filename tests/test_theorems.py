@@ -3,9 +3,10 @@
 import pytest
 
 from dezakit import families
-from dezakit.deza import SrgParams, detect_deza, detect_srg, is_strongly_deza
+from dezakit.deza import SrgParams, detect_deza, detect_srg
 from dezakit.errors import ContradictionError, InfeasibleError, SpectrumShapeError
 from dezakit.eigenvalues import Eigenvalue
+from dezakit.graph6 import parse_graph6
 from dezakit.graphs import disjoint_union, line_graph
 from dezakit.spectra import exact_spectrum
 from dezakit.theorems import (
@@ -105,10 +106,12 @@ def test_classify_counts(petersen, two_k33, octahedron_lg):
 
 
 def test_classify_counts_flags_six_eigenvalues(desargues):
-    # Deza but not strongly Deza: six distinct eigenvalues get flagged
+    # Deza but not strongly Deza: six distinct eigenvalues put it outside
+    # the five-eigenvalue bound, which is a skip, not a contradiction
     assert detect_deza(desargues) is not None
-    with pytest.raises(ContradictionError):
+    with pytest.raises(ValueError, match="6 distinct eigenvalues") as info:
         classify_eigenvalue_count(desargues)
+    assert not isinstance(info.value, ContradictionError)
 
 
 def test_classify_counts_needs_deza():
@@ -140,23 +143,24 @@ def test_witness_preconditions(petersen):
 # -- square/non-square trichotomy ----------------------------------------------
 
 
-def _square_case(g):
-    result = is_strongly_deza(g)
-    return classify_square_case(exact_spectrum(g), result.params, result.child_a_srg)
-
-
-def test_square_cases(octahedron_lg, icosahedron, heawood, biplane):
-    assert _square_case(octahedron_lg).case == "square-i"
-    case = _square_case(icosahedron)
+def test_square_cases(octahedron_lg, icosahedron, heawood, biplane, petersen, desargues):
+    assert classify_square_case(octahedron_lg).case == "square-i"
+    case = classify_square_case(icosahedron)
     assert case.case == "square-ii"
     assert case.witness["pair_mult"] == case.witness["half_child_mult"] == 3
-    assert _square_case(heawood).case == "square-iii"
-    assert _square_case(biplane).case == "square-iii"
+    assert classify_square_case(heawood).case == "square-iii"
+    assert classify_square_case(biplane).case == "square-iii"
+    # outside the hypotheses: strongly Deza with three distinct eigenvalues,
+    # and Deza but not strongly Deza
+    with pytest.raises(ValueError, match="fewer than four distinct eigenvalues"):
+        classify_square_case(petersen)
+    with pytest.raises(ValueError, match="not strongly Deza"):
+        classify_square_case(desargues)
 
 
 def test_square_case_consistency(johnson63, line_petersen, taylor13, klein24, cube):
     for g in (johnson63, line_petersen, taylor13, klein24, cube):
-        case = _square_case(g)
+        case = classify_square_case(g)
         assert case.case in ("square-i", "square-ii", "square-iii")
         if case.case == "square-i":
             assert exact_spectrum(g).is_integral()
@@ -200,13 +204,19 @@ def test_four_eig_relation_errors():
 
 
 def test_singular_check(octahedron_lg, icosahedron, k444):
-    res = singular_check(exact_spectrum(octahedron_lg))
+    res = singular_check(octahedron_lg)
     assert res.singular and res.integral and res.four_distinct
-    res = singular_check(exact_spectrum(icosahedron))
+    res = singular_check(icosahedron)
     assert not res.singular
     # degenerate strongly regular shape: singular with three distinct values
-    res = singular_check(exact_spectrum(k444))
+    res = singular_check(k444)
     assert res.singular and res.integral and res.distinct == 3 and not res.four_distinct
+    # 6-regular, not Deza, with 0 and irrational eigenvalues: outside the
+    # theorem, not a counterexample to it
+    g = parse_graph6("IUvj^fqNW")
+    assert exact_spectrum(g).contains_value(0)
+    with pytest.raises(ValueError, match="not strongly Deza"):
+        singular_check(g)
 
 
 # -- affine family ---------------------------------------------------------------
@@ -235,20 +245,23 @@ def test_affine_family_errors():
 
 
 def test_last_cases(heawood, icosahedron, johnson63, taylor13):
-    case = classify_last_case(exact_spectrum(heawood), detect_deza(heawood))
+    case = classify_last_case(heawood)
     assert case.case == "last-i"
     assert case.witness["theta3"] == "√2" and case.witness["m3"] == 6
-    case = classify_last_case(exact_spectrum(icosahedron), detect_deza(icosahedron))
+    case = classify_last_case(icosahedron)
     assert case.case == "last-ii"
     assert case.witness["theta3"] == "√5" and case.witness["m3"] == 3
-    case = classify_last_case(exact_spectrum(johnson63), detect_deza(johnson63))
+    case = classify_last_case(johnson63)
     assert case.case == "last-ii" and case.witness["m2"] == 9
-    assert classify_last_case(exact_spectrum(taylor13), detect_deza(taylor13)).case == "last-ii"
+    assert classify_last_case(taylor13).case == "last-ii"
 
 
 def test_last_case_shape_errors(octahedron_lg, petersen):
     with pytest.raises(SpectrumShapeError):
         # no opposite pair with equal multiplicities
-        classify_last_case(exact_spectrum(octahedron_lg), detect_deza(octahedron_lg))
+        classify_last_case(octahedron_lg)
     with pytest.raises(SpectrumShapeError):
-        classify_last_case(exact_spectrum(petersen), detect_deza(petersen))
+        classify_last_case(petersen)
+    with pytest.raises(ValueError, match="b > a"):
+        # the 4x4 rook's graph is strongly regular with lambda = mu, so b = a
+        classify_last_case(line_graph(families.complete_multipartite([4, 4])))
