@@ -6,7 +6,13 @@ triangles and common neighbours, a per-pair scan of intersection numbers).
 
 Kernels take the dense ``uint8`` adjacency matrix (symmetric, zero
 diagonal) and, where they need it, its int64 square M^2.  Counts fit
-comfortably in int64 at the supported sizes.
+comfortably in int64 at the supported sizes.  Each returns what it counts:
+the distance matrix (-1 for unreachable pairs), the distinct off-diagonal
+values of M^2 (``pair_values``: a Deza graph's a and b are the first and
+the last), those over adjacent and over non-adjacent pairs
+(``class_values``: an SRG's lambda and mu), the number of triangles, and
+the intersection numbers b_i, c_i, a_i or a pair that shows there are none
+(``intersection_counts``).
 """
 
 from __future__ import annotations
@@ -33,37 +39,19 @@ def all_pairs_distances(adj: np.ndarray) -> np.ndarray:
     return dist
 
 
-def pair_values(m2: np.ndarray):
-    """Distinct off-diagonal entries of M^2, capped at three.
-
-    Returns (count, v0, v1, v2) with the smallest values in ascending order
-    and -1 in unused slots.
-    """
+def pair_values(m2: np.ndarray) -> list[int]:
+    """Every distinct off-diagonal entry of M^2, ascending."""
     n = m2.shape[0]
-    vals = np.unique(m2[~np.eye(n, dtype=bool)])
-    out = [-1, -1, -1]
-    for i, v in enumerate(vals[:3]):
-        out[i] = int(v)
-    return min(len(vals), 3), out[0], out[1], out[2]
+    return np.unique(m2[~np.eye(n, dtype=bool)]).tolist()
 
 
-def class_values(adj: np.ndarray, m2: np.ndarray):
-    """Common-neighbour profile split by adjacency (SRG test).
-
-    Returns (#distinct over adjacent pairs, smallest value, #distinct over
-    non-adjacent pairs, smallest value); distinct counts are capped at 2
-    and an empty class gives (0, -1).
-    """
+def class_values(adj: np.ndarray, m2: np.ndarray) -> tuple[list[int], list[int]]:
+    """Distinct entries of M^2 over adjacent pairs and over non-adjacent
+    pairs of distinct vertices, each ascending (SRG test)."""
     n = adj.shape[0]
     offdiag = ~np.eye(n, dtype=bool)
     amask = adj.astype(bool)
-    lam_vals = np.unique(m2[amask & offdiag])
-    mu_vals = np.unique(m2[~amask & offdiag])
-    nlam = min(len(lam_vals), 2)
-    nmu = min(len(mu_vals), 2)
-    lam = int(lam_vals[0]) if len(lam_vals) else -1
-    mu = int(mu_vals[0]) if len(mu_vals) else -1
-    return nlam, lam, nmu, mu
+    return tuple(np.unique(m2[mask & offdiag]).tolist() for mask in (amask, ~amask))
 
 
 def triangle_count(adj: np.ndarray, m2: np.ndarray) -> int:
@@ -72,30 +60,23 @@ def triangle_count(adj: np.ndarray, m2: np.ndarray) -> int:
 
 
 def intersection_counts(adj: np.ndarray, dist: np.ndarray, diameter: int):
-    """Intersection numbers (b_i, c_i, a_i) for i = 0..diameter.
-
-    Returns (ok, x, y, b, c, a).  When some pair (x, y) at distance i has a
-    neighbour-distance count differing from the first pair at that
-    distance, ok is False and (x, y) is that pair.
+    """((b, c, a), None) with one list per count for i = 0..diameter, or
+    (None, (x, y)).  At the first distance i where one of b_i, c_i, a_i
+    (tested in that order) is not constant, (x, y) is the first pair at
+    distance i whose count differs from the first pair's.
     """
-    diameter = int(diameter)
-    b = np.full(diameter + 1, -1, dtype=np.int64)
-    c = np.full(diameter + 1, -1, dtype=np.int64)
-    a = np.full(diameter + 1, -1, dtype=np.int64)
+    b, c, a = [], [], []
     amask = adj.astype(bool)
     for i in range(diameter + 1):
         pairs = np.argwhere(dist == i)
         # neighbour-distance histogram for every (x, y) at distance i
         dn = dist[pairs[:, 0]]  # rows: distances from x
         nb = amask[pairs[:, 1]]  # rows: neighbours of y
-        ci = ((dn == i - 1) & nb).sum(axis=1)
-        ai = ((dn == i) & nb).sum(axis=1)
-        bi = ((dn == i + 1) & nb).sum(axis=1)
-        for arr, store in ((bi, b), (ci, c), (ai, a)):
-            vals = np.unique(arr)
-            if len(vals) > 1:
-                bad = int(np.argmax(arr != arr[0]))
-                x, y = int(pairs[bad, 0]), int(pairs[bad, 1])
-                return False, x, y, b, c, a
-            store[i] = int(vals[0])
-    return True, -1, -1, b, c, a
+        for step, store in ((1, b), (-1, c), (0, a)):
+            counts = ((dn == i + step) & nb).sum(axis=1)
+            differs = counts != counts[0]
+            if differs.any():
+                x, y = pairs[differs.argmax()]
+                return None, (int(x), int(y))
+            store.append(int(counts[0]))
+    return (b, c, a), None

@@ -2,13 +2,14 @@
 
 Verbs: analyze, construct, verify-paper, filter, spectrum, children,
 cospectral.  Exit codes: 0 success, 1 verification failure, 2 input error,
-64 usage error.
+64 usage error, 141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_USAGE = 64
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a filter stopped by a closed pipe
 
 
 class _Parser(argparse.ArgumentParser):
@@ -324,7 +326,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: the final flush at exit goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except OSError as exc:
         print(f"dezakit: {exc}", file=sys.stderr)
         return EXIT_INPUT

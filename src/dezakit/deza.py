@@ -97,13 +97,10 @@ def detect_deza(g: Graph) -> DezaParams | None:
     k = g.regular_degree()
     if k is None or g.is_complete() or g.is_edgeless():
         return None
-    count, v0, v1, _ = _kernels.pair_values(common_neighbour_matrix(g))
-    if count > 2:
+    values = _kernels.pair_values(common_neighbour_matrix(g))
+    if len(values) > 2:
         return None
-    if count == 1:
-        return DezaParams(g.n, k, v0, v0)
-    lo, hi = sorted((v0, v1))
-    return DezaParams(g.n, k, hi, lo)
+    return DezaParams(g.n, k, values[-1], values[0])
 
 
 @per_graph
@@ -147,12 +144,13 @@ def detect_srg(g: Graph) -> SrgParams | None:
     k = g.regular_degree()
     if k is None or g.is_complete() or g.is_edgeless():
         return None
-    nlam, lam, nmu, mu = _kernels.class_values(g.adj, common_neighbour_matrix(g))
-    if nlam != 1 or nmu != 1:
+    lams, mus = _kernels.class_values(g.adj, common_neighbour_matrix(g))
+    if len(lams) != 1 or len(mus) != 1:
         return None
-    return SrgParams(g.n, k, lam, mu)
+    return SrgParams(g.n, k, lams[0], mus[0])
 
 
+@per_graph
 def is_strongly_deza(g: Graph) -> StronglyDezaResult:
     """Deza with b > a and both children strongly regular.
 

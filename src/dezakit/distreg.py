@@ -13,9 +13,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .deza import DezaParams, detect_deza, children, is_divisible_design
+from .deza import (
+    DezaParams,
+    SrgParams,
+    children,
+    detect_deza,
+    is_divisible_design,
+    is_strongly_deza,
+)
 from .errors import ContradictionError, SpectrumShapeError
 from .eigenvalues import Eigenvalue
+from .families import prime_power
 from .graphs import (
     Graph,
     components,
@@ -65,9 +73,6 @@ class IntersectionArray:
         # K1 is distance-regular of diameter 0, with empty b, c and a
         return self.b[0] if self.d else 0
 
-    def as_lists(self) -> tuple[list[int], list[int]]:
-        return list(self.b), list(self.c)
-
     def __str__(self) -> str:
         bs = ",".join(map(str, self.b))
         cs = ",".join(map(str, self.c))
@@ -82,27 +87,14 @@ def intersection_numbers(
     dd = distance_data(g)
     if not dd.connected:
         raise ValueError("intersection numbers need a connected graph")
-    ok, wx, wy, b, c, a = _kernels.intersection_counts(g.adj, dd.dist, dd.diameter)
-    if not ok:
-        return None, (int(wx), int(wy))
+    counts, witness = _kernels.intersection_counts(g.adj, dd.dist, dd.diameter)
+    if counts is None:
+        return None, witness
+    b, c, a = counts
     d = dd.diameter
-    karr = [1]
-    for i in range(d):
-        num = karr[i] * int(b[i])
-        ci1 = int(c[i + 1])
-        if num % ci1:
-            raise ContradictionError("non-integral distance count k_i")
-        karr.append(num // ci1)
-    array = IntersectionArray(
-        d,
-        tuple(int(x) for x in b[:d]),
-        tuple(int(x) for x in c[1:]),
-        tuple(int(a[i]) for i in range(1, d + 1)),
-        tuple(karr),
-    )
-    if array.n != g.n:
-        raise ContradictionError("distance counts do not sum to n")
-    return array, None
+    # a distance-regular graph's k_i are the distance-class sizes of any vertex
+    k_i = tuple(np.bincount(dd.dist[0]).tolist())
+    return IntersectionArray(d, tuple(b[:d]), tuple(c[1:]), tuple(a[1:]), k_i), None
 
 
 def intersection_array(g: Graph) -> IntersectionArray | None:
@@ -246,8 +238,6 @@ def cosp_deza_check(g1: Graph, g2: Graph) -> TheoremCase:
     hence equal distance-3 counts, hence (by the cospectral rigidity of
     diameter-3 graphs with fixed distance-3 counts) the same array.
     """
-    from .deza import is_strongly_deza
-
     ia1 = intersection_array(g1)
     if ia1 is None or ia1.d != 3 or ia1.a[0] != ia1.c[1]:
         raise ValueError("g1 must be distance-regular with d = 3 and a1 = c2")
@@ -301,9 +291,6 @@ class UnitaryFamilyCheck:
 def unitary_nonisotropics_check(q: int) -> UnitaryFamilyCheck:
     """For prime powers q > 2: multiplicities sum to q^2(q^2-q+1), the trace
     vanishes, and the distance-3 child parameters pass SRG feasibility."""
-    from .deza import SrgParams
-    from .families import prime_power
-
     if q <= 2 or prime_power(q) is None:
         raise ValueError("q must be a prime power greater than 2")
     n = q * q * (q * q - q + 1)

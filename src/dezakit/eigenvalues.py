@@ -301,9 +301,6 @@ class Spectrum:
     def n(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def values(self) -> tuple[Eigenvalue, ...]:
-        return tuple(ev for ev, _ in self.entries)
-
     def multiplicity(self, ev: Eigenvalue) -> int:
         for e, m in self.entries:
             if e == ev:

@@ -186,20 +186,16 @@ def is_connected(g: Graph) -> bool:
     return distance_data(g).connected
 
 
+@per_graph
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by minimum."""
-    dist = distance_data(g).dist
-    seen = [False] * g.n
-    out = []
-    for v in range(g.n):
-        if not seen[v]:
-            comp = [int(u) for u in np.nonzero(dist[v] >= 0)[0]]
-            for u in comp:
-                seen[u] = True
-            out.append(comp)
-    return out
+    reach = distance_data(g).dist >= 0
+    # a component's least vertex is the first one each of its rows reaches
+    roots = np.unique(reach.argmax(axis=1))
+    return [np.nonzero(reach[r])[0].tolist() for r in roots]
 
 
+@per_graph
 def bipartition(g: Graph) -> tuple[list[int], list[int]] | None:
     """2-colouring by the parity of each vertex's distance from the least
     vertex of its component; None when an odd cycle exists."""

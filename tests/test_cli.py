@@ -1,6 +1,8 @@
 """Command-line surface: verbs, exit codes, determinism."""
 
+import errno
 import json
+import os
 import random
 
 import pytest
@@ -244,6 +246,41 @@ def test_stdin_input(capsys, monkeypatch):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/g.g6")
     assert code == 2
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_is_not_an_input_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.g6"
+    run(capsys, "construct", "petersen", "-o", str(path))
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr("sys.stdout", _ClosedPipe(fd))
+            code = main(["analyze", "--json", str(path)])
+        # 128 + SIGPIPE, silently, with stdout's descriptor now on devnull
+        assert code == 141
+        assert capsys.readouterr().err == ""
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    # an unreadable input is still an input error
+    code, _, err = run(capsys, "analyze", str(tmp_path / "missing.g6"))
+    assert code == 2 and "missing.g6" in err
 
 
 def test_usage_exit(capsys):

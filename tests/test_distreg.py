@@ -1,5 +1,6 @@
 """Intersection arrays, antipodality, and the section-6 classifications."""
 
+import numpy as np
 import pytest
 
 from dezakit import families
@@ -18,8 +19,14 @@ from dezakit.distreg import (
     unitary_nonisotropics_check,
 )
 from dezakit.errors import SpectrumShapeError
-from dezakit.graphs import Graph, distance_i_graph, is_connected, is_disjoint_clique_union
-from dezakit.verify import corpus
+from dezakit.graphs import (
+    Graph,
+    distance_data,
+    distance_i_graph,
+    is_connected,
+    is_disjoint_clique_union,
+)
+from dezakit.verify import DRG_CORPUS, corpus
 
 
 def test_intersection_arrays(heawood, icosahedron, c6, johnson63, line_petersen, taylor13, klein24):
@@ -39,6 +46,27 @@ def test_intersection_array_internal_consistency(heawood):
     for i in range(ia.d):
         bi = ia.b[i + 1] if i + 1 < ia.d else 0
         assert ia.a[i] + bi + ia.c[i] == ia.k
+
+
+def test_distance_counts_are_the_class_sizes_of_every_vertex():
+    # k_i is read off one row of the distance matrix; it must agree with the
+    # recurrence k_0 = 1, k_{i+1} = k_i b_i / c_{i+1} and with every row
+    graphs = [corpus()[name] for name in DRG_CORPUS] + [families.complete(1)]
+    graphs += [families.cycle(n) for n in (3, 4, 9, 12)]
+    graphs += [families.johnson(7, 2), families.johnson(8, 3), families.johnson(9, 4)]
+    graphs += [families.kneser(7, 2), families.kneser(7, 3), families.kneser(9, 4)]
+    graphs += [families.paley(q) for q in (5, 9, 13, 25, 29)]
+    graphs += [families.taylor_double_cover(families.paley(q)) for q in (5, 9, 13)]
+    for g in graphs:
+        ia = intersection_array(g)
+        assert ia is not None
+        formula = [1]
+        for i in range(ia.d):
+            assert formula[i] * ia.b[i] % ia.c[i] == 0
+            formula.append(formula[i] * ia.b[i] // ia.c[i])
+        assert ia.k_i == tuple(formula)
+        for row in distance_data(g).dist:
+            assert np.bincount(row).tolist() == list(ia.k_i)
 
 
 def test_not_distance_regular_witness(octahedron_lg):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dezakit import _kernels, families, graphs, spectra
+from dezakit import _kernels, deza, families, graphs, spectra
 from dezakit.graph6 import parse_graph6
 from dezakit.graphs import Graph
 from dezakit.report import (
@@ -102,14 +102,18 @@ def test_matches_expectation(heawood):
 
 def _count_computations(monkeypatch, fact):
     """Swap the per-graph fact for a counting copy at every site in the
-    package that holds it; returns the (graph, value) pairs it computes."""
+    package that holds it; returns the (graph, value) pairs it computes.
+    A call computes the fact when the graph holds no stored value for it,
+    so a fact that is not memoised counts once per call."""
     computed = []
 
-    def compute(g):
-        computed.append((g, fact.__wrapped__(g)))
-        return computed[-1][1]
+    def counted(g):
+        fresh = fact.__wrapped__ not in g._facts
+        value = fact(g)
+        if fresh:
+            computed.append((g, value))
+        return value
 
-    counted = graphs.per_graph(compute)
     for name, module in list(sys.modules.items()):
         if name == "dezakit" or name.startswith("dezakit."):
             for key, value in list(vars(module).items()):
@@ -132,6 +136,10 @@ def _record(monkeypatch, module, name, calls, arg=-1):
 def test_report_computes_each_fact_once(make, char_polys, monkeypatch):
     g = Graph(make().adj)  # no fact computed yet
     m2 = _count_computations(monkeypatch, graphs.common_neighbour_matrix)
+    facts = [
+        _count_computations(monkeypatch, fact)
+        for fact in (deza.is_strongly_deza, graphs.bipartition, graphs.components)
+    ]
     distances, kernel_m2, pair_values, polys = [], [], [], []
     _record(monkeypatch, _kernels, "all_pairs_distances", distances)
     for kernel in ("class_values", "triangle_count"):
@@ -145,6 +153,8 @@ def test_report_computes_each_fact_once(make, char_polys, monkeypatch):
     # once per Graph object; each graph owns its adjacency array, and the
     # lists keep them alive, so no id is reused
     assert m2 and len({id(h) for h, _ in m2}) == len(m2)
+    for computed in facts:
+        assert computed and len({id(h) for h, _ in computed}) == len(computed)
     assert distances and len({id(adj) for adj in distances}) == len(distances)
     # and at most once per adjacency: no equal graph is built to recompute them
     assert len({adj.tobytes() for adj in distances}) == len(distances)
