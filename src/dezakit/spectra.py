@@ -4,8 +4,9 @@ Strategy: compute the exact characteristic polynomial, strip every integer
 root in [-k, k] by exact synthetic division (k = maximum degree, a hard
 bound on the spectral radius), then factor what remains into monic integer
 quadratics.  Quadratic candidates are proposed by one exact step over
-GF(p), p = modular_primes()[0] (about 6.7e7), and every one is verified by
-exact polynomial division over the integers.  No floating point is used.
+GF(p), at the least prime p = 3 (mod 4) above max(8 k^2, deg f) for the
+residual f, and every one is verified by exact polynomial division over
+the integers.  No floating point is used.
 
 The step works on f, the residual reduced mod p (von zur Gathen & Gerhard,
 Modern Computer Algebra, ch. 14; Cantor & Zassenhaus, Math. Comp. 36,
@@ -23,23 +24,27 @@ All the powers, x^p mod R, x^(p^2) mod R / L and the splitting powers
 degree d, by repeated squaring on int64 vectors.  A square is one
 convolution, and its coefficients at x^d and above are folded back by one
 product with a d x (d - 1) reduction matrix whose columns x^(d + j) mod f
-are built once per power.  Residues are below p < 2^26, so every sum is of
-at most d products below p^2, at most d (p - 1)^2 < 2^63 for d <= MAX_ORDER,
-and int64 is exact; deg f > MAX_ORDER is refused.  A piece of L of degree
+are built once per power.  A power costs one squaring per bit of e: x^p
+takes about log2 p of them and x^(p^2) twice as many, so 10 and 20 at
+p = 971 (k = 11), 18 and 35 at Paley(257)'s p = 131111, and at most 25
+and 50 at the largest prime an order up to MAX_ORDER asks for,
+33488947 < 3.4e7.  Residues are below p, so every sum is of at most d
+products below p^2, at most d (p - 1)^2 < 2^63 for d <= MAX_ORDER, and
+int64 is exact; deg f > MAX_ORDER is refused.  A piece of L of degree
 2 needs no power: as p = 3 (mod 4), s = disc^((p + 1) / 4) is a square
 root of its discriminant (both are checked), and its roots are
 (-c1 +- s) / 2.
 
-Why every quadratic factor is proposed, at this one prime.  Let
+Why every quadratic factor is proposed, at this prime.  Let
 x^2 - b x + c be a factor of the residual.  Its roots are irrational
 eigenvalues in [-k, k], so |b| <= 2k, |c| <= k^2 and its discriminant
 satisfies 0 < b^2 - 4c <= 8 k^2 < p.  Mod p it is therefore squarefree:
 either an irreducible factor of Q, or (x - r)(x - s) with r != s both
 roots of L.  Both |b| and |c| are below p / 2, so the symmetric lift gives
-back the integer factor exactly.  p > max(8 k^2, deg f) holds for every
-order char_poly accepts and is checked on each call.  When L and Q are
-both 1 nothing is proposed, which proves at once that the residual has no
-quadratic factor.
+back the integer factor exactly.  The step takes the least such prime,
+_step_prime(k, deg f), and checks p > max(8 k^2, deg f) on each call.
+When L and Q are both 1 nothing is proposed, which proves at once that
+the residual has no quadratic factor.
 
 A proposal is never trusted.  Exact division, the reconstruction of the
 characteristic polynomial and the trace check decide the result; a
@@ -49,9 +54,11 @@ candidate that is no factor fails exact division.  Any residual of degree
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .charpoly import MAX_ORDER, char_poly, modular_primes, poly_eval, poly_mul, poly_try_divide
+from .charpoly import MAX_ORDER, char_poly, poly_eval, poly_mul, poly_try_divide
 from .eigenvalues import Eigenvalue, Spectrum, is_perfect_square
 from .graphs import Graph, per_graph
 
@@ -196,6 +203,17 @@ def _equal_degree_factors(f: list[int], d: int, p: int) -> list[list[int]]:
     return done
 
 
+def _step_prime(bound: int, deg: int) -> int:
+    """The least prime p = 3 (mod 4) with p > max(8 bound^2, deg): the
+    smallest prime at which the GF(p) step proposes every quadratic factor
+    of a residual of degree deg (module docstring), by trial division."""
+    p = max(8 * bound * bound, deg) + 1
+    p += (3 - p) % 4
+    while any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+        p += 4
+    return p
+
+
 def _quadratic_candidates(rem, bound: int, p: int):
     """Every admissible (b, c) whose x^2 - b x + c divides the monic integer
     polynomial rem is among the returned candidates; see the module
@@ -269,7 +287,7 @@ def exact_spectrum(g: Graph) -> Spectrum:
     quad_powers: dict[tuple[int, int], int] = {}
     if len(rem) > 1:
         quad_powers, rem = _divide_out_quadratics(
-            rem, _quadratic_candidates(rem, bound, modular_primes()[0])
+            rem, _quadratic_candidates(rem, bound, _step_prime(bound, len(rem) - 1))
         )
     if len(rem) > 1:
         raise NonQuadraticSpectrumError(rem)

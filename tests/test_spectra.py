@@ -165,7 +165,12 @@ def test_spectrum_from_pairs_merges():
 # -- the exact quadratic step over GF(p) ------------------------------------
 
 
+#: a large prime = 3 (mod 4) and 2 (mod 3) for the synthetic residuals;
+#: exact_spectrum itself runs the step at the least admissible prime
 P = modular_primes()[0]
+#: the largest prime the step can ask for, at the largest order char_poly
+#: accepts
+P_MAX = spectra._step_prime(MAX_ORDER - 1, MAX_ORDER)
 
 
 @pytest.fixture
@@ -207,18 +212,21 @@ def _spy(monkeypatch, name):
 
 def test_pow_x_plus_matches_list_oracle():
     rng = random.Random(7)
-    for d in range(1, 41):
-        f = [rng.randrange(P) for _ in range(d)] + [1]
-        c = rng.randrange(P) if d % 2 else 0
-        for e in (P, P * P, (P - 1) // 2, (P * P - 1) // 2):
-            assert spectra._pow_x_plus(c, e, f, P) == powmod([c, 1], e, f, P)
-    # the int64 worst case: degree MAX_ORDER, every coefficient p - 1; the
-    # last square has 2 MAX_ORDER - 1 coefficients, each a sum of up to
-    # MAX_ORDER products below p^2
-    assert MAX_ORDER * (P - 1) ** 2 < 2**63
-    f = [P - 1] * MAX_ORDER + [1]
+    # the step prime of a survey-size graph (k = 11, n = 14), and a large one
+    for p in (spectra._step_prime(11, 14), P):
+        for d in range(1, 41):
+            f = [rng.randrange(p) for _ in range(d)] + [1]
+            c = rng.randrange(p) if d % 2 else 0
+            for e in (p, p * p, (p - 1) // 2, (p * p - 1) // 2):
+                assert spectra._pow_x_plus(c, e, f, p) == powmod([c, 1], e, f, p)
+    # the int64 worst case: degree MAX_ORDER, every coefficient p - 1 at the
+    # largest step prime; the last square has 2 MAX_ORDER - 1 coefficients,
+    # each a sum of up to MAX_ORDER products below p^2
+    p = P_MAX
+    assert MAX_ORDER * (p - 1) ** 2 < 2**63
+    f = [p - 1] * MAX_ORDER + [1]
     e = 2 * MAX_ORDER
-    assert spectra._pow_x_plus(P - 1, e, f, P) == powmod([P - 1, 1], e, f, P)
+    assert spectra._pow_x_plus(p - 1, e, f, p) == powmod([p - 1, 1], e, f, p)
 
 
 def test_quadratic_candidates_on_synthetic_residuals(monkeypatch):
@@ -275,11 +283,37 @@ def test_quartic_with_quadratic_roots_is_left_over(monkeypatch):
 
 
 def test_prime_covers_max_order():
-    # every quadratic factor is squarefree mod p, and lifts back exactly,
-    # for every order char_poly accepts
-    k = MAX_ORDER - 1
-    assert P > 8 * k * k and P > MAX_ORDER
-    assert 2 * k < P // 2 and k * k < P // 2
+    # the largest prime the step can ask for: every quadratic factor is
+    # squarefree mod it and lifts back exactly, and int64 holds the powers
+    k, p = MAX_ORDER - 1, P_MAX
+    assert all(p % q for q in range(2, math.isqrt(p) + 1)) and p % 4 == 3
+    assert p > 8 * k * k and p > MAX_ORDER
+    assert p < 2**26 and MAX_ORDER * (p - 1) ** 2 < 2**63
+    assert 2 * k < p // 2 and k * k < p // 2
+
+
+def test_step_prime_is_least_admissible():
+    # a sieve up to past the largest prime asked for below
+    top = 2 * 8 * 257**2 + 2000
+    sieve = np.ones(top, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(top) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    admissible = np.flatnonzero(sieve & (np.arange(top) % 4 == 3))
+
+    def least(m):
+        """The least prime = 3 (mod 4) above m, by the sieve."""
+        return int(admissible[np.searchsorted(admissible, m, side="right")])
+
+    for k in range(258):
+        floor = 8 * k * k
+        # degrees that do not dominate 8 k^2 and degrees that do, one of
+        # them itself an admissible prime
+        for deg in {0, 1, floor // 2, floor, floor + 1, least(floor), 2 * floor + 1000}:
+            p = spectra._step_prime(k, deg)
+            assert p == least(max(floor, deg)), (k, deg)
+            assert sieve[p] and p % 4 == 3 and p > max(floor, deg)
 
 
 def test_unlucky_prime_is_refused(monkeypatch):
@@ -303,7 +337,7 @@ def test_unlucky_prime_is_refused(monkeypatch):
     inert = next(d for d in range(2, 50) if _legendre(d) == P - 1)
     with pytest.raises(ArithmeticError, match="no roots"):
         spectra._split_quadratic([-inert % P, 0, 1], P)
-    monkeypatch.setattr(spectra, "modular_primes", lambda: (61,))
+    monkeypatch.setattr(spectra, "_step_prime", lambda bound, deg: 61)
     with pytest.raises(ArithmeticError, match="too small"):
         exact_spectrum(g)
 
@@ -363,3 +397,47 @@ def test_agrees_with_float_oracle():
     assert any(isinstance(r, tuple) for r in exact)
     assert any(isinstance(r, Spectrum) and any(not ev.is_integer for ev, _ in r)
                for r in exact)
+
+
+# -- the step at small primes -------------------------------------------------
+
+
+@pytest.mark.parametrize("make, prime, residual_degree", [
+    # k = 2: the degree dominates 8 k^2 = 32
+    pytest.param(lambda: disjoint_union([families.cycle(5)] * 50), 211, None, id="50xC5"),
+    pytest.param(lambda: families.cycle(250), 251, 240, id="C250"),
+])
+def test_small_step_prime_end_to_end(monkeypatch, make, prime, residual_degree):
+    g = make()
+    calls = _spy(monkeypatch, "_quadratic_candidates")
+    exact = _spectrum_or_residual(g)
+    assert [p for _, _, p in calls] == [prime]
+    assert exact == float_spectrum_or_residual(g)
+    if residual_degree is None:
+        assert isinstance(exact, Spectrum) and len(exact.to_json()) == 3
+    else:
+        assert len(exact) - 1 == residual_degree
+
+
+def test_every_admissible_quadratic_is_proposed_at_small_primes():
+    bound = 2
+    quads = [(b, c) for b in range(-4, 5) for c in range(-4, 5)
+             if spectra._admissible(b, c, bound)]
+    assert len(quads) == 34
+
+    def check(chosen, p):
+        rem = _product(*[(c, -b, 1) for b, c in chosen])
+        assert spectra._step_prime(bound, len(rem) - 1) == p
+        # split mod p (through L) and inert mod p (through Q) both occur
+        legendre = {pow((b * b - 4 * c) % p, (p - 1) // 2, p) for b, c in chosen}
+        assert legendre == {1, p - 1}
+        cands = spectra._quadratic_candidates(rem, bound, p)
+        assert set(chosen) <= set(cands)
+        assert spectra._divide_out_quadratics(rem, cands) == (
+            {bc: 1 for bc in chosen}, (1,))
+
+    # all 34: degree 68 > 8 k^2, so p = 71
+    check(quads, 71)
+    # a few, of total degree below 8 k^2 = 32, so p = 43
+    check(quads[::5], 43)
+    check(quads[1:12], 43)
