@@ -72,8 +72,10 @@ def _first_graph(path: str, missing: str) -> Graph | None:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Print text, or write it to out_path as UTF-8: the bytes print sends to
+    a UTF-8 stdout (text renderings hold √; JSON escapes it)."""
     if out_path:
-        with open(out_path, "w", encoding="ascii") as handle:
+        with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)

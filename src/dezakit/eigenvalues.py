@@ -63,23 +63,15 @@ def sign_radical(a: int, b: int, m: int) -> int:
 
 
 def _sign_two_radicals(a: int, b: int, m: int, c: int, n: int) -> int:
-    """Exact sign of a + b*sqrt(m) + c*sqrt(n), m != n squarefree > 1."""
-    if b == 0:
-        return sign_radical(a, c, n)
-    if c == 0:
-        return sign_radical(a, b, m)
+    """Exact sign of a + b*sqrt(m) + c*sqrt(n) for nonzero b, c and squarefree
+    m != n, both > 1: then neither a + b*sqrt(m) nor the sum is zero."""
     left = sign_radical(a, b, m)
-    if left == 0:
-        return _sign_int(c)
-    if left > 0 and c >= 0:
+    if left > 0 and c > 0:
         return 1
-    if left < 0 and c <= 0:
+    if left < 0 and c < 0:
         return -1
-    # compare (a + b*sqrt(m))^2 against c^2 n; equality is impossible since
-    # it would force sqrt(m) or sqrt(mn) rational
+    # compare (a + b*sqrt(m))^2 against c^2 n
     t = sign_radical(a * a + b * b * m - c * c * n, 2 * a * b, m)
-    if t == 0:
-        raise ArithmeticError("distinct quadratic irrationals compared equal")
     return t if left > 0 else -t
 
 
@@ -323,19 +315,9 @@ class Spectrum:
         return self.entries[0][0]
 
     def sum_of_squares(self) -> int:
-        """Exact sum of m * value^2; equals twice the edge count."""
-        total = Fraction(0)
-        radical: dict[int, Fraction] = {}
-        for ev, m in self.entries:
-            r, s = ev.square_parts()
-            total += m * r
-            if s:
-                radical[ev.d] = radical.get(ev.d, Fraction(0)) + m * s
-        if any(coeff != 0 for coeff in radical.values()):
-            raise ArithmeticError("irrational sum of squares")
-        if total.denominator != 1:
-            raise ArithmeticError("fractional sum of squares")
-        return int(total)
+        """Exact sum of m * value^2; equals twice the edge count.  The sqrt(d)
+        parts of balanced conjugates cancel, and a pair adds b^2 - 2c."""
+        return int(sum(m * ev.square_parts()[0] for ev, m in self.entries))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrum):

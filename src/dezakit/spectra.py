@@ -262,7 +262,7 @@ def _divide_out_quadratics(rem, candidates):
     return powers, rem
 
 
-def _reconstruct(n, int_mults, quad_powers):
+def _reconstruct(int_mults, quad_powers):
     poly = (1,)
     for z, m in sorted(int_mults.items()):
         for _ in range(m):
@@ -292,7 +292,7 @@ def exact_spectrum(g: Graph) -> Spectrum:
     if len(rem) > 1:
         raise NonQuadraticSpectrumError(rem)
 
-    if _reconstruct(g.n, int_mults, quad_powers) != cp.coeffs:
+    if _reconstruct(int_mults, quad_powers) != cp.coeffs:
         raise ArithmeticError("factor reconstruction mismatch")
 
     entries = [(Eigenvalue.integer(z), m) for z, m in int_mults.items()]
@@ -300,9 +300,7 @@ def exact_spectrum(g: Graph) -> Spectrum:
         root, conj = Eigenvalue.quadratic_roots(b, c)
         entries.append((root, m))
         entries.append((conj, m))
-    spec = Spectrum(entries)
-    if spec.n != g.n:
-        raise ArithmeticError("multiplicities do not sum to n")
+    spec = Spectrum(entries)  # multiplicities sum to n: the reconstruction has degree n
     if spec.sum_of_squares() != 2 * g.edge_count():
         raise ArithmeticError("sum of squared eigenvalues is not 2|E|")
     return spec

@@ -82,29 +82,15 @@ def srg_eigen(params: SrgParams) -> SrgEigen:
             f = int(f2) // 2
             g = int(g2) // 2
             if f >= 0 and g >= 0:
-                eigen = SrgEigen(Eigenvalue.integer(r), Eigenvalue.integer(s), f, g)
-                _check_srg_eigen(params, eigen)
-                return eigen
+                return SrgEigen(Eigenvalue.integer(r), Eigenvalue.integer(s), f, g)
     # conference case: non-integral restricted eigenvalues force these values
     if mu - lam == 1 and disc == n and n % 2 == 1 and 2 * k == n - 1:
         r = Eigenvalue.quadratic(-1, 1, n, 2)
         s = Eigenvalue.quadratic(-1, -1, n, 2)
-        eigen = SrgEigen(r, s, (n - 1) // 2, (n - 1) // 2)
-        _check_srg_eigen(params, eigen)
-        return eigen
+        return SrgEigen(r, s, (n - 1) // 2, (n - 1) // 2)
     raise InfeasibleError(
         f"SRG parameters {params.as_tuple()} admit no integral or conference spectrum"
     )
-
-
-def _check_srg_eigen(params: SrgParams, eigen: SrgEigen) -> None:
-    if not eigen.s < eigen.r:
-        raise ContradictionError("restricted eigenvalues out of order")
-    if 1 + eigen.f + eigen.g != params.n:
-        raise ContradictionError("SRG multiplicities do not sum to n")
-    k = Eigenvalue.integer(params.k)
-    if not sums_to_zero([(k, 1), (eigen.r, eigen.f), (eigen.s, eigen.g)]):
-        raise ContradictionError("SRG trace identity failed")
 
 
 def srg_spectrum(params: SrgParams) -> Spectrum:
@@ -137,14 +123,11 @@ def srg_params_from_spectrum(spec: Spectrum) -> SrgParams:
     if len(restricted) != 2:
         raise SpectrumShapeError("an SRG has exactly two restricted eigenvalues")
     (r, _), (s, _) = restricted
-    if r.is_integer != s.is_integer:
-        raise SpectrumShapeError("restricted eigenvalues must be conjugate or both integral")
+    # Spectrum balances conjugates: both are integers, or s is r's conjugate
     if r.is_integer:
         rs_sum = r.as_int() + s.as_int()
         rs_prod = r.as_int() * s.as_int()
     else:
-        if s != r.conjugate():
-            raise SpectrumShapeError("irrational restricted pair must be conjugate")
         c0, c1, _ = r.minimal_poly_coeffs()  # x^2 - (r+s)x + rs
         rs_prod = c0
         rs_sum = -c1
@@ -197,8 +180,6 @@ def check_trace_identity(spec: Spectrum) -> TracePairing:
     zero = Eigenvalue.integer(0)
     classes: dict[Eigenvalue, tuple[int, int]] = {}
     for ev, m in remaining.items():
-        if m == 0:
-            continue
         mag = abs(ev)
         plus, minus = classes.get(mag, (0, 0))
         if ev.sign() >= 0:
@@ -514,7 +495,8 @@ class AffineFamily:
 
 def affine_family_params(q: int, t: int) -> AffineFamily:
     """Divisible-design parameters of the affine family and its predicted
-    eigenvalues +-q^(t-1) and 0; the two closure identities are verified."""
+    eigenvalues +-q^(t-1) and 0, with both sides of its two closure
+    identities (which hold identically in q and t)."""
     if t < 2:
         raise InfeasibleError("t must be at least 2")
     if prime_power(q) is None:
@@ -526,12 +508,7 @@ def affine_family_params(q: int, t: int) -> AffineFamily:
     m = (q**t - 1) // (q - 1)
     n = q**t
     params = DdgParams(v, k, lam1, lam2, m, n)
-    theta = q ** (t - 1)
-    if k - lam1 != theta * theta:
-        raise ContradictionError("k - lambda1 must equal q^(2(t-1))")
-    if k * k != lam2 * v:
-        raise ContradictionError("k^2 must equal lambda2 * v (zero eigenvalue)")
-    return AffineFamily(params, theta, k - lam1, k * k, lam2 * v)
+    return AffineFamily(params, q ** (t - 1), k - lam1, k * k, lam2 * v)
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +527,7 @@ def classify_last_case(g: Graph) -> TheoremCase:
     n, k = params.n, params.k
     if spec.distinct_count() != 4:
         raise SpectrumShapeError("needs exactly four distinct eigenvalues")
-    principal = spec.principal()
-    if principal != Eigenvalue.integer(k):
-        raise SpectrumShapeError("principal eigenvalue must equal the degree")
+    principal = spec.principal()  # k, as a Deza graph is k-regular
     rest = {ev: m for ev, m in spec if ev != principal}
     pair = None
     for ev, m in rest.items():

@@ -8,8 +8,9 @@ import random
 import pytest
 
 from conftest import random_regular_graph
-from dezakit import cli, families
+from dezakit import cli, families, verify
 from dezakit.cli import main
+from dezakit.eigenvalues import Spectrum
 from dezakit.graph6 import write_graph6
 from dezakit.report import report_inconsistencies
 
@@ -59,6 +60,22 @@ def test_analyze_expectations(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path), "--expect", str(expect_bad))
     assert code == 1
     assert "expectation mismatch" in err
+
+
+def test_analyze_expectation_count_and_single_object(tmp_path, capsys):
+    path = tmp_path / "g.g6"
+    run(capsys, "construct", "icosahedron", "-o", str(path))
+    expect = tmp_path / "expect.json"
+    expect.write_text(json.dumps([{"n": 12}, {"n": 12}]))
+    code, _, err = run(capsys, "analyze", str(path), "--expect", str(expect))
+    assert code == 1
+    assert err == "expectation mismatch: expected 2 reports, got 1\n"
+    # a single expectation object stands for a list of one
+    expect.write_text(json.dumps({"n": 12, "deza": {"b": 2, "a": 0}}))
+    assert run(capsys, "analyze", str(path), "--expect", str(expect))[0] == 0
+    expect.write_text(json.dumps({"n": 13}))
+    code, _, err = run(capsys, "analyze", str(path), "--expect", str(expect))
+    assert code == 1 and err.startswith("expectation mismatch: ")
 
 
 def test_construct_usage_errors(capsys):
@@ -187,6 +204,25 @@ def test_spectrum(tmp_path, capsys):
     assert code == 0 and "(√2)^6" in out
 
 
+def test_spectrum_json_and_bad_line(tmp_path, capsys):
+    path = tmp_path / "g.g6"
+    lines = [write_graph6(families.heawood()), write_graph6(families.cycle(7))]
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "spectrum", "--json", str(path))
+    assert code == 0
+    heawood, c7 = json.loads(out)
+    assert heawood["source"] == f"{path}:1" and heawood["text"] == "{3^1, (√2)^6, (-√2)^6, (-3)^1}"
+    assert str(Spectrum.from_json(heawood["spectrum"])) == heawood["text"]
+    assert c7 == {"source": f"{path}:2", "error": (
+        "spectrum contains non-quadratic eigenvalues; unfactored residual has degree 6")}
+    # a bad line fails the whole input before anything is written
+    path.write_text(lines[0] + "\n?\n")
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, "spectrum", *flags, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"{path}:2: graph6 vertex count must be at least 1 (byte offset 0)\n"
+
+
 def test_children(tmp_path, capsys):
     path = tmp_path / "g.g6"
     run(capsys, "construct", "heawood", "-o", str(path))
@@ -232,6 +268,44 @@ def test_cospectral(tmp_path, capsys):
     b.write_text("~~\n")
     code, _, err = run(capsys, "cospectral", str(b), str(a))
     assert code == 2 and err.startswith(f"{b}:1: ")
+
+
+def test_cospectral_non_quadratic(tmp_path, capsys):
+    a = tmp_path / "a.g6"
+    c7 = tmp_path / "c7.g6"
+    run(capsys, "construct", "icosahedron", "-o", str(a))
+    run(capsys, "construct", "cycle", "7", "-o", str(c7))
+    for paths in ((a, c7), (c7, a)):
+        code, out, err = run(capsys, "cospectral", *map(str, paths))
+        assert (code, out) == (2, "")
+        assert err == (f"cospectral: {c7}: spectrum contains non-quadratic "
+                       "eigenvalues; unfactored residual has degree 6\n")
+
+
+def test_text_output_file_equals_stdout(tmp_path, capsys):
+    # C5's eigenvalues (-1 +- √5)/2 put a non-ASCII √ in each text rendering
+    c5 = tmp_path / "c5.g6"
+    c5.write_text(write_graph6(families.cycle(5)) + "\n")
+    written = tmp_path / "out.txt"
+    for argv in (("analyze", str(c5)), ("spectrum", str(c5)),
+                 ("cospectral", str(c5), str(c5))):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "√5" in out
+        assert run(capsys, *argv, "-o", str(written)) == (0, "", "")
+        assert written.read_bytes() == out.encode("utf-8")
+
+
+def test_verify_paper(tmp_path, capsys):
+    total = len(verify.run_all())
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 0
+    assert out.splitlines()[-1] == f"-- {total}/{total} checks passed"
+    code, text, _ = run(capsys, "verify-paper", "--json")
+    rows = json.loads(text)
+    assert code == 0 and len(rows) == total and all(row["passed"] for row in rows)
+    written = tmp_path / "table.txt"
+    assert run(capsys, "verify-paper", "-o", str(written)) == (0, "", "")
+    assert written.read_bytes() == out.encode("utf-8")
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -80,6 +80,20 @@ def test_truncated_and_trailing():
         parse_graph6("A" + chr(63 + 0b110000))
 
 
+def test_vertex_count_errors():
+    with pytest.raises(Graph6Error) as info:
+        parse_graph6("?")
+    assert str(info.value) == "graph6 vertex count must be at least 1 (byte offset 0)"
+    assert info.value.offset == 0
+    for text, offset in (("~~??????", 1), (">>graph6<<~~??????", 11)):
+        with pytest.raises(Graph6Error) as info:
+            parse_graph6(text)
+        assert str(info.value) == (
+            f"8-byte vertex counts exceed the size cap (byte offset {offset})"
+        )
+        assert info.value.offset == offset
+
+
 def test_non_ascii():
     with pytest.raises(Graph6Error, match="non-ASCII"):
         parse_graph6("Aé")

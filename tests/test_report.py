@@ -47,6 +47,15 @@ def test_report_handles_non_quadratic(c7):
     assert rep["strongly_deza"]["formula_spectra_match"] is None
 
 
+def test_render_text_reports_spectrum_error(c7):
+    lines = render_text(build_report(c7, source="c7")).splitlines()
+    [line] = [line for line in lines if line.startswith("spectrum:")]
+    assert line == (
+        "spectrum: ERROR spectrum contains non-quadratic eigenvalues; "
+        "unfactored residual has degree 6"
+    )
+
+
 def test_report_desargues_not_inconsistent(desargues):
     # Deza with six distinct eigenvalues: legitimately not strongly Deza,
     # so the eigenvalue-count classifier is skipped, not flagged

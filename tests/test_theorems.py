@@ -5,7 +5,7 @@ import pytest
 from dezakit import families
 from dezakit.deza import SrgParams, detect_deza, detect_srg
 from dezakit.errors import ContradictionError, InfeasibleError, SpectrumShapeError
-from dezakit.eigenvalues import Eigenvalue
+from dezakit.eigenvalues import Eigenvalue, Spectrum
 from dezakit.graph6 import parse_graph6
 from dezakit.graphs import disjoint_union, line_graph
 from dezakit.spectra import exact_spectrum
@@ -19,6 +19,7 @@ from dezakit.theorems import (
     remaining_pair_five_eig,
     singular_check,
     srg_eigen,
+    srg_params_from_spectrum,
     srg_spectrum,
     strongly_deza_witness,
 )
@@ -61,6 +62,24 @@ def test_srg_spectrum_matches(petersen):
     assert srg_spectrum(SrgParams(14, 6, 5, 0)) == exact_spectrum(
         families.disjoint_cliques(2, 7)
     )
+
+
+def test_srg_params_from_conjugate_pair(c5):
+    # irrational restricted pairs: the pentagon and the Paley graph P(13)
+    for g in (c5, families.paley(13)):
+        assert srg_params_from_spectrum(exact_spectrum(g)) == detect_srg(g)
+    assert detect_srg(c5).as_tuple() == (5, 2, 0, 1)
+
+
+def test_srg_params_from_spectrum_refusals():
+    # no Spectrum holds a lone irrational: a non-conjugate irrational pair is
+    # refused before srg_params_from_spectrum sees it
+    with pytest.raises(ValueError, match="conjugate"):
+        Spectrum([(_int(1), 1), (_root(2), 1), (-_root(3), 1)])
+    # and an irrational beside an integer brings its conjugate as a third value
+    spec = Spectrum([(_int(2), 1), (_root(2), 1), (-_root(2), 1), (_int(-2), 1)])
+    with pytest.raises(SpectrumShapeError, match="exactly two restricted"):
+        srg_params_from_spectrum(spec)
 
 
 # -- trace identity ----------------------------------------------------------
