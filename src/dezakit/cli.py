@@ -3,11 +3,16 @@
 Verbs: analyze, construct, verify-paper, filter, spectrum, children,
 cospectral.  Exit codes: 0 success, 1 verification failure, 2 input error,
 64 usage error, 141 (128 + SIGPIPE) when the reader closes stdout early.
+Exit 2 comes from ``main`` alone: a verb raises ``InputError`` (a bad
+graph6 line, no graph, a non-quadratic ``cospectral`` input, a malformed
+``--expect`` file, a closed stdin) or the OS refuses a file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -29,6 +34,10 @@ EXIT_USAGE = 64
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a filter stopped by a closed pipe
 
 
+class InputError(Exception):
+    """Bad input; ``main`` prints the message and exits 2."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 64, not argparse's 2
         self.print_usage(sys.stderr)
@@ -36,39 +45,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_lines(path: str) -> list[str]:
-    """Input lines; each byte that is not ASCII becomes a lone surrogate, so
-    parse_graph6 reports it against its own line."""
+def _lines(path: str):
+    """Input lines, read lazily; each byte that is not ASCII becomes a lone
+    surrogate, so parse_graph6 reports it against its own line.  Each chunk
+    ends at a newline, which is a line break to ``splitlines`` too, so the
+    lines are numbered as splitting the whole text would number them."""
     if path == "-":
-        stream = getattr(sys.stdin, "buffer", None)  # absent on a text-only stdin
-        if stream is None:
-            return sys.stdin.read().splitlines()
-        return stream.read().decode("ascii", "surrogateescape").splitlines()
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
-        return handle.read().splitlines()
+        if sys.stdin is None:  # started with stdin closed
+            raise InputError("-: stdin is closed")
+        handle = contextlib.nullcontext(sys.stdin.buffer)  # left open
+    else:
+        handle = open(path, "rb")
+    with handle as chunks:
+        for chunk in chunks:
+            yield from chunk.decode("ascii", "surrogateescape").splitlines()
 
 
-def _iter_graphs(path: str):
-    """Yield (lineno, line, Graph | Graph6Error) per nonempty input line."""
-    for lineno, line in enumerate(_read_lines(path), start=1):
+def _graphs(path: str):
+    """Yield (source, Graph) per nonempty input line; a bad line raises
+    InputError."""
+    for lineno, line in enumerate(_lines(path), start=1):
         if not line.strip():
             continue
+        source = f"{path}:{lineno}"
         try:
-            yield lineno, line, parse_graph6(line)
+            g = parse_graph6(line)
         except Graph6Error as exc:
-            yield lineno, line, exc
+            raise InputError(f"{source}: {exc}") from None
+        yield source, g
 
 
-def _first_graph(path: str, missing: str) -> Graph | None:
-    """The graph on the first nonempty line, parsing no other line; None
-    after reporting a bad first line, or ``missing`` when there is none."""
-    for lineno, _, item in _iter_graphs(path):
-        if isinstance(item, Graph6Error):
-            print(f"{path}:{lineno}: {item}", file=sys.stderr)
-            return None
-        return item
-    print(missing, file=sys.stderr)
-    return None
+def _first_graph(path: str, missing: str) -> Graph:
+    """The graph on the first nonempty line, parsing no other line."""
+    for _, g in _graphs(path):
+        return g
+    raise InputError(missing)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -86,12 +97,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
-    reports = []
-    for lineno, _, item in _iter_graphs(args.path):
-        if isinstance(item, Graph6Error):
-            print(f"{args.path}:{lineno}: {item}", file=sys.stderr)
-            return EXIT_INPUT
-        reports.append(report_mod.build_report(item, source=f"{args.path}:{lineno}"))
+    reports = [report_mod.build_report(g, source) for source, g in _graphs(args.path)]
 
     issues = [
         issue for rep in reports for issue in report_mod.report_inconsistencies(rep)
@@ -112,8 +118,7 @@ def cmd_analyze(args) -> int:
             try:
                 expected = json.load(handle)
             except ValueError as exc:  # malformed JSON or undecodable bytes
-                print(f"{args.expect}: {exc}", file=sys.stderr)
-                return EXIT_INPUT
+                raise InputError(f"{args.expect}: {exc}") from None
         if not isinstance(expected, list):
             expected = [expected]
         problems = []
@@ -141,16 +146,7 @@ def cmd_construct(args) -> int:
 def cmd_verify_paper(args) -> int:
     rows = verify_mod.run_all()
     if args.json:
-        payload = [
-            {
-                "criterion": row.criterion,
-                "name": row.name,
-                "expected": row.expected,
-                "actual": row.actual,
-                "passed": row.passed,
-            }
-            for row in rows
-        ]
+        payload = [dataclasses.asdict(row) for row in rows]
         _emit(json.dumps(payload, indent=1), args.output)
     else:
         _emit(verify_mod.render_table(rows), args.output)
@@ -180,15 +176,20 @@ def cmd_filter(args) -> int:
     counts: Counter = Counter()
     matched = 0
     total = 0
-    for lineno, line, item in _iter_graphs(args.path):
-        if isinstance(item, Graph6Error):
+    # the one verb that goes on past a bad line
+    for lineno, line in enumerate(_lines(args.path), start=1):
+        if not line.strip():
+            continue
+        try:
+            g = parse_graph6(line)
+        except Graph6Error as exc:
+            message = f"{args.path}:{lineno}: {exc}"
             if args.strict:
-                print(f"{args.path}:{lineno}: {item}", file=sys.stderr)
-                return EXIT_INPUT
-            print(f"warning: {args.path}:{lineno}: {item}", file=sys.stderr)
+                raise InputError(message) from None
+            print(f"warning: {message}", file=sys.stderr)
             continue
         total += 1
-        key = _filter_key(args.predicate, item)
+        key = _filter_key(args.predicate, g)
         if key is not None:
             matched += 1
             counts[key] += 1
@@ -201,18 +202,12 @@ def cmd_filter(args) -> int:
 
 def cmd_spectrum(args) -> int:
     payload = []
-    for lineno, line, item in _iter_graphs(args.path):
-        if isinstance(item, Graph6Error):
-            print(f"{args.path}:{lineno}: {item}", file=sys.stderr)
-            return EXIT_INPUT
+    for source, g in _graphs(args.path):
         try:
-            spec = exact_spectrum(item)
-            payload.append(
-                {"source": f"{args.path}:{lineno}", "spectrum": spec.to_json(),
-                 "text": str(spec)}
-            )
+            spec = exact_spectrum(g)
+            payload.append({"source": source, "spectrum": spec.to_json(), "text": str(spec)})
         except NonQuadraticSpectrumError as exc:
-            payload.append({"source": f"{args.path}:{lineno}", "error": str(exc)})
+            payload.append({"source": source, "error": str(exc)})
     if args.json:
         _emit(json.dumps(payload, indent=1), args.output)
     else:
@@ -222,14 +217,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_children(args) -> int:
-    item = _first_graph(args.path, "children: no graph in input")
-    if item is None:
-        return EXIT_INPUT
-    params = deza_mod.detect_deza(item)
+    g = _first_graph(args.path, "children: no graph in input")
+    params = deza_mod.detect_deza(g)
     if params is None:
         print("children: input is not a Deza graph", file=sys.stderr)
         return EXIT_VERIFY
-    pair = deza_mod.children(item)
+    pair = deza_mod.children(g)
     if args.json:
         _emit(json.dumps({
             "deza": list(params.as_tuple()),
@@ -248,14 +241,11 @@ def cmd_children(args) -> int:
 def cmd_cospectral(args) -> int:
     specs = []
     for path in (args.path_a, args.path_b):
-        found = _first_graph(path, f"cospectral: no graph in {path}")
-        if found is None:
-            return EXIT_INPUT
+        g = _first_graph(path, f"cospectral: no graph in {path}")
         try:
-            specs.append(exact_spectrum(found))
+            specs.append(exact_spectrum(g))
         except NonQuadraticSpectrumError as exc:
-            print(f"cospectral: {path}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+            raise InputError(f"cospectral: {path}: {exc}") from None
     same = specs[0] == specs[1]
     if args.json:
         _emit(json.dumps({
@@ -331,6 +321,9 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
+    except InputError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INPUT
     except BrokenPipeError:
         # the reader has gone: the final flush at exit goes to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)

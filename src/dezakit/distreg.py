@@ -103,10 +103,14 @@ def intersection_array(g: Graph) -> IntersectionArray | None:
     return array
 
 
-def is_antipodal(g: Graph, ia: IntersectionArray) -> bool:
-    """The distance-d graph is a disjoint union of equal cliques: every
-    class {v} ∪ {u : d(u, v) = d} is closed and all have one size."""
-    related = (distance_data(g).dist == ia.d) | np.eye(g.n, dtype=bool)
+def is_antipodal(g: Graph) -> bool:
+    """The distance-d graph of a connected graph of diameter d is a disjoint
+    union of equal cliques: every class {v} ∪ {u : d(u, v) = d} is closed
+    and all have one size."""
+    dd = distance_data(g)
+    if not dd.connected:
+        raise ValueError("antipodality needs a connected graph")
+    related = (dd.dist == dd.diameter) | np.eye(g.n, dtype=bool)
     # the classes are closed when u and v are related exactly if their
     # classes have the same least member
     least = related.argmax(axis=1)
@@ -115,10 +119,13 @@ def is_antipodal(g: Graph, ia: IntersectionArray) -> bool:
     return bool(closed and (sizes == sizes[0]).all())
 
 
-def drg_deza_classification(g: Graph, ia: IntersectionArray) -> TheoremCase:
+def drg_deza_classification(g: Graph) -> TheoremCase:
     """Deza-ness of a distance-regular graph with d >= 3 reduces to a1 = 0
     or a1 = c2; cross-checked against the common-neighbour detector and the
     construction of the children."""
+    ia = intersection_array(g)
+    if ia is None:
+        raise ValueError("not distance-regular")
     if ia.d < 3:
         raise ValueError("diameter-2 graphs are the strongly regular case")
     a1 = ia.a[0]
@@ -127,7 +134,7 @@ def drg_deza_classification(g: Graph, ia: IntersectionArray) -> TheoremCase:
     if a1 != 0 and a1 != c2:
         if params is not None:
             raise ContradictionError("Deza detector disagrees with a1/c2 criterion")
-        return TheoremCase("drg-deza", "not-deza", {"a1": a1, "c2": c2})
+        return TheoremCase("not-deza", {"a1": a1, "c2": c2})
     expected = DezaParams(g.n, ia.k, c2, 0)
     if params != expected:
         raise ContradictionError(
@@ -144,7 +151,7 @@ def drg_deza_classification(g: Graph, ia: IntersectionArray) -> TheoremCase:
         want_b = ((dd.dist == 1) | (dd.dist == 2)).astype("uint8")
     if pair.child_b != Graph(want_b):
         raise ContradictionError("b-child is not the predicted distance graph")
-    return TheoremCase("drg-deza", case, {"a1": a1, "c2": c2, "params": list(expected.as_tuple())})
+    return TheoremCase(case, {"a1": a1, "c2": c2, "params": list(expected.as_tuple())})
 
 
 def ddg_drg_classification(g: Graph) -> TheoremCase:
@@ -160,22 +167,16 @@ def ddg_drg_classification(g: Graph) -> TheoremCase:
         raise ValueError("classification needs a connected graph")
     ia = intersection_array(g)
     if ia is None:
-        return TheoremCase("ddg-drg", "not-distance-regular", {"ddg": list(ddg.as_tuple())})
+        return TheoremCase("not-distance-regular", {"ddg": list(ddg.as_tuple())})
     if ia.d == 2:
         shape = is_disjoint_clique_union(distance_i_graph(g, 2))
         if shape is None:
             raise ContradictionError("diameter-2 divisible design graph must be multipartite")
-        return TheoremCase(
-            "ddg-drg", "complete-multipartite", {"parts": shape[0], "part_size": shape[1]}
-        )
+        return TheoremCase("complete-multipartite", {"parts": shape[0], "part_size": shape[1]})
     if ia.d == 3 and is_bipartite(g):
-        return TheoremCase(
-            "ddg-drg", "incidence-symmetric-design", {"array": str(ia)}
-        )
-    if ia.d == 3 and is_antipodal(g, ia) and ia.a[0] == ia.c[1]:
-        return TheoremCase(
-            "ddg-drg", "antipodal-d3-a1-eq-c2", {"array": str(ia), "a1": ia.a[0]}
-        )
+        return TheoremCase("incidence-symmetric-design", {"array": str(ia)})
+    if ia.d == 3 and is_antipodal(g) and ia.a[0] == ia.c[1]:
+        return TheoremCase("antipodal-d3-a1-eq-c2", {"array": str(ia), "a1": ia.a[0]})
     raise ContradictionError("distance-regular divisible design graph outside all cases")
 
 
@@ -251,7 +252,6 @@ def cosp_deza_check(g1: Graph, g2: Graph) -> TheoremCase:
         raise ValueError("g2 must be a Deza graph")
     if p1 != p2:
         return TheoremCase(
-            "cospectral-deza",
             "different-deza-parameters",
             {"params1": list(p1.as_tuple()), "params2": list(p2.as_tuple())},
         )
@@ -266,9 +266,7 @@ def cosp_deza_check(g1: Graph, g2: Graph) -> TheoremCase:
     if ia2 != ia1:
         raise ContradictionError("cospectral Deza mate has a different array")
     return TheoremCase(
-        "cospectral-deza",
-        "same-intersection-numbers",
-        {"array": str(ia1), "triangles": int(expected_triangles)},
+        "same-intersection-numbers", {"array": str(ia1), "triangles": int(expected_triangles)}
     )
 
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 import json
 from importlib import resources
 from itertools import combinations, count
+from math import comb
 
 import numpy as np
 
 from .eigenvalues import Spectrum
+from .graph6 import MAX_N
 from .graphs import Graph, disjoint_union, line_graph, meet_graph
 
 # ---------------------------------------------------------------------------
@@ -262,35 +264,41 @@ BUNDLED = ("klein24",)
 # ---------------------------------------------------------------------------
 # catalog for the command line
 
+# name -> (constructor, argument synopsis, vertex count from the arguments)
 CATALOG = {
-    "complete": (complete, "N"),
-    "cycle": (cycle, "N"),
-    "cliques": (disjoint_cliques, "M SIZE"),
-    "multipartite": (complete_multipartite, "SIZE..."),
-    "kneser": (kneser, "N K"),
-    "petersen": (petersen, ""),
-    "johnson": (johnson, "N K"),
-    "icosahedron": (icosahedron, ""),
-    "paley": (paley, "Q"),
-    "taylor-paley": (lambda q: taylor_double_cover(paley(q)), "Q"),
-    "heawood": (heawood, ""),
-    "biplane11": (biplane11, ""),
-    "trivial-design": (trivial_design_incidence, "K"),
-    "octahedron-line-graph": (octahedron_line_graph, ""),
-    "klein24": (lambda: bundled_graph("klein24"), ""),
+    "complete": (complete, "N", lambda n: n),
+    "cycle": (cycle, "N", lambda n: n),
+    "cliques": (disjoint_cliques, "M SIZE", lambda m, size: m * size),
+    "multipartite": (lambda *sizes: complete_multipartite(sizes), "SIZE...",
+                     lambda *sizes: sum(sizes)),
+    "kneser": (kneser, "N K", comb),
+    "petersen": (petersen, "", lambda: 10),
+    "johnson": (johnson, "N K", comb),
+    "icosahedron": (icosahedron, "", lambda: 12),
+    "paley": (paley, "Q", lambda q: q),
+    "taylor-paley": (lambda q: taylor_double_cover(paley(q)), "Q", lambda q: 2 * q + 2),
+    "heawood": (heawood, "", lambda: 14),
+    "biplane11": (biplane11, "", lambda: 22),
+    "trivial-design": (trivial_design_incidence, "K", lambda k: 2 * k + 2),
+    "octahedron-line-graph": (octahedron_line_graph, "", lambda: 12),
+    "klein24": (lambda: bundled_graph("klein24"), "", lambda: 24),
 }
 
 
 def construct(name: str, args: list[str]) -> Graph:
-    """Build a catalog graph from CLI-style string arguments."""
+    """Build a catalog graph from CLI-style string arguments, refusing one
+    with more vertices than graph6 can hold before building it."""
     if name not in CATALOG:
         raise ValueError(f"unknown family {name!r}")
-    fn, spec = CATALOG[name]
+    fn, spec, order = CATALOG[name]
     if name == "multipartite":
         if not args:
             raise ValueError("multipartite needs at least two part sizes")
-        return fn([int(a) for a in args])
-    want = len(spec.split()) if spec else 0
-    if len(args) != want:
+    elif len(args) != len(spec.split()):
         raise ValueError(f"family {name} expects arguments: {spec or '(none)'}")
-    return fn(*[int(a) for a in args])
+    ints = [int(a) for a in args]
+    # no family takes a negative argument, and comb refuses one
+    n = order(*ints) if min(ints, default=0) >= 0 else 0
+    if n > MAX_N:
+        raise ValueError(f"{name} {' '.join(args)} has {n} vertices, above the graph6 cap {MAX_N}")
+    return fn(*ints)

@@ -36,16 +36,11 @@ def _attempt(fn, *args):
 
 def _record(value):
     """JSON-native form of a result record: dataclass fields in declared
-    order (without a TheoremCase's theorem name), eigenvalues as strings,
-    tuples as lists."""
+    order, eigenvalues as strings, tuples as lists."""
     if isinstance(value, Eigenvalue):  # a dataclass too, so tested first
         return str(value)
     if is_dataclass(value):
-        return {
-            f.name: _record(getattr(value, f.name))
-            for f in fields(value)
-            if not (isinstance(value, theorems.TheoremCase) and f.name == "theorem")
-        }
+        return {f.name: _record(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return [_record(item) for item in value]
     return value
@@ -100,15 +95,10 @@ def build_report(g: Graph, source: str = "graph") -> dict:
             "formula_spectra_match": None,
         }
         if spec is not None:
+            entry["formula_spectra_match"] = deza_mod.verify_child_formula(g)
             pair = deza_mod.children(g)
-            formula_a, formula_b = deza_mod.child_spectra_formula(spec, params)
-            direct_a = exact_spectrum(pair.child_a)
-            direct_b = exact_spectrum(pair.child_b)
-            entry["child_a_spectrum"] = direct_a.to_json()
-            entry["child_b_spectrum"] = direct_b.to_json()
-            entry["formula_spectra_match"] = (
-                formula_a == direct_a and formula_b == direct_b
-            )
+            entry["child_a_spectrum"] = exact_spectrum(pair.child_a).to_json()
+            entry["child_b_spectrum"] = exact_spectrum(pair.child_b).to_json()
         report["strongly_deza"] = entry
         ddg = deza_mod.is_divisible_design(g)
         report["ddg"] = None if ddg is None else {
@@ -129,10 +119,10 @@ def build_report(g: Graph, source: str = "graph") -> dict:
                 "c": list(array.c),
                 "a": list(array.a),
                 "k_i": list(array.k_i),
-                "antipodal": distreg.is_antipodal(g, array),
+                "antipodal": distreg.is_antipodal(g),
             }
             if array.d >= 3:
-                dr_entry["deza_case"] = _attempt(distreg.drg_deza_classification, g, array)
+                dr_entry["deza_case"] = _attempt(distreg.drg_deza_classification, g)
         if report["ddg"] is not None:
             dr_entry["ddg_case"] = _attempt(distreg.ddg_drg_classification, g)
     report["distance_regular"] = dr_entry

@@ -55,7 +55,6 @@ class TheoremCase:
     """Outcome of one classifier: a label from its closed enumeration plus
     the substituted witness values."""
 
-    theorem: str
     case: str
     witness: dict = field(default_factory=dict)
 
@@ -249,18 +248,14 @@ def classify_eigenvalue_count(g: Graph) -> TheoremCase:
         if shape is None or shape[1] != k + 1 or a != 0 or b != k - 1:
             raise ContradictionError("two-eigenvalue graph is not a clique union")
         return TheoremCase(
-            "eigenvalue-count",
-            "prop3-2eig",
-            {"cliques": shape[0], "order": shape[1], "a": a, "b": b},
+            "prop3-2eig", {"cliques": shape[0], "order": shape[1], "a": a, "b": b}
         )
     if distinct == 3:
         srg = detect_srg(g)
         if is_connected(g):
             if srg is None or {srg.lam, srg.mu} != {a, b}:
                 raise ContradictionError("connected three-eigenvalue graph is not an SRG")
-            return TheoremCase(
-                "eigenvalue-count", "prop3-3eig-srg", {"srg": list(srg.as_tuple())}
-            )
+            return TheoremCase("prop3-3eig-srg", {"srg": list(srg.as_tuple())})
         comps = [induced_subgraph(g, c) for c in components(g)]
         comp_srgs = [detect_srg(c) for c in comps]
         if all(
@@ -277,13 +272,10 @@ def classify_eigenvalue_count(g: Graph) -> TheoremCase:
         else:
             raise ContradictionError("disconnected three-eigenvalue structure unexpected")
         return TheoremCase(
-            "eigenvalue-count",
             "prop3-3eig-disconn",
             {"components": len(comps), "component_order": comps[0].n, "kind": kind},
         )
-    return TheoremCase(
-        "eigenvalue-count", f"prop3-{distinct}eig", {"distinct": distinct}
-    )
+    return TheoremCase(f"prop3-{distinct}eig", {"distinct": distinct})
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +378,7 @@ def classify_square_case(g: Graph) -> TheoremCase:
     if square_s and square_r:
         if not spec.is_integral():
             raise ContradictionError("both squares yet the spectrum is not integral")
-        return TheoremCase("square-case", "square-i", witness)
+        return TheoremCase("square-i", witness)
     if not square_s and not square_r:
         raise ContradictionError("both formula values are non-squares")
     if not square_s:
@@ -404,7 +396,7 @@ def classify_square_case(g: Graph) -> TheoremCase:
             f"must both equal half of {child_mult}"
         )
     witness.update({"pair_mult": m_plus, "half_child_mult": child_mult // 2})
-    return TheoremCase("square-case", case, witness)
+    return TheoremCase(case, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +547,11 @@ def classify_last_case(g: Graph) -> TheoremCase:
     if m2 == 1 and z == -k:
         if m3 != (n - 2) // 2 or 2 * m3 != n - 2:
             raise ContradictionError("bipartite case multiplicities must be (n-2)/2")
-        return TheoremCase("last-case", "last-i", witness)
+        return TheoremCase("last-i", witness)
     if m2 == k and z == -1:
         if 2 * m3 != n - k - 1:
             raise ContradictionError("multiplicities must be (n-k-1)/2")
-        return TheoremCase("last-case", "last-ii", witness)
+        return TheoremCase("last-ii", witness)
     if 1 < m2 < k and z < -1:
-        return TheoremCase("last-case", "last-iii", witness)
+        return TheoremCase("last-iii", witness)
     raise ContradictionError("four-eigenvalue case outside the trichotomy")

@@ -4,10 +4,14 @@ import errno
 import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import random_regular_graph
+import dezakit
 from dezakit import cli, families, verify
 from dezakit.cli import main
 from dezakit.eigenvalues import Spectrum
@@ -312,9 +316,85 @@ def test_stdin_input(capsys, monkeypatch):
     import io
 
     code, out, _ = run(capsys, "construct", "icosahedron")
-    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(out.encode("ascii"))))
     code, out, err = run(capsys, "filter", "ddg", "-")
     assert code == 0 and "1/1 matched" in err
+
+
+# the ASCII line breaks of str.splitlines (\r\n, \r, \n, \x0b, \x0c,
+# \x1c-\x1e), non-ASCII bytes (UTF-8's NEL and LINE SEPARATOR must not break a
+# line), blank lines and an unterminated last line
+_LINE_BREAKS = (
+    b"A_\r\nB?\rC~\x0bD\x0cE\x1cF\x1dG\x1eH\n\nA\xc3_\n\r\n\x85\xe2\x80\xa8last"
+)
+
+
+@pytest.mark.parametrize("data", [_LINE_BREAKS, b"", b"\n", b"\r", b"x\r", b"\n\n\r\r\n"])
+def test_lines_number_as_the_whole_text(data, tmp_path, monkeypatch):
+    import io
+
+    expected = data.decode("ascii", "surrogateescape").splitlines()
+    path = tmp_path / "in.g6"
+    path.write_bytes(data)
+    assert list(cli._lines(str(path))) == expected
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert list(cli._lines("-")) == expected
+
+
+@pytest.mark.parametrize("argv", [["analyze", "-"], ["filter", "deza", "-"], ["children", "-"]])
+def test_closed_stdin_is_an_input_error(argv, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", None)  # as when started with <&-
+    assert run(capsys, *argv) == (2, "", "-: stdin is closed\n")
+
+
+def test_bad_line_on_a_real_pipe():
+    good = write_graph6(families.petersen())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(dezakit.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "dezakit.cli", "analyze", "-"],
+        input=f"{good}\n{good}\n~~\n".encode("ascii"),
+        env=env, capture_output=True, check=False,
+    )
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert done.stderr.decode().startswith("-:3: ")
+
+
+@pytest.mark.parametrize("argv, order", [
+    (("johnson", "30", "15"), 155117520),
+    (("kneser", "40", "4"), 91390),
+    (("complete", "100000"), 100000),
+    (("cliques", "1000", "1000"), 1000000),
+    (("multipartite", "200", "59"), 259),
+    (("paley", "1009"), 1009),
+    (("taylor-paley", "137"), 276),
+    (("trivial-design", "129"), 260),
+    (("cycle", "259"), 259),
+])
+def test_construct_refuses_orders_above_the_cap_before_building(argv, order, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("built a graph above the cap")
+
+    monkeypatch.setattr(families, "meet_graph", unreachable)
+    name = argv[0]
+    _, spec, vertex_count = families.CATALOG[name]
+    monkeypatch.setitem(families.CATALOG, name, (unreachable, spec, vertex_count))
+    code, out, err = run(capsys, "construct", *argv)
+    assert (code, out) == (64, "")
+    assert err == f"construct: {' '.join(argv)} has {order} vertices, above the graph6 cap 258\n"
+
+
+def test_construct_at_the_cap_and_bad_arguments(capsys):
+    code, out, _ = run(capsys, "construct", "cycle", "258")
+    assert code == 0 and cli.parse_graph6(out.strip()).n == 258
+    # arguments outside a family's range keep the family's own message
+    for argv, message in ((("johnson", "5", "-1"), "johnson graph needs 1 <= k <= n"),
+                          (("cliques", "-1000", "-1000"), "need at least one clique"),
+                          (("kneser", "3", "2"), "kneser graph needs n >= 2k")):
+        assert run(capsys, "construct", *argv) == (64, "", f"construct: {message}\n")
 
 
 def test_missing_file(capsys):

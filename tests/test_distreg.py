@@ -80,12 +80,14 @@ def test_not_distance_regular_witness(octahedron_lg):
 
 
 def test_is_antipodal(heawood, icosahedron, johnson63, cube):
-    assert is_antipodal(icosahedron, intersection_array(icosahedron))
-    assert is_antipodal(johnson63, intersection_array(johnson63))
-    assert is_antipodal(cube, intersection_array(cube))
+    assert is_antipodal(icosahedron)
+    assert is_antipodal(johnson63)
+    assert is_antipodal(cube)
     # the Fano incidence graph has k_3 = 4: its distance-3 graph is 4-regular
     # bipartite, not a clique union
-    assert not is_antipodal(heawood, intersection_array(heawood))
+    assert not is_antipodal(heawood)
+    with pytest.raises(ValueError, match="connected"):
+        is_antipodal(families.disjoint_cliques(2, 3))
 
 
 def test_is_antipodal_matches_distance_graph():
@@ -97,22 +99,26 @@ def test_is_antipodal_matches_distance_graph():
         ia = intersection_array(g) if is_connected(g) else None
         if ia is not None:
             expected = is_disjoint_clique_union(distance_i_graph(g, ia.d)) is not None
-            assert is_antipodal(g, ia) == expected
+            assert is_antipodal(g) == expected
             seen.add(expected)
     assert seen == {True, False}
 
 
 def test_drg_deza_classification(heawood, icosahedron, johnson63, c7, petersen):
-    assert drg_deza_classification(heawood, intersection_array(heawood)).case == "deza-a1-zero"
-    assert drg_deza_classification(c7, intersection_array(c7)).case == "deza-a1-zero"
-    case = drg_deza_classification(icosahedron, intersection_array(icosahedron))
+    assert drg_deza_classification(heawood).case == "deza-a1-zero"
+    assert drg_deza_classification(c7).case == "deza-a1-zero"
+    case = drg_deza_classification(icosahedron)
     assert case.case == "deza-a1-eq-c2" and case.witness["a1"] == 2
-    case = drg_deza_classification(johnson63, intersection_array(johnson63))
+    case = drg_deza_classification(johnson63)
     assert case.case == "deza-a1-eq-c2" and case.witness["a1"] == 4
     j73 = families.johnson(7, 3)
-    assert drg_deza_classification(j73, intersection_array(j73)).case == "not-deza"
+    assert drg_deza_classification(j73).case == "not-deza"
     with pytest.raises(ValueError, match="diameter-2"):
-        drg_deza_classification(petersen, intersection_array(petersen))
+        drg_deza_classification(petersen)
+    with pytest.raises(ValueError, match="not distance-regular"):
+        drg_deza_classification(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+    with pytest.raises(ValueError, match="connected"):
+        drg_deza_classification(families.disjoint_cliques(2, 3))
 
 
 def test_ddg_classification(k444, heawood, biplane, icosahedron, klein24, octahedron_lg, petersen):
