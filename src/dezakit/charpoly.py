@@ -6,6 +6,13 @@ followed by Chinese remaindering with a symmetric lift (von zur Gathen &
 Gerhard, Modern Computer Algebra, ch. 5).  The number of primes comes from
 a Hadamard bound on the coefficients, so the result is certified, not
 guessed; see char_poly.  Polynomials are ascending coefficient tuples.
+
+char_poly_mod is the one Hessenberg kernel: det(xI - M) mod a stack of
+primes.  char_poly runs it at every prime of primes_for(n, k), and
+spectra's one-prime certificate at a single prime.  So char_poly serves
+the spectra the certificate declines or that need one prime anyway
+(spectra.exact_spectrum), and the check of verify-paper's criterion 14
+against exact determinants.
 """
 
 from __future__ import annotations
@@ -143,9 +150,11 @@ def coefficient_bound(n: int, k: int) -> int:
     return best
 
 
+@cache
 def primes_for(n: int, k: int) -> tuple[int, ...]:
     """The shortest prefix of modular_primes() whose product exceeds twice
-    coefficient_bound(n, k)."""
+    coefficient_bound(n, k); computed once per (n, k), which under the
+    graph6 cap is at most 258^2 cached entries."""
     need = 2 * coefficient_bound(n, k)
     product = 1
     primes = modular_primes()
@@ -212,6 +221,18 @@ def _hessenberg_charpoly(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     return polys[:, n]
 
 
+def char_poly_mod(g: Graph, primes) -> np.ndarray:
+    """det(xI - M) mod each of the given primes below 2^26, by one stacked
+    Hessenberg pass: row s holds the ascending coefficients mod primes[s]."""
+    n = g.n
+    if n > MAX_ORDER:
+        raise ValueError(f"char_poly supports n <= {MAX_ORDER}, got {n}")
+    p = np.array(primes, dtype=np.int64)
+    h = np.repeat(g.adj.astype(np.int64)[None], len(primes), axis=0)
+    _hessenberg(h, p)
+    return _hessenberg_charpoly(h, p)
+
+
 def char_poly(g: Graph) -> CharPoly:
     """det(xI - M) computed exactly by multi-modular arithmetic.
 
@@ -237,14 +258,8 @@ def char_poly(g: Graph) -> CharPoly:
     and a sum of n such products fits int64 while n <= MAX_ORDER (it stays
     below 2^61 at the graph6 cap of n = 258).
     """
-    n = g.n
-    if n > MAX_ORDER:
-        raise ValueError(f"char_poly supports n <= {MAX_ORDER}, got {n}")
-    primes = primes_for(n, int(g.degrees().max(initial=0)))
-    p = np.array(primes, dtype=np.int64)
-    h = np.repeat(g.adj.astype(np.int64)[None], len(primes), axis=0)
-    _hessenberg(h, p)
-    residues = _hessenberg_charpoly(h, p)
+    primes = primes_for(g.n, int(g.degrees().max(initial=0)))
+    residues = char_poly_mod(g, primes)
 
     modulus = math.prod(primes)
     weights = []

@@ -1,23 +1,36 @@
 """Exact spectra of adjacency matrices.
 
-Strategy: compute the exact characteristic polynomial, strip every integer
-root in [-k, k] by exact synthetic division (k = maximum degree, a hard
-bound on the spectral radius), then factor what remains into monic integer
-quadratics.  Quadratic candidates are proposed by one exact step over
-GF(p), at the least prime p = 3 (mod 4) above max(8 k^2, deg f) for the
-residual f, and every one is verified by exact polynomial division over
-the integers.  No floating point is used.
+Two exact routes decide a spectrum, and each spectrum comes from one of
+them.  No floating point is used in either.
 
-The step works on f, the residual reduced mod p (von zur Gathen & Gerhard,
-Modern Computer Algebra, ch. 14; Cantor & Zassenhaus, Math. Comp. 36,
-1981).  Its radical R = f / gcd(f, f') is squarefree because p > deg f.
-L = gcd(R, x^p - x) is the product of R's linear factors and
-Q = gcd(R / L, x^(p^2) - x) that of its irreducible quadratic factors.
-Equal-degree splitting with the shifts x + a, a = 1, 2, ..., in that
-order, breaks L into roots and Q into quadratics, so a run is
-reproducible.  Each irreducible quadratic of Q and each pair (r + s, r s)
-of distinct roots of L is lifted to the symmetric range and kept when it
-is admissible.
+The CRT route computes the exact characteristic polynomial f = det(xI - M)
+(charpoly.char_poly), strips every integer root in [-k, k] by exact
+synthetic division (k = maximum degree, a hard bound on the spectral
+radius), then divides out every proposed quadratic factor exactly.  Any
+residual of degree >= 3 that is left is reported as a non-quadratic
+spectrum.
+
+The certificate (_certificate) settles a spectrum whose eigenvalues are all
+integers or quadratic irrationals at one prime, with no Chinese
+remaindering.  It runs when char_poly would need more than
+CERTIFY_ABOVE_PRIMES primes (primes_for(n, k)).  With no more, the graph is
+small, and a Hessenberg pass costs about as much at one prime as at all of
+them: its per-column overhead outweighs the arithmetic.  The certificate
+then saves nothing when it succeeds and costs one more pass when it
+declines.  When it declines, the CRT route decides.
+
+The GF(p) step.  Both routes propose factors by one exact step over GF(p),
+at the least prime p = 3 (mod 4) above max(8 k^2, deg f) for the
+polynomial f it is given (von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 14; Cantor & Zassenhaus, Math. Comp. 36, 1981).  Its radical
+R = f / gcd(f, f') is squarefree because p > deg f.  L = gcd(R, x^p - x)
+is the product of R's linear factors and Q = gcd(R / L, x^(p^2) - x) that
+of its irreducible quadratic factors.  Equal-degree splitting with the
+shifts x + a, a = 1, 2, ..., in that order, breaks L into roots and Q into
+quadratics, so a run is reproducible.  Each irreducible quadratic of Q and
+each pair (r + s, r s) of distinct roots of L is lifted to the symmetric
+range and kept when it is admissible; each root of L whose lift lies in
+[-k, k] is an integer candidate.
 
 All the powers, x^p mod R, x^(p^2) mod R / L and the splitting powers
 (x + a)^((p^d - 1) / 2), are one primitive: (x + c)^e mod a monic f of
@@ -35,32 +48,88 @@ int64 is exact; deg f > MAX_ORDER is refused.  A piece of L of degree
 root of its discriminant (both are checked), and its roots are
 (-c1 +- s) / 2.
 
-Why every quadratic factor is proposed, at this prime.  Let
-x^2 - b x + c be a factor of the residual.  Its roots are irrational
-eigenvalues in [-k, k], so |b| <= 2k, |c| <= k^2 and its discriminant
-satisfies 0 < b^2 - 4c <= 8 k^2 < p.  Mod p it is therefore squarefree:
-either an irreducible factor of Q, or (x - r)(x - s) with r != s both
-roots of L.  Both |b| and |c| are below p / 2, so the symmetric lift gives
-back the integer factor exactly.  The step takes the least such prime,
-_step_prime(k, deg f), and checks p > max(8 k^2, deg f) on each call.
-When L and Q are both 1 nothing is proposed, which proves at once that
-the residual has no quadratic factor.
+Why every factor is proposed, at this prime.  Let x^2 - b x + c be an
+irreducible factor of f.  Its roots are irrational eigenvalues in [-k, k],
+so |b| <= 2k, |c| <= k^2 and its discriminant satisfies
+0 < b^2 - 4c <= 8 k^2 < p.  Mod p it is therefore squarefree: either an
+irreducible factor of Q, or (x - r)(x - s) with r != s both roots of L.
+Both |b| and |c| are below p / 2, so the symmetric lift gives back the
+integer factor exactly.  Likewise an integer eigenvalue z has |z| <= k <
+p / 2, so it is a root of L that lifts back to z.  The step takes the
+least such prime, _step_prime(k, deg f), and checks p > max(8 k^2, deg f)
+on each call.  A prime above max(8 k^2, n) is complete for every divisor
+of f as well, so the quadratics proposed for f serve its residual.
 
-A proposal is never trusted.  Exact division, the reconstruction of the
-characteristic polynomial and the trace check decide the result; a
-candidate that is no factor fails exact division.  Any residual of degree
->= 3 that is left is reported as a non-quadratic spectrum.
+A proposal is never trusted.  In the CRT route, exact division, the
+reconstruction of the characteristic polynomial and the trace check decide
+the result; a candidate that is no factor fails exact division.
+
+The certificate, and why it is a proof.  Let p = _step_prime(k, n) and
+f_p = det(xI - M) mod p (charpoly.char_poly_mod, one Hessenberg pass), and
+run the GF(p) step once, on f_p.
+- If the spectrum is quadratic, f is a product of linear and quadratic
+  integer factors, and so f_p is a product of linear and quadratic factors
+  mod p: R = L Q.  When deg L + deg Q < deg R, the route declines at once.
+- Membership.  M is symmetric, so its minimal polynomial mu is the product
+  of the distinct irreducible factors of f.  The candidates c are distinct
+  monic irreducibles over the integers (x - z, or a quadratic with a
+  positive non-square discriminant), so pairwise coprime.  If the product
+  P of the c(M) over all candidates is the zero matrix, mu divides the
+  product of the candidates: every eigenvalue is a root of a candidate,
+  and mu is the product of the true factors, the candidates dividing f.
+  A candidate c is then a true factor iff the product P_c of the others
+  is nonzero.  P_c e_v != 0 for one of a few vertices v (a matrix-vector
+  chain) proves it; only when all those chains vanish is P_c formed.  If
+  P != 0, some eigenvalue is a root of no candidate; as the step proposes
+  every integer eigenvalue and every quadratic factor, the spectrum is not
+  quadratic, and the route declines.
+- Exactness.  The product of the maximum row sums of |X| and |Y| bounds
+  every entry of X Y, every partial sum met in forming it, and the
+  maximum row sum of |X Y|.  So every int64 product above is exact while
+  the product of the candidates' maximum row sums of |c(M)|, each taken
+  as at least 1, is below 2^62; at or above it the route declines.
+- Multiplicities.  f is the product of c^(m_c) over the true factors, so
+  sum deg(c) m_c = n, and c^(m_c) divides f_p: m_c <= u_c, the
+  multiplicity of c mod p in f_p (_multiplicity_mod).  Then
+  sum deg(c) u_c = n proves m_c = u_c for every c.  u_c > m_c needs every
+  root of c mod p to be a root of another true factor.  An integer z meets
+  no other true factor mod p (|z - z'| <= 2k < p, and 0 < |q(z)| <= 4 k^2
+  < p for a quadratic q), nor does a quadratic that is irreducible mod p.
+  But the two roots of a quadratic that splits mod p can be roots of two
+  other quadratics, as resultants can exceed p; then the sum exceeds n,
+  and the route declines.
+Either route ends with the trace check: the sum of the squared
+eigenvalues is 2|E|.
+
+On a decline the CRT route decides, so a non-quadratic spectrum still
+reports the degree of its residual.  It divides by the quadratics the
+certificate's step proposed, which are complete for the residual, so no
+decline runs a second step.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .charpoly import MAX_ORDER, char_poly, poly_eval, poly_mul, poly_try_divide
+from .charpoly import (
+    MAX_ORDER,
+    char_poly,
+    char_poly_mod,
+    poly_eval,
+    poly_mul,
+    poly_try_divide,
+    primes_for,
+)
 from .eigenvalues import Eigenvalue, Spectrum, is_perfect_square
-from .graphs import Graph, per_graph
+from .graphs import Graph, common_neighbour_matrix, per_graph
+
+
+#: the certificate runs when char_poly would need more primes than this; the
+#: module docstring says why it does not run below
+CERTIFY_ABOVE_PRIMES = 3
 
 
 class NonQuadraticSpectrumError(ValueError):
@@ -214,9 +283,21 @@ def _step_prime(bound: int, deg: int) -> int:
     return p
 
 
-def _quadratic_candidates(rem, bound: int, p: int):
-    """Every admissible (b, c) whose x^2 - b x + c divides the monic integer
-    polynomial rem is among the returned candidates; see the module
+class Proposal(NamedTuple):
+    """What the GF(p) step proposes for a monic integer polynomial f."""
+
+    #: the roots of L lifted into [-bound, bound], ascending
+    roots: list[int]
+    #: the admissible (b, c) of x^2 - b x + c, ascending
+    quadratics: list[tuple[int, int]]
+    #: deg L + deg Q == deg R: f mod p has no irreducible factor of degree >= 3
+    complete: bool
+
+
+def _gfp_step(rem, bound: int, p: int) -> Proposal:
+    """The GF(p) step on the monic integer polynomial rem (or its residues
+    mod p).  Every integer root in [-bound, bound] and every admissible
+    (b, c) whose x^2 - b x + c divides rem is proposed; see the module
     docstring for why this holds at the prime p."""
     if p <= max(8 * bound * bound, len(rem) - 1):
         raise ArithmeticError(f"prime {p} too small for degree {len(rem) - 1}, bound {bound}")
@@ -239,14 +320,110 @@ def _quadratic_candidates(rem, bound: int, p: int):
     if len(quadratic) > 1:
         for c0, c1, _ in _equal_degree_factors(quadratic, 2, p):
             pairs.add((-c1 % p, c0))
-    if len(linear) > 2:
+    roots = []
+    if len(linear) > 1:
         roots = [-c0 % p for c0, _ in _equal_degree_factors(linear, 1, p)]
         for i, r in enumerate(roots):
             for s in roots[i + 1 :]:
                 pairs.add(((r + s) % p, r * s % p))
     half = p // 2
-    cands = {(b - p if b > half else b, c - p if c > half else c) for b, c in pairs}
-    return sorted(bc for bc in cands if _admissible(*bc, bound))
+
+    def lift(v: int) -> int:
+        return v - p if v > half else v
+
+    cands = {(lift(b), lift(c)) for b, c in pairs}
+    return Proposal(
+        sorted(z for z in map(lift, roots) if abs(z) <= bound),
+        sorted(bc for bc in cands if _admissible(*bc, bound)),
+        len(linear) + len(quadratic) == len(radical) + 1,
+    )
+
+
+def _multiplicity_mod(f: list[int], factor, p: int) -> int:
+    """The largest e with factor^e dividing the monic f over GF(p), p > deg f,
+    for a monic factor of degree 1 or 2 that is squarefree mod p.
+
+    That is the least j at which the j-th Hasse derivative of f,
+    sum_i C(i, j) f_i x^(i - j), is nonzero at a root t of factor, taken in
+    GF(p)[t] / (factor): a field, or two copies of GF(p) when factor splits.
+    As p > deg f, C(i, j) = i! / (j! (i - j)!) mod p, so up to the unit
+    1 / j! these values are the correlation of f_i i! with t^s / s!: sums of
+    at most deg f + 1 <= 2^11 products of residues below p < 2^25, exact in
+    int64."""
+    n = len(f) - 1
+    fact = [1]
+    for i in range(1, n + 1):
+        fact.append(fact[-1] * i % p)
+    inv = [pow(fact[-1], -1, p)]
+    for i in range(n, 0, -1):
+        inv.append(inv[-1] * i % p)
+    low = [c % p for c in factor[:-1]]
+    power = [1] + [0] * (len(low) - 1)  # t^s, ascending in t
+    powers = [power]
+    for _ in range(n):
+        top = power[-1]
+        power = [(x - top * c) % p for x, c in zip([0] + power[:-1], low)]
+        powers.append(power)
+    a = np.array(f, dtype=np.int64) * np.array(fact, dtype=np.int64) % p
+    b = np.array(powers, dtype=np.int64) * np.array(inv[::-1], dtype=np.int64)[:, None] % p
+    derivatives = [np.correlate(a, column, "full")[n:] % p for column in b.T]
+    return int(np.any(derivatives, axis=0).argmax())
+
+
+def _product(mats: list[np.ndarray]) -> np.ndarray:
+    """mats[0] @ mats[1] @ ..., formed from the right, so that a thin last
+    factor keeps every product thin."""
+    out = mats[-1]
+    for m in reversed(mats[:-1]):
+        out = m @ out
+    return out
+
+
+def _nonzero_product(mats: list[np.ndarray], probe: np.ndarray) -> bool:
+    """Whether mats[0] @ mats[1] @ ... is nonzero (the empty product is I).
+    The product is applied to the columns of probe first, as matrix-vector
+    chains, and formed in full only when those all vanish."""
+    return not mats or _product(mats + [probe]).any() or _product(mats).any()
+
+
+def _certificate(g: Graph, bound: int):
+    """The spectrum of g certified at one prime, as (integer multiplicities,
+    quadratic multiplicities), or None when the certificate declines;
+    together with the quadratics its GF(p) step proposed.  The module
+    docstring gives the proof and each reason to decline."""
+    n = g.n
+    p = _step_prime(bound, n)
+    fp = char_poly_mod(g, (p,))[0].tolist()
+    step = _gfp_step(fp, bound, p)
+    if not step.complete:
+        return None, step.quadratics
+
+    # each candidate as (key, ascending coefficients, c(M))
+    a = g.adj.astype(np.int64)
+    eye = np.eye(n, dtype=np.int64)
+    cands = [(z, (-z, 1), a - z * eye) for z in step.roots]
+    if step.quadratics:
+        m2 = common_neighbour_matrix(g)
+        cands += [((b, c), (c, -b, 1), m2 - b * a + c * eye) for b, c in step.quadratics]
+    mats = [m for _, _, m in cands]
+    if math.prod(max(int(np.abs(m).sum(axis=1).max()), 1) for m in mats) >= 1 << 62:
+        return None, step.quadratics
+    probe = eye[:, sorted({v * (n - 1) // 3 for v in range(4)})]  # four vertices
+    if _nonzero_product(mats, probe):
+        return None, step.quadratics  # P != 0
+
+    int_mults: dict[int, int] = {}
+    quad_powers: dict[tuple[int, int], int] = {}
+    total = 0
+    for i, (key, poly, _) in enumerate(cands):
+        if not _nonzero_product(mats[:i] + mats[i + 1 :], probe):
+            continue  # P_c = 0: c is no factor
+        u = _multiplicity_mod(fp, poly, p)
+        (int_mults if len(poly) == 2 else quad_powers)[key] = u
+        total += (len(poly) - 1) * u
+    if total != n:  # above n, as it is never below
+        return None, step.quadratics
+    return (int_mults, quad_powers), step.quadratics
 
 
 def _divide_out_quadratics(rem, candidates):
@@ -280,27 +457,35 @@ def exact_spectrum(g: Graph) -> Spectrum:
     Raises NonQuadraticSpectrumError when an eigenvalue of algebraic degree
     three or more is present (e.g. the 7-cycle).
     """
-    cp = char_poly(g)
     bound = int(g.degrees().max(initial=0))
-    int_mults, rem = _extract_integer_roots(cp.coeffs, bound)
+    quadratics = None
+    if len(primes_for(g.n, bound)) > CERTIFY_ABOVE_PRIMES:
+        certified, quadratics = _certificate(g, bound)
+        if certified is not None:
+            return _checked_spectrum(g, *certified)
 
+    cp = char_poly(g)
+    int_mults, rem = _extract_integer_roots(cp.coeffs, bound)
     quad_powers: dict[tuple[int, int], int] = {}
     if len(rem) > 1:
-        quad_powers, rem = _divide_out_quadratics(
-            rem, _quadratic_candidates(rem, bound, _step_prime(bound, len(rem) - 1))
-        )
+        if quadratics is None:
+            quadratics = _gfp_step(rem, bound, _step_prime(bound, len(rem) - 1)).quadratics
+        quad_powers, rem = _divide_out_quadratics(rem, quadratics)
     if len(rem) > 1:
         raise NonQuadraticSpectrumError(rem)
 
     if _reconstruct(int_mults, quad_powers) != cp.coeffs:
         raise ArithmeticError("factor reconstruction mismatch")
+    return _checked_spectrum(g, int_mults, quad_powers)
 
+
+def _checked_spectrum(g: Graph, int_mults, quad_powers) -> Spectrum:
     entries = [(Eigenvalue.integer(z), m) for z, m in int_mults.items()]
     for (b, c), m in quad_powers.items():
         root, conj = Eigenvalue.quadratic_roots(b, c)
         entries.append((root, m))
         entries.append((conj, m))
-    spec = Spectrum(entries)  # multiplicities sum to n: the reconstruction has degree n
+    spec = Spectrum(entries)  # multiplicities sum to n, by either route
     if spec.sum_of_squares() != 2 * g.edge_count():
         raise ArithmeticError("sum of squared eigenvalues is not 2|E|")
     return spec

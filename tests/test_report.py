@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dezakit import _kernels, deza, families, graphs, spectra
+from dezakit import _kernels, charpoly, deza, families, graphs, spectra
 from dezakit.graph6 import parse_graph6
 from dezakit.graphs import Graph
 from dezakit.report import (
@@ -137,12 +137,12 @@ def _record(monkeypatch, module, name, calls, arg=-1):
     monkeypatch.setattr(module, name, lambda *args: calls.append(args[arg]) or original(*args))
 
 
-@pytest.mark.parametrize("make, char_polys", [
+@pytest.mark.parametrize("make, hessenberg_passes", [
     pytest.param(lambda: families.bundled_graph("klein24"), None, id="klein24"),
     # the complement child is computed; the other child is the graph itself
     pytest.param(lambda: families.paley(61), 2, id="paley-61"),
 ])
-def test_report_computes_each_fact_once(make, char_polys, monkeypatch):
+def test_report_computes_each_fact_once(make, hessenberg_passes, monkeypatch):
     g = Graph(make().adj)  # no fact computed yet
     m2 = _count_computations(monkeypatch, graphs.common_neighbour_matrix)
     facts = [
@@ -156,7 +156,9 @@ def test_report_computes_each_fact_once(make, char_polys, monkeypatch):
     _record(monkeypatch, _kernels, "pair_values", pair_values)
     intersections = []
     _record(monkeypatch, _kernels, "intersection_counts", intersections, arg=0)
-    _record(monkeypatch, spectra, "char_poly", polys)
+    # det(xI - M) mod primes: the certificate's one prime, or char_poly's
+    for module in (spectra, charpoly):
+        _record(monkeypatch, module, "char_poly_mod", polys, arg=0)
     report = build_report(g)
     assert report_inconsistencies(report) == []
     # once per Graph object; each graph owns its adjacency array, and the
@@ -170,7 +172,7 @@ def test_report_computes_each_fact_once(make, char_polys, monkeypatch):
     assert pair_values and len({id(a) for a in pair_values}) == len(pair_values)
     assert intersections and len({id(adj) for adj in intersections}) == len(intersections)
     assert polys and len({id(h) for h in polys}) == len(polys)
-    if char_polys is not None:
-        assert len(polys) == char_polys
+    if hessenberg_passes is not None:
+        assert len(polys) == hessenberg_passes
     # the kernels read the memoised M^2 rather than multiplying it out
     assert {id(a) for a in kernel_m2 + pair_values} <= {id(value) for _, value in m2}

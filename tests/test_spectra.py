@@ -6,9 +6,16 @@ import random
 import numpy as np
 import pytest
 
-from conftest import float_spectrum_or_residual, powmod, random_graph, random_regular_graph
-from dezakit import families, spectra
-from dezakit.charpoly import MAX_ORDER, CharPoly, char_poly, modular_primes, poly_mul
+from conftest import (
+    float_spectrum_or_residual,
+    mul_mod,
+    powmod,
+    random_graph,
+    random_regular_graph,
+    rem_mod,
+)
+from dezakit import deza, families, spectra
+from dezakit.charpoly import MAX_ORDER, CharPoly, char_poly, char_poly_mod, modular_primes, poly_mul
 from dezakit.eigenvalues import Eigenvalue, Spectrum
 from dezakit.graphs import Graph, disjoint_union
 from dezakit.spectra import NonQuadraticSpectrumError, exact_spectrum, spectrum_from_pairs
@@ -203,6 +210,11 @@ def _split_nonsquares():
     return [d for d in range(2, 50) if math.isqrt(d) ** 2 != d and _legendre(d) == 1]
 
 
+def _quadratics(rem, bound, p):
+    """The quadratics the GF(p) step proposes for rem."""
+    return spectra._gfp_step(rem, bound, p).quadratics
+
+
 def _spy(monkeypatch, name):
     """Record the arguments of every call to spectra.<name>."""
     calls, fn = [], getattr(spectra, name)
@@ -230,7 +242,7 @@ def test_pow_x_plus_matches_list_oracle():
 
 
 def test_quadratic_candidates_on_synthetic_residuals(monkeypatch):
-    cands = spectra._quadratic_candidates
+    cands = _quadratics
     # one quadratic per distinct factor, whatever the multiplicities
     rem = _product((-3, 0, 1), _power((-1, 1, 1), 2), _power((-2, 0, 1), 3))
     assert cands(rem, 3, P) == [(-1, -1), (0, -3), (0, -2)]
@@ -265,7 +277,7 @@ def test_split_and_irreducible_quadratics_are_both_proposed():
     split = _split_nonsquares()[0]
     inert = next(d for d in range(2, 50) if _legendre(d) == P - 1)
     rem = _product((-split, 0, 1), (-inert, 0, 1), (-1, -2, 1, 1))
-    assert spectra._quadratic_candidates(rem, 7, P) == sorted([(0, -split), (0, -inert)])
+    assert _quadratics(rem, 7, P) == sorted([(0, -split), (0, -inert)])
 
 
 def test_quartic_with_quadratic_roots_is_left_over(monkeypatch):
@@ -273,7 +285,7 @@ def test_quartic_with_quadratic_roots_is_left_over(monkeypatch):
     # over the integers, though it splits into quadratics mod every prime
     quartic = (1, 0, -10, 0, 1)
     rem = poly_mul(quartic, (-2, 0, 1))
-    assert spectra._quadratic_candidates(rem, 4, P) == [(0, -2)]
+    assert _quadratics(rem, 4, P) == [(0, -2)]
     # a 4-regular graph on six vertices, whose det(xI - M) is replaced by rem
     g = families.complete_multipartite([2, 2, 2])
     monkeypatch.setattr(spectra, "char_poly", lambda g: CharPoly(rem))
@@ -319,20 +331,20 @@ def test_step_prime_is_least_admissible():
 def test_unlucky_prime_is_refused(monkeypatch):
     g = families.paley(61)
     _, rem = spectra._extract_integer_roots(char_poly(g).coeffs, 30)
-    assert spectra._quadratic_candidates(rem, 30, P) == [(-1, -15)]
+    assert _quadratics(rem, 30, P) == [(-1, -15)]
     # x^2 + x - 15 has discriminant 61, so mod 61 it is (x + 31)^2: the
     # factor would be lost, and the step refuses the prime
     assert [c % 61 for c in rem] == [c % 61 for c in _power((31, 1), 60)]
     with pytest.raises(ArithmeticError, match="too small"):
-        spectra._quadratic_candidates(rem, 30, 61)
+        _quadratics(rem, 30, 61)
     with pytest.raises(ArithmeticError, match="too small"):
-        spectra._quadratic_candidates(_power((-2, 0, 1), 6), 1, 11)
+        _quadratics(_power((-2, 0, 1), 6), 1, 11)
     # the closed-form square root needs p = 3 (mod 4); 67108837 is 1 mod 4
     with pytest.raises(ArithmeticError, match="3 mod 4"):
-        spectra._quadratic_candidates(rem, 30, 67108837)
+        _quadratics(rem, 30, 67108837)
     # int64 holds the powers up to degree MAX_ORDER only
     with pytest.raises(ArithmeticError, match="exceeds"):
-        spectra._quadratic_candidates((1,) + (0,) * MAX_ORDER + (1,), 1, P)
+        _quadratics((1,) + (0,) * MAX_ORDER + (1,), 1, P)
     # a closed-form root is checked, s^2 = disc, before it is used
     inert = next(d for d in range(2, 50) if _legendre(d) == P - 1)
     with pytest.raises(ArithmeticError, match="no roots"):
@@ -403,13 +415,14 @@ def test_agrees_with_float_oracle():
 
 
 @pytest.mark.parametrize("make, prime, residual_degree", [
-    # k = 2: the degree dominates 8 k^2 = 32
-    pytest.param(lambda: disjoint_union([families.cycle(5)] * 50), 211, None, id="50xC5"),
+    # k = 2: the order dominates 8 k^2 = 32; both take 13 CRT primes, so
+    # the step runs once, on det(xI - M) mod the certificate's prime
+    pytest.param(lambda: disjoint_union([families.cycle(5)] * 50), 251, None, id="50xC5"),
     pytest.param(lambda: families.cycle(250), 251, 240, id="C250"),
 ])
 def test_small_step_prime_end_to_end(monkeypatch, make, prime, residual_degree):
     g = make()
-    calls = _spy(monkeypatch, "_quadratic_candidates")
+    calls = _spy(monkeypatch, "_gfp_step")
     exact = _spectrum_or_residual(g)
     assert [p for _, _, p in calls] == [prime]
     assert exact == float_spectrum_or_residual(g)
@@ -431,7 +444,7 @@ def test_every_admissible_quadratic_is_proposed_at_small_primes():
         # split mod p (through L) and inert mod p (through Q) both occur
         legendre = {pow((b * b - 4 * c) % p, (p - 1) // 2, p) for b, c in chosen}
         assert legendre == {1, p - 1}
-        cands = spectra._quadratic_candidates(rem, bound, p)
+        cands = _quadratics(rem, bound, p)
         assert set(chosen) <= set(cands)
         assert spectra._divide_out_quadratics(rem, cands) == (
             {bc: 1 for bc in chosen}, (1,))
@@ -441,3 +454,166 @@ def test_every_admissible_quadratic_is_proposed_at_small_primes():
     # a few, of total degree below 8 k^2 = 32, so p = 43
     check(quads[::5], 43)
     check(quads[1:12], 43)
+
+
+# -- the one-prime certificate ------------------------------------------------
+
+
+def _certified(g):
+    """The certificate's spectrum of g, or None when it declines; called
+    directly, whatever primes_for(n, k) is."""
+    certified, _ = spectra._certificate(g, int(g.degrees().max(initial=0)))
+    return None if certified is None else spectra._checked_spectrum(g, *certified)
+
+
+def _crt_route(monkeypatch, g):
+    """exact_spectrum of a fresh copy of g with the certificate switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "primes_for", lambda n, k: modular_primes()[:1])
+        return _spectrum_or_residual(g)
+
+
+def test_certificate_equals_the_crt_route(monkeypatch):
+    from test_sweep import CATALOGUE, _sweep
+
+    graphs = [g for _, g in _sweep()]
+    for family, args in CATALOGUE:
+        try:
+            pair = deza.children(families.construct(family, args.split()))
+        except ValueError:  # not a Deza graph
+            continue
+        graphs += [pair.child_a, pair.child_b]
+    certified = 0
+    for g in graphs:
+        crt = _crt_route(monkeypatch, g)
+        cert = _certified(g)
+        if isinstance(crt, Spectrum):
+            # every quadratic spectrum here is certified, none declines
+            assert cert == crt and str(cert) == str(crt)
+            certified += 1
+        else:
+            assert cert is None
+    assert (certified, len(graphs)) == (165, 269)
+
+
+def test_multiplicity_mod_matches_repeated_division():
+    def by_division(f, factor, p):
+        e, power = 0, factor
+        while not rem_mod(f, power, p):
+            e, power = e + 1, mul_mod(power, factor, p)
+        return e
+
+    p = 43
+    split, inert = (-6, 0, 1), (-3, 0, 1)  # 6 is a square mod 43, 3 is not
+    assert pow(6, (p - 1) // 2, p) == 1 and pow(3, (p - 1) // 2, p) == p - 1
+    root = next(r for r in range(p) if (r * r - 6) % p == 0)
+    factors = [(-5, 1), (7, 1), split, inert, (-root, 1)]
+    rng = random.Random(5)
+    for _ in range(40):
+        f = [1]
+        for factor in factors:
+            for _ in range(rng.randrange(4)):
+                f = mul_mod(f, [c % p for c in factor], p)
+        # x - root alone raises the multiplicity of one root of the split
+        # quadratic only: its count is the smaller one
+        for factor in factors:
+            assert spectra._multiplicity_mod(f, factor, p) == by_division(
+                f, [c % p for c in factor], p)
+
+
+def test_certificate_declines_when_a_split_quadratic_meets_two_others():
+    # t1 K_s1 joined to t2 K_s2 has one quadratic factor, x^2 - b x + c with
+    # b = s1 + s2 - 2, c = (s1 - 1)(s2 - 1) - s1 t1 s2 t2, and integer
+    # eigenvalues otherwise.  Mod p = 1367 the roots of x^2 - 4x - 93 are
+    # one of x^2 - 2x - 30 and one of x^2 - 6x - 22, so its multiplicity mod
+    # p is 2 where the true one is 1, and the count exceeds n.
+    def join_of_cliques(s1, t1, s2, t2):
+        side = np.repeat([0, 1], [s1 * t1, s2 * t2])
+        clique = np.concatenate([np.arange(s1 * t1) // s1, np.arange(s2 * t2) // s2])
+        adj = (side[:, None] != side) | (clique[:, None] == clique)
+        np.fill_diagonal(adj, False)
+        return Graph(adj.astype(np.uint8))
+
+    g = disjoint_union([join_of_cliques(2, 4, 4, 3), join_of_cliques(3, 2, 5, 1),
+                        join_of_cliques(1, 5, 3, 2)])
+    k, p = 13, 1367
+    assert int(g.degrees().max()) == k and spectra._step_prime(k, g.n) == p
+    fp = char_poly_mod(g, (p,))[0].tolist()
+    step = spectra._gfp_step(fp, k, p)
+    assert step.complete and step.quadratics == [(2, -30), (4, -93), (6, -22)]
+    assert [spectra._multiplicity_mod(fp, [c % p, -b % p, 1], p)
+            for b, c in step.quadratics] == [1, 2, 1]
+    assert spectra._certificate(g, k) == (None, step.quadratics)
+    spec = exact_spectrum(g)
+    assert spec == float_spectrum_or_residual(g)
+    assert [m for ev, m in spec if not ev.is_integer] == [1] * 6
+
+
+def test_certificate_declines_at_the_entry_bound():
+    # five conference graphs: ten candidates, all true factors, whose
+    # maximum row sums multiply to 2^62 or more, so int64 might not hold P
+    parts = [families.paley(q) for q in (5, 13, 17, 29, 37)]
+    g = disjoint_union(parts)
+    k = 18
+    p = spectra._step_prime(k, g.n)
+    step = spectra._gfp_step(char_poly_mod(g, (p,))[0].tolist(), k, p)
+    assert step.complete and step.roots == [2, 6, 8, 14, 18]
+    a = g.adj.astype(np.int64)
+    eye = np.eye(g.n, dtype=np.int64)
+    mats = [a - z * eye for z in step.roots] + [
+        a @ a - b * a + c * eye for b, c in step.quadratics]
+    assert len(mats) == 10
+    assert math.prod(int(np.abs(m).sum(axis=1).max()) for m in mats) >= 2**62
+    assert spectra._certificate(g, k) == (None, step.quadratics)
+    assert exact_spectrum(g) == spectrum_from_pairs(
+        pair for part in parts for pair in exact_spectrum(part))
+
+
+def test_c7_certificate_declines_at_membership(c7, monkeypatch):
+    # mod 43 the cubic factor of C7 splits, so the step is complete and the
+    # certificate declines at P != 0
+    fp = char_poly_mod(c7, (43,))[0].tolist()
+    assert spectra._step_prime(2, 7) == 43 and spectra._gfp_step(fp, 2, 43).complete
+    assert _certified(c7) is None
+    # membership alone declines it: a count forced to n changes nothing
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_multiplicity_mod",
+                  lambda f, factor, p: 7 if factor == (-2, 1) else 0)
+        assert _certified(c7) is None
+
+
+@pytest.mark.parametrize("n, primes, certificate_runs", [
+    # two CRT primes: the CRT route alone
+    pytest.param(29, 2, False, id="C29"),
+    # four: the certificate declines at once, its step mod 71 incomplete
+    pytest.param(67, 4, True, id="C67"),
+])
+def test_non_quadratic_cycles_keep_their_error(n, primes, certificate_runs, monkeypatch):
+    assert len(spectra.primes_for(n, 2)) == primes
+    p = spectra._step_prime(2, n)
+    fp = char_poly_mod(families.cycle(n), (p,))[0].tolist()
+    assert not spectra._gfp_step(fp, 2, p).complete
+    calls, steps = _spy(monkeypatch, "_certificate"), _spy(monkeypatch, "_gfp_step")
+    with pytest.raises(NonQuadraticSpectrumError) as info:
+        exact_spectrum(families.cycle(n))
+    assert bool(calls) == certificate_runs
+    assert len(steps) == 1  # a decline runs no second step
+    assert str(info.value) == (
+        "spectrum contains non-quadratic eigenvalues; unfactored residual has degree "
+        f"{n - 1}")
+
+
+@pytest.mark.parametrize("make, text", [
+    pytest.param(lambda: families.paley(257),
+                 "{128^1, ((-1+√257)/2)^128, ((-1-√257)/2)^128}", id="paley-257"),
+    pytest.param(lambda: families.johnson(12, 3),
+                 "{27^1, 15^11, 5^54, (-3)^154}", id="johnson-12-3"),
+    pytest.param(lambda: families.johnson(10, 3),
+                 "{21^1, 11^9, 3^35, (-3)^75}", id="johnson-10-3"),
+])
+def test_quadratic_spectra_need_no_char_poly(make, text, monkeypatch):
+    def refuse(g):
+        raise AssertionError("char_poly ran")
+
+    monkeypatch.setattr(spectra, "char_poly", refuse)
+    assert str(exact_spectrum(make())) == text
