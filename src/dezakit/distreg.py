@@ -132,11 +132,11 @@ def drg_deza_classification(g: Graph) -> TheoremCase:
     c2 = ia.c[1]
     params = detect_deza(g)
     if a1 != 0 and a1 != c2:
-        if params is not None:
+        if params is not None:  # the array's a1, c2 against the Deza test on M^2
             raise ContradictionError("Deza detector disagrees with a1/c2 criterion")
         return TheoremCase("not-deza", {"a1": a1, "c2": c2})
     expected = DezaParams(g.n, ia.k, c2, 0)
-    if params != expected:
+    if params != expected:  # parameters from the array against detect_deza
         raise ContradictionError(
             f"expected Deza parameters {expected.as_tuple()}, detector says "
             f"{None if params is None else params.as_tuple()}"
@@ -149,7 +149,7 @@ def drg_deza_classification(g: Graph) -> TheoremCase:
     else:
         case = "deza-a1-eq-c2"
         want_b = ((dd.dist == 1) | (dd.dist == 2)).astype("uint8")
-    if pair.child_b != Graph(want_b):
+    if pair.child_b != Graph(want_b):  # child B from M^2 against the distances
         raise ContradictionError("b-child is not the predicted distance graph")
     return TheoremCase(case, {"a1": a1, "c2": c2, "params": list(expected.as_tuple())})
 
@@ -170,13 +170,14 @@ def ddg_drg_classification(g: Graph) -> TheoremCase:
         return TheoremCase("not-distance-regular", {"ddg": list(ddg.as_tuple())})
     if ia.d == 2:
         shape = is_disjoint_clique_union(distance_i_graph(g, 2))
-        if shape is None:
+        if shape is None:  # the divisible design test against the distance-2 graph
             raise ContradictionError("diameter-2 divisible design graph must be multipartite")
         return TheoremCase("complete-multipartite", {"parts": shape[0], "part_size": shape[1]})
     if ia.d == 3 and is_bipartite(g):
         return TheoremCase("incidence-symmetric-design", {"array": str(ia)})
     if ia.d == 3 and is_antipodal(g) and ia.a[0] == ia.c[1]:
         return TheoremCase("antipodal-d3-a1-eq-c2", {"array": str(ia), "a1": ia.a[0]})
+    # the divisible design test against the intersection array
     raise ContradictionError("distance-regular divisible design graph outside all cases")
 
 
@@ -213,6 +214,7 @@ def antipodal_from_spectrum(g: Graph) -> AntipodalCheck:
         return AntipodalCheck(False, None, None)
     value = (k * k - 1) // g.n
     ia = intersection_array(g)
+    # the spectrum against the intersection array
     if ia is None or ia.d != 3 or ia.a[0] != value or ia.c[1] != value:
         raise ContradictionError(
             f"graph must be distance-regular with a1 = c2 = {value}"
@@ -257,13 +259,14 @@ def cosp_deza_check(g1: Graph, g2: Graph) -> TheoremCase:
         )
     n, k, b, _ = p1.as_tuple()
     expected_triangles = Fraction(n * k * b, 6)
+    # g2's triangle count against the one its Deza parameters force
     if expected_triangles.denominator != 1 or triangle_count(g2) != int(expected_triangles):
         raise ContradictionError("triangle count differs from n*k*b/6")
     counts2, constant2 = distance3_counts(g2)
-    if not constant2 or counts2[0] != ia1.k_i[3]:
+    if not constant2 or counts2[0] != ia1.k_i[3]:  # g2's distances against g1's array
         raise ContradictionError("distance-3 counts do not match")
     ia2 = intersection_array(g2)
-    if ia2 != ia1:
+    if ia2 != ia1:  # g2's intersection array against g1's
         raise ContradictionError("cospectral Deza mate has a different array")
     return TheoremCase(
         "same-intersection-numbers", {"array": str(ia1), "triangles": int(expected_triangles)}

@@ -217,17 +217,10 @@ class Eigenvalue:
     def __str__(self) -> str:
         if self.is_integer:
             return str(self.p)
-        root = f"√{self.d}"
-        if self.p == 0 and self.q == 1:
-            if self.u == 1:
-                return root
-            if self.u == -1:
-                return f"-{root}"
-            return f"{self.u}{root}"
-        sign = "+" if self.u > 0 else "-"
-        mag = abs(self.u)
-        coef = "" if mag == 1 else str(mag)
-        return f"({self.p}{sign}{coef}{root})/{self.q}"
+        radical = ("" if abs(self.u) == 1 else str(abs(self.u))) + f"√{self.d}"
+        sign = "-" if self.u < 0 else "+" if self.p else ""
+        text = (str(self.p) if self.p else "") + sign + radical
+        return text if self.q == 1 else f"({text})/{self.q}"
 
     def __repr__(self) -> str:
         return f"Eigenvalue({self})"

@@ -2,11 +2,13 @@
 
 
 class ContradictionError(RuntimeError):
-    """A concrete instance falsified a statement the toolkit verifies.
+    """Two independent computations of one fact disagree on a concrete graph.
 
-    Raised only when arithmetic on an actual graph inside a statement's
-    hypotheses contradicts it, which indicates a bug; never for ordinary
-    negative answers or for inputs outside the hypotheses.
+    Each raise compares two computations, such as the exact spectrum against
+    the structure read off M^2, or a closed formula against a construction,
+    on an input inside the statement's hypotheses; a disagreement indicates
+    a bug.  Never raised for ordinary negative answers or for inputs outside
+    the hypotheses, nor by a check that restates the code's own arithmetic.
     """
 
 

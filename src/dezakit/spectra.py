@@ -60,9 +60,9 @@ least such prime, _step_prime(k, deg f), and checks p > max(8 k^2, deg f)
 on each call.  A prime above max(8 k^2, n) is complete for every divisor
 of f as well, so the quadratics proposed for f serve its residual.
 
-A proposal is never trusted.  In the CRT route, exact division, the
-reconstruction of the characteristic polynomial and the trace check decide
-the result; a candidate that is no factor fails exact division.
+A proposal is never trusted.  In the CRT route exact division decides the
+result: a candidate that is no factor fails it, and as every division is
+exact, the factors divided out and the residual multiply back to f.
 
 The certificate, and why it is a proof.  Let p = _step_prime(k, n) and
 f_p = det(xI - M) mod p (charpoly.char_poly_mod, one Hessenberg pass), and
@@ -119,7 +119,6 @@ from .charpoly import (
     char_poly,
     char_poly_mod,
     poly_eval,
-    poly_mul,
     poly_try_divide,
     primes_for,
 )
@@ -439,17 +438,6 @@ def _divide_out_quadratics(rem, candidates):
     return powers, rem
 
 
-def _reconstruct(int_mults, quad_powers):
-    poly = (1,)
-    for z, m in sorted(int_mults.items()):
-        for _ in range(m):
-            poly = poly_mul(poly, (-z, 1))
-    for (b, c), m in sorted(quad_powers.items()):
-        for _ in range(m):
-            poly = poly_mul(poly, (c, -b, 1))
-    return poly
-
-
 @per_graph
 def exact_spectrum(g: Graph) -> Spectrum:
     """Exact eigenvalues with certified multiplicities.
@@ -473,9 +461,6 @@ def exact_spectrum(g: Graph) -> Spectrum:
         quad_powers, rem = _divide_out_quadratics(rem, quadratics)
     if len(rem) > 1:
         raise NonQuadraticSpectrumError(rem)
-
-    if _reconstruct(int_mults, quad_powers) != cp.coeffs:
-        raise ArithmeticError("factor reconstruction mismatch")
     return _checked_spectrum(g, int_mults, quad_powers)
 
 

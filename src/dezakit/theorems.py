@@ -6,9 +6,15 @@ of each equality) or raises.  Each classifier takes what it needs (the
 graph, whose spectrum, Deza parameters and children are memoised on it, or
 a spectrum) and checks its own hypotheses first: an input outside them
 raises ValueError, InfeasibleError or SpectrumShapeError naming the failed
-hypothesis, which a report records as ``skipped``.  ContradictionError is
-raised only when an instance inside the hypotheses falsifies a verified
-relationship, which would mean a bug, not a property of the input.
+hypothesis, which a report records as ``skipped``.
+
+A ContradictionError compares two independent computations of one fact:
+the exact spectrum against the structure read off M^2 or the distance
+matrix, or a closed formula against a construction.  It is raised only when
+an instance inside the hypotheses makes them disagree, which would mean a
+bug, not a property of the input.  A check that an earlier check on the
+same values already decides, or that restates the code's own arithmetic,
+is not kept.
 """
 
 from __future__ import annotations
@@ -244,32 +250,27 @@ def classify_eigenvalue_count(g: Graph) -> TheoremCase:
         raise ValueError(f"{distinct} distinct eigenvalues")
     n, k, b, a = params.as_tuple()
     if distinct == 2:
+        # the clique order k + 1, a = 0 and b = k - 1 follow from detect_deza
         shape = is_disjoint_clique_union(g)
-        if shape is None or shape[1] != k + 1 or a != 0 or b != k - 1:
+        if shape is None:  # spectrum against the distance matrix
             raise ContradictionError("two-eigenvalue graph is not a clique union")
         return TheoremCase(
             "prop3-2eig", {"cliques": shape[0], "order": shape[1], "a": a, "b": b}
         )
     if distinct == 3:
+        # an SRG's {lam, mu} are the off-diagonal values of M^2, so {a, b}
         srg = detect_srg(g)
         if is_connected(g):
-            if srg is None or {srg.lam, srg.mu} != {a, b}:
+            if srg is None:  # spectrum against the SRG test on M^2
                 raise ContradictionError("connected three-eigenvalue graph is not an SRG")
             return TheoremCase("prop3-3eig-srg", {"srg": list(srg.as_tuple())})
         comps = [induced_subgraph(g, c) for c in components(g)]
         comp_srgs = [detect_srg(c) for c in comps]
-        if all(
-            c.n == 2 * k and srg == SrgParams(2 * k, k, 0, k)
-            for c, srg in zip(comps, comp_srgs)
-        ):
+        if all(srg == SrgParams(2 * k, k, 0, k) for srg in comp_srgs):
             kind = "union-kkk"
-        elif (
-            comp_srgs[0] is not None
-            and all(srg == comp_srgs[0] for srg in comp_srgs)
-            and {comp_srgs[0].lam, comp_srgs[0].mu} <= {a, b}
-        ):
+        elif comp_srgs[0] is not None and all(srg == comp_srgs[0] for srg in comp_srgs):
             kind = "union-srg"
-        else:
+        else:  # spectrum against the components' SRG tests on M^2
             raise ContradictionError("disconnected three-eigenvalue structure unexpected")
         return TheoremCase(
             "prop3-3eig-disconn",
@@ -287,12 +288,16 @@ class DezaWitness:
     branch: str  # "strongly-deza" | "halved-strongly-deza" | "degenerate"
     bipartite: bool
     child_b_components: int | None
-    halved: tuple[str, str] | None  # per half: "strongly-deza" | "complete"
+    # per half: "strongly-deza" | "complete" | "strongly-regular"
+    halved: tuple[str, str] | None
 
 
 def strongly_deza_witness(g: Graph) -> DezaWitness:
     """Either the graph itself or (bipartite case) its halved graphs must be
-    strongly Deza; completeness degenerations are reported, not forced."""
+    strongly Deza.  Two degenerations are reported, not forced: a complete
+    half, and a strongly regular half with lambda = mu (a Deza graph with
+    b = a, which is_strongly_deza rejects by convention; the halves of the
+    5-cube and the folded 8-cube are such)."""
     params = detect_deza(g)
     if params is None or params.b == params.a:
         raise ValueError("witness needs a Deza graph with b > a")
@@ -304,7 +309,7 @@ def strongly_deza_witness(g: Graph) -> DezaWitness:
     bip = is_bipartite(g)
     result = is_strongly_deza(g)
     if not bip:
-        if not result.verdict:
+        if not result.verdict:  # spectrum against the children's SRG tests on M^2
             raise ContradictionError("connected non-bipartite case must be strongly Deza")
         return DezaWitness("strongly-deza", False, None, None)
     pair = children(g)
@@ -316,6 +321,8 @@ def strongly_deza_witness(g: Graph) -> DezaWitness:
             labels.append("complete")
         elif is_strongly_deza(half).verdict:
             labels.append("strongly-deza")
+        elif (srg := detect_srg(half)) is not None and srg.lam == srg.mu:
+            labels.append("strongly-regular")
         else:
             labels.append("neither")
     labels = tuple(labels)
@@ -323,8 +330,9 @@ def strongly_deza_witness(g: Graph) -> DezaWitness:
         return DezaWitness("strongly-deza", True, b_components, labels)
     if all(lab == "strongly-deza" for lab in labels):
         return DezaWitness("halved-strongly-deza", True, b_components, labels)
-    if all(lab in ("strongly-deza", "complete") for lab in labels):
+    if "neither" not in labels:
         return DezaWitness("degenerate", True, b_components, labels)
+    # spectrum against the halves' Deza and SRG tests on their M^2
     raise ContradictionError("bipartite case: neither graph nor halves strongly Deza")
 
 
@@ -350,6 +358,7 @@ def classify_square_case(g: Graph) -> TheoremCase:
     if spec.distinct_count() < 4:
         raise ValueError("fewer than four distinct eigenvalues")
     eigen = srg_eigen(sd.child_a_srg)
+    # parent spectrum (four or more values) against child A's SRG parameters
     if not (eigen.r.is_integer and eigen.s.is_integer):
         raise ContradictionError("a strongly Deza child must be integral")
     n, k, b, a = sd.params.as_tuple()
@@ -357,8 +366,10 @@ def classify_square_case(g: Graph) -> TheoremCase:
     s = eigen.s.as_int()
     t_s = k - b - s * (b - a)  # theta2^2, paired with child eigenvalue s
     t_r = k - b - r * (b - a)  # theta3^2, paired with child eigenvalue r
-    if t_s < 0 or t_r < 0:
+    if t_s < 0 or t_r < 0:  # formula on child A against real eigenvalues
         raise ContradictionError("negative squared eigenvalue")
+    # parent spectrum against the formula values: so every theta^2 is t_s,
+    # t_r or k^2, and where both are squares the spectrum is integral
     for ev, m in spec:
         if ev == spec.principal() and m == 1:
             continue
@@ -376,20 +387,19 @@ def classify_square_case(g: Graph) -> TheoremCase:
         "child_mult_s": eigen.g,
     }
     if square_s and square_r:
-        if not spec.is_integral():
-            raise ContradictionError("both squares yet the spectrum is not integral")
         return TheoremCase("square-i", witness)
-    if not square_s and not square_r:
+    if not square_s and not square_r:  # child A's values against the parent trace
         raise ContradictionError("both formula values are non-squares")
     if not square_s:
         irr, other, case, child_mult = t_s, t_r, "square-ii", eigen.g
     else:
         irr, other, case, child_mult = t_r, t_s, "square-iii", eigen.f
-    if other == 0 or not is_perfect_square(other):
+    if other == 0:  # likewise; other is a square, as square_s != square_r
         raise ContradictionError("partner value must be a nonzero square")
     plus, minus = Eigenvalue.sqrt_pair(irr)
     m_plus = spec.multiplicity(plus)
     m_minus = spec.multiplicity(minus)
+    # parent multiplicities against child A's, from its SRG parameters
     if m_plus != m_minus or 2 * m_plus != child_mult:
         raise ContradictionError(
             f"irrational pair multiplicities {m_plus},{m_minus} "
@@ -466,7 +476,7 @@ def singular_check(g: Graph) -> SingularCheck:
     spec = exact_spectrum(g)
     if not spec.contains_value(0):
         return SingularCheck(False, None, spec.distinct_count(), None)
-    if not spec.is_integral():
+    if not spec.is_integral():  # spectrum against the children's SRG tests
         raise ContradictionError("singular strongly Deza spectra must be integral")
     distinct = spec.distinct_count()
     return SingularCheck(True, True, distinct, distinct == 4)
@@ -511,12 +521,14 @@ def classify_last_case(g: Graph) -> TheoremCase:
     """Deza graph with b > a and spectrum {k, theta2^m2, +-theta3^m3},
     m3 = m4 and m2 theta2 = -k: either theta2 = -k (bipartite incidence
     shape), theta2 = -1 (the +-sqrt(k) shape), or the intermediate case
-    1 < m2 < k."""
+    1 < m2 < k.  The trace and m2 theta2 = -k leave one copy of k; then
+    exact_spectrum's checks (multiplicities add up to n, squares to nk)
+    force theta3 to remaining_pair_four_eig's value and each case's m3."""
     params = detect_deza(g)
     if params is None or params.b == params.a:
         raise ValueError("needs a Deza graph with b > a")
     spec = exact_spectrum(g)
-    n, k = params.n, params.k
+    k = params.k
     if spec.distinct_count() != 4:
         raise SpectrumShapeError("needs exactly four distinct eigenvalues")
     principal = spec.principal()  # k, as a Deza graph is k-regular
@@ -535,23 +547,7 @@ def classify_last_case(g: Graph) -> TheoremCase:
     z = theta2.as_int()
     if m2 * z != -k:
         raise InfeasibleError(f"m2*theta2 = {m2 * z} must equal -k = {-k}")
-    expected = remaining_pair_four_eig(n, k, theta2, m2)
-    if expected[0] != theta3:
-        raise ContradictionError("remaining pair does not match the formula")
-    witness = {
-        "theta2": str(theta2),
-        "m2": m2,
-        "theta3": str(theta3),
-        "m3": m3,
-    }
-    if m2 == 1 and z == -k:
-        if m3 != (n - 2) // 2 or 2 * m3 != n - 2:
-            raise ContradictionError("bipartite case multiplicities must be (n-2)/2")
-        return TheoremCase("last-i", witness)
-    if m2 == k and z == -1:
-        if 2 * m3 != n - k - 1:
-            raise ContradictionError("multiplicities must be (n-k-1)/2")
-        return TheoremCase("last-ii", witness)
-    if 1 < m2 < k and z < -1:
-        return TheoremCase("last-iii", witness)
-    raise ContradictionError("four-eigenvalue case outside the trichotomy")
+    case = "last-i" if m2 == 1 else "last-ii" if m2 == k else "last-iii"
+    return TheoremCase(
+        case, {"theta2": str(theta2), "m2": m2, "theta3": str(theta3), "m3": m3}
+    )

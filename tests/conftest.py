@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -220,6 +220,28 @@ def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:
             present |= {ad, cb}
             edges[i], edges[j] = ad, cb
     return Graph.from_edges(n, edges)
+
+
+def hamming(d: int, q: int) -> Graph:
+    """H(d, q): words of length d over q letters, adjacent when they differ
+    in one position (the d-cube is H(d, 2))."""
+    words = list(product(range(q), repeat=d))
+    index = {w: i for i, w in enumerate(words)}
+    edges = [
+        (index[w], index[w[:i] + (x,) + w[i + 1 :]])
+        for w in words
+        for i in range(d)
+        for x in range(w[i] + 1, q)
+    ]
+    return Graph.from_edges(len(words), edges)
+
+
+def folded_cube(d: int) -> Graph:
+    """The folded d-cube: the (d-1)-cube plus an edge from each vertex to its
+    complement."""
+    n = 1 << (d - 1)
+    flips = [1 << i for i in range(d - 1)] + [n - 1]
+    return Graph.from_edges(n, [(v, v ^ f) for v in range(n) for f in flips])
 
 
 # ---------------------------------------------------------------------------

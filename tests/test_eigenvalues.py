@@ -138,6 +138,11 @@ def test_float_and_str():
     assert str(golden) == "(-1+√5)/2"
     assert str(Eigenvalue.sqrt_pair(2)[1]) == "-√2"
     assert str(Eigenvalue.quadratic(0, 3, 2, 1)) == "3√2"
+    # denominator 1: no "/1"
+    assert str(Eigenvalue.quadratic(-1, 1, 2, 1)) == "-1+√2"
+    assert str(Eigenvalue.quadratic(2, -3, 97, 1)) == "2-3√97"
+    pairs = [(ev, 1) for ev in (Eigenvalue.integer(2), *Eigenvalue.quadratic_roots(-2, -1))]
+    assert str(Spectrum(pairs)) == "{2^1, (-1+√2)^1, (-1-√2)^1}"
 
 
 def test_json_round_trip():

@@ -4,9 +4,11 @@ verify-paper corpus and small random regular graphs."""
 import hashlib
 import json
 import random
+from itertools import combinations
 
-from conftest import random_regular_graph
+from conftest import folded_cube, hamming, random_graph, random_regular_graph
 from dezakit import families, verify
+from dezakit.graphs import bipartite_double, complement, disjoint_union
 from dezakit.report import build_report, report_inconsistencies
 
 #: one or more small members of each catalogue family
@@ -52,5 +54,37 @@ def test_sweep_reports_are_consistent_and_frozen():
     # the rendered JSON, byte for byte
     digest = hashlib.sha256(json.dumps(reports, indent=1).encode("utf-8"))
     assert digest.hexdigest() == (
-        "8c8adf3df4156705d1de6d3301ec58d5c2e369a8b207acd2a0c5b9d03fc96a29"
+        "ac94cc8ad65111c62dee0cadeff79e3934bb1270f17aab7a2166a800bba605fb"
     )
+
+
+def _outside_the_hypotheses():
+    """(source, graph) for graphs that are not strongly Deza, or not Deza
+    at all: cubes, folded cubes, Hamming graphs, disjoint unions of two
+    unequal SRGs, bipartite doubles, and irregular graphs."""
+    for d in range(2, 8):
+        yield f"cube {d}", hamming(d, 2)
+    for d in range(3, 9):
+        yield f"folded cube {d}", folded_cube(d)
+    for d, q in [(2, q) for q in range(2, 9)] + [(3, 3), (3, 4), (4, 3)]:
+        yield f"hamming {d} {q}", hamming(d, q)
+    srgs = {
+        "petersen": families.petersen(),
+        "paley 9": families.paley(9),
+        "paley 13": families.paley(13),
+        "cycle 5": families.cycle(5),
+        "rook 4x4": hamming(2, 4),
+    }
+    for (x, g), (y, h) in combinations(srgs.items(), 2):
+        yield f"{x} + {y}", disjoint_union([g, h])
+    for x, g in srgs.items():
+        yield f"double {x}", bipartite_double(g)
+        yield f"double complement {x}", bipartite_double(complement(g))
+    rng = random.Random(20261)
+    for i in range(20):
+        yield f"irregular-{i}", random_graph(rng, rng.randint(6, 16), 0.4)
+
+
+def test_graphs_outside_the_hypotheses_report_no_inconsistency():
+    for source, g in _outside_the_hypotheses():
+        assert report_inconsistencies(build_report(g, source=source)) == [], source

@@ -2,12 +2,13 @@
 
 import pytest
 
+from conftest import folded_cube, hamming
 from dezakit import families
 from dezakit.deza import SrgParams, detect_deza, detect_srg
 from dezakit.errors import ContradictionError, InfeasibleError, SpectrumShapeError
 from dezakit.eigenvalues import Eigenvalue, Spectrum
 from dezakit.graph6 import parse_graph6
-from dezakit.graphs import disjoint_union, line_graph
+from dezakit.graphs import disjoint_union, halved_graphs, line_graph
 from dezakit.spectra import exact_spectrum
 from dezakit.theorems import (
     affine_family_params,
@@ -148,6 +149,15 @@ def test_witness_branches(octahedron_lg, heawood, desargues, c6):
     assert w.halved == ("complete", "complete")
     assert strongly_deza_witness(desargues).branch == "halved-strongly-deza"
     assert strongly_deza_witness(c6).branch == "strongly-deza"
+
+
+def test_witness_strongly_regular_halves():
+    # the halves are strongly regular with lambda = mu, so Deza with b = a,
+    # which is_strongly_deza rejects by convention: a degeneration
+    for g, half in ((hamming(5, 2), (16, 10, 6, 6)), (folded_cube(8), (64, 28, 12, 12))):
+        assert {detect_srg(h).as_tuple() for h in halved_graphs(g)} == {half}
+        w = strongly_deza_witness(g)
+        assert w.branch == "degenerate" and w.halved == ("strongly-regular",) * 2
 
 
 def test_witness_preconditions(petersen):
