@@ -12,7 +12,9 @@ primes.  char_poly runs it at every prime of primes_for(n, k), and
 spectra's one-prime certificate at a single prime.  So char_poly serves
 the spectra the certificate declines or that need one prime anyway
 (spectra.exact_spectrum), and the check of verify-paper's criterion 14
-against exact determinants.
+against exact determinants.  char_poly is a per-graph fact (graphs.per_graph):
+it is memoised on the graph, so criterion 14 reads the polynomial that
+exact_spectrum already computed instead of running a second pass.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cache
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, per_graph
 
 # -- integer polynomial helpers (ascending coefficients) -------------------
 
@@ -233,8 +235,10 @@ def char_poly_mod(g: Graph, primes) -> np.ndarray:
     return _hessenberg_charpoly(h, p)
 
 
+@per_graph
 def char_poly(g: Graph) -> CharPoly:
-    """det(xI - M) computed exactly by multi-modular arithmetic.
+    """det(xI - M) computed exactly by multi-modular arithmetic; a per-graph
+    fact, so each graph runs its Hessenberg pass once.
 
     Algorithm.  For every prime p of a prefix of modular_primes() (a fixed
     descending list of primes below 2^26) M is reduced to upper Hessenberg

@@ -28,10 +28,19 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+# The pairs of order n are the first n(n-1)/2 pairs of every larger order:
+# column v lists (0, v), ..., (v-1, v) and never depends on n.  So one table
+# for MAX_N serves every order by a prefix slice.
+_COLS, _ROWS = np.tril_indices(MAX_N, -1)
+_ROWS.setflags(write=False)
+_COLS.setflags(write=False)
+
+
 def _column_order_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the upper triangle in graph6's column order."""
-    cols, rows = np.tril_indices(n, -1)
-    return rows, cols
+    """(rows, cols) of the upper triangle in graph6's column order, as
+    read-only slices of the MAX_N table."""
+    count = n * (n - 1) // 2
+    return _ROWS[:count], _COLS[:count]
 
 
 def parse_graph6(text: str) -> Graph:

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 from functools import cache
 
+import numpy as np
+
 from . import deza as deza_mod
 from . import distreg
 from . import families
@@ -42,26 +44,25 @@ def _row(criterion: str, name: str, expected, actual) -> CheckRow:
 
 def bareiss_determinant(matrix) -> int:
     """Fraction-free exact determinant of an integer matrix (the
-    independent oracle for characteristic-polynomial evaluations)."""
-    m = [[int(x) for x in row] for row in matrix]
+    independent oracle for characteristic-polynomial evaluations).  The
+    entries are Python ints in an object array, so no step can overflow."""
+    m = np.asarray(matrix).astype(object)
     n = len(m)
     sign = 1
     prev = 1
     for col in range(n - 1):
-        if m[col][col] == 0:
-            for r in range(col + 1, n):
-                if m[r][col]:
-                    m[col], m[r] = m[r], m[col]
-                    sign = -sign
-                    break
-            else:
+        if m[col, col] == 0:
+            below = np.flatnonzero(m[col + 1 :, col])
+            if not below.size:
                 return 0
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
+            r = col + 1 + int(below[0])
+            m[[col, r]] = m[[r, col]]
+            sign = -sign
+        pivot = m[col, col]
+        rest = m[col + 1 :, col + 1 :]
+        rest[...] = (rest * pivot - np.outer(m[col + 1 :, col], m[col, col + 1 :])) // prev
+        prev = pivot
+    return sign * m[n - 1, n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +390,9 @@ def criterion_14() -> list[CheckRow]:
     bad_evals = 0
     for g in corpus().values():
         cp = char_poly(g)
+        identity = np.eye(g.n, dtype=np.int64)
         for x in (-2, -1, 0, 1, 2):
-            xi_minus_m = [
-                [x * (1 if i == j else 0) - int(g.adj[i, j]) for j in range(g.n)]
-                for i in range(g.n)
-            ]
-            if poly_eval(cp.coeffs, x) != bareiss_determinant(xi_minus_m):
+            if poly_eval(cp.coeffs, x) != bareiss_determinant(x * identity - g.adj):
                 bad_evals += 1
     rows.append(_row("14", "char poly vs exact determinant at 5 points per asset",
                      0, bad_evals))
@@ -414,14 +412,19 @@ def criterion_15() -> list[CheckRow]:
     return rows
 
 
-def _random_graph(rng: random.Random, n: int) -> Graph:
-    import numpy as np
+@cache
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs u < v in row-major order; criterion 14 asks for n <= 40."""
+    return np.triu_indices(n, 1)
 
+
+def _random_graph(rng: random.Random, n: int) -> Graph:
+    """G(n, 1/2): one rng.random() draw per pair u < v, in row-major order."""
+    rows, cols = _upper_pairs(n)
+    edges = [rng.random() < 0.5 for _ in range(len(rows))]
     a = np.zeros((n, n), dtype=np.uint8)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.5:
-                a[u, v] = a[v, u] = 1
+    a[rows, cols] = edges
+    a[cols, rows] = edges
     return Graph(a)
 
 

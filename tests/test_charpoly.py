@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import faddeev_leverrier, random_graph
-from dezakit import charpoly, families
+from dezakit import charpoly, families, spectra
 from dezakit.charpoly import CharPoly, char_poly, poly_divmod_monic, poly_eval, poly_mul, poly_try_divide
 from dezakit.graph6 import MAX_N
 from dezakit.graphs import Graph, complement
@@ -57,6 +57,22 @@ def test_matches_bareiss_determinant():
                 for i in range(g.n)
             ]
             assert cp(x) == bareiss_determinant(xi_minus_m)
+
+
+def test_char_poly_is_a_per_graph_fact(monkeypatch):
+    passes = []
+    kernel = charpoly.char_poly_mod
+    monkeypatch.setattr(charpoly, "char_poly_mod",
+                        lambda g, primes: passes.append(g) or kernel(g, primes))
+    g = Graph(families.petersen().adj)  # no fact computed yet
+    assert _prime_count(g) <= spectra.CERTIFY_ABOVE_PRIMES  # the CRT route
+    spectra.exact_spectrum(g)
+    assert passes == [g]
+    cp = char_poly(g)
+    assert char_poly(g) is cp and passes == [g]
+    # an equal graph is a new analysis: it runs its own pass
+    other = Graph(g.adj)
+    assert char_poly(other) == cp and len(passes) == 2 and passes[1] is other
 
 
 def test_poly_helpers():

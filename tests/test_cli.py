@@ -12,11 +12,12 @@ import pytest
 
 from conftest import random_regular_graph
 import dezakit
-from dezakit import cli, families, verify
+from dezakit import cli, families, theorems, verify
 from dezakit.cli import main
 from dezakit.eigenvalues import Spectrum
 from dezakit.graph6 import write_graph6
 from dezakit.report import report_inconsistencies
+from dezakit.spectra import exact_spectrum
 
 
 def run(capsys, *argv):
@@ -272,6 +273,37 @@ def test_cospectral(tmp_path, capsys):
     b.write_text("~~\n")
     code, _, err = run(capsys, "cospectral", str(b), str(a))
     assert code == 2 and err.startswith(f"{b}:1: ")
+
+
+def test_cospectral_json(tmp_path, capsys):
+    a = tmp_path / "a.g6"
+    b = tmp_path / "b.g6"
+    run(capsys, "construct", "icosahedron", "-o", str(a))
+    icosahedron = exact_spectrum(families.icosahedron()).to_json()
+    for make, same in (("taylor-paley 5", True), ("petersen", False)):
+        run(capsys, "construct", *make.split(), "-o", str(b))
+        code, out, err = run(capsys, "cospectral", "--json", str(a), str(b))
+        record = json.loads(out)
+        assert code == (0 if same else 1) and err == ""
+        assert list(record) == ["cospectral", "spectrum_a", "spectrum_b"]
+        assert record["cospectral"] is same
+        assert record["spectrum_a"] == icosahedron
+        assert (record["spectrum_b"] == icosahedron) is same
+    assert record["spectrum_b"] == exact_spectrum(families.petersen()).to_json()
+
+
+def test_analyze_reports_an_injected_contradiction(tmp_path, capsys, monkeypatch):
+    # classify_eigenvalue_count compares a connected graph's three distinct
+    # eigenvalues with detect_srg on M^2; a broken SRG test must surface as a
+    # contradiction record, an inconsistency line and exit 1
+    monkeypatch.setattr(theorems, "detect_srg", lambda g: None)
+    path = tmp_path / "petersen.g6"
+    path.write_text(write_graph6(families.petersen()) + "\n")
+    code, out, err = run(capsys, "analyze", "--json", str(path))
+    message = "connected three-eigenvalue graph is not an SRG"
+    assert code == 1
+    assert json.loads(out)[0]["theorems"]["eigenvalue_count"] == {"contradiction": message}
+    assert f"inconsistency: theorems.eigenvalue_count: {message}" in err.splitlines()
 
 
 def test_cospectral_non_quadratic(tmp_path, capsys):

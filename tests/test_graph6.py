@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from dezakit import families
-from dezakit.graph6 import MAX_N, Graph6Error, parse_graph6, write_graph6
+from dezakit.graph6 import MAX_N, Graph6Error, _column_order_pairs, parse_graph6, write_graph6
 from dezakit.graphs import Graph
 
 
@@ -97,6 +97,23 @@ def test_vertex_count_errors():
 def test_non_ascii():
     with pytest.raises(Graph6Error, match="non-ASCII"):
         parse_graph6("Aé")
+
+
+def test_column_order_pairs_are_prefixes_of_one_read_only_table():
+    for n in range(1, MAX_N + 1):
+        rows, cols = _column_order_pairs(n)
+        tril_cols, tril_rows = np.tril_indices(n, -1)
+        assert np.array_equal(rows, tril_rows) and np.array_equal(cols, tril_cols)
+    for pairs in _column_order_pairs(5):
+        with pytest.raises(ValueError, match="read-only"):
+            pairs[0] = 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 62, 63, MAX_N])
+def test_round_trip_where_the_size_prefix_changes(n):
+    text = write_graph6(random_graph(random.Random(n), n))
+    assert text.startswith("~") == (n > 62)
+    assert write_graph6(parse_graph6(text)) == text
 
 
 def test_seeded_round_trips():

@@ -1,0 +1,85 @@
+"""verify-paper's criterion 14: its frozen random sample and its exact
+determinant oracle."""
+
+import hashlib
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from dezakit import verify
+from dezakit.graph6 import write_graph6
+from dezakit.verify import bareiss_determinant
+
+#: sha256 of the 1000 graph6 lines (each ending in a newline) that
+#: criterion 14 round-trips, drawn from random.Random(181181)
+SAMPLE_SHA256 = "3e7da2f31ce3e3963e1dbc5127491e059d9bc3bde7275aa48d5fe16a42662411"
+
+
+def test_criterion_14_sample_is_frozen():
+    rng = random.Random(181181)
+    digest = hashlib.sha256()
+    for _ in range(1000):
+        n = rng.randint(1, 40)
+        digest.update((write_graph6(verify._random_graph(rng, n)) + "\n").encode())
+    assert digest.hexdigest() == SAMPLE_SHA256
+
+
+def _fraction_determinant(matrix) -> int:
+    """Gaussian elimination over the rationals."""
+    m = [[Fraction(int(x)) for x in row] for row in matrix]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            for c in range(col, n):
+                m[r][c] -= factor * m[col][c]
+    assert det.denominator == 1
+    return int(det)
+
+
+@pytest.mark.parametrize("matrix, det", [
+    ([[7]], 7),
+    ([[0]], 0),
+    ([[0, 1], [1, 0]], -1),  # a zero pivot that needs a swap
+    ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], -1),  # a zero pivot after one step
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+    ([[1, 2, 3], [2, 4, 6], [0, 1, 5]], 0),  # dependent rows
+    ([[0, 1, 2], [0, 3, 4], [0, 5, 6]], 0),  # a zero column
+    ([[1, 2], [2, 4]], 0),  # singular at the last pivot
+])
+def test_bareiss_on_worked_examples(matrix, det):
+    assert _fraction_determinant(matrix) == det
+    assert bareiss_determinant(matrix) == det
+    assert bareiss_determinant(np.array(matrix, dtype=np.int64)) == det
+
+
+def test_bareiss_matches_fraction_elimination_on_random_matrices():
+    rng = random.Random(2718)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        # small entries give many zero pivots and singular matrices
+        matrix = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        expected = _fraction_determinant(matrix)
+        singular += expected == 0
+        assert bareiss_determinant(matrix) == expected
+        assert bareiss_determinant(np.array(matrix, dtype=np.int64)) == expected
+    assert singular
+
+
+def test_bareiss_is_exact_beyond_int64():
+    rng = random.Random(31)
+    matrix = [[rng.randint(-10**12, 10**12) for _ in range(8)] for _ in range(8)]
+    det = bareiss_determinant(np.array(matrix, dtype=np.int64))
+    assert isinstance(det, int) and abs(det) > 2**63
+    assert det == _fraction_determinant(matrix)
