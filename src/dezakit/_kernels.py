@@ -8,9 +8,9 @@ Kernels take the dense ``uint8`` adjacency matrix (symmetric, zero
 diagonal) and, where they need it, its int64 square M^2.  Counts fit
 comfortably in int64 at the supported sizes.  Each returns what it counts:
 the distance matrix (-1 for unreachable pairs), the distinct off-diagonal
-values of M^2 (``pair_values``: a Deza graph's a and b are the first and
-the last), those over adjacent and over non-adjacent pairs
-(``class_values``: an SRG's lambda and mu), the number of triangles, and
+values of M^2 over adjacent and over non-adjacent pairs (``class_values``:
+a Deza graph's a and b are the least and the greatest over both lists, an
+SRG's lambda and mu the one value in each), the number of triangles, and
 the intersection numbers b_i, c_i, a_i or a pair that shows there are none
 (``intersection_counts``).
 """
@@ -39,15 +39,9 @@ def all_pairs_distances(adj: np.ndarray) -> np.ndarray:
     return dist
 
 
-def pair_values(m2: np.ndarray) -> list[int]:
-    """Every distinct off-diagonal entry of M^2, ascending."""
-    n = m2.shape[0]
-    return np.unique(m2[~np.eye(n, dtype=bool)]).tolist()
-
-
 def class_values(adj: np.ndarray, m2: np.ndarray) -> tuple[list[int], list[int]]:
     """Distinct entries of M^2 over adjacent pairs and over non-adjacent
-    pairs of distinct vertices, each ascending (SRG test)."""
+    pairs of distinct vertices, each ascending."""
     n = adj.shape[0]
     offdiag = ~np.eye(n, dtype=bool)
     amask = adj.astype(bool)

@@ -87,6 +87,13 @@ class StronglyDezaResult:
 
 
 @per_graph
+def _class_values(g: Graph) -> tuple[list[int], list[int]]:
+    """Distinct common-neighbour counts over adjacent and over non-adjacent
+    pairs, each ascending: the one scan of M^2's values per graph."""
+    return _kernels.class_values(g.adj, common_neighbour_matrix(g))
+
+
+@per_graph
 def detect_deza(g: Graph) -> DezaParams | None:
     """Deza parameters (n, k, b, a), or None.
 
@@ -96,7 +103,7 @@ def detect_deza(g: Graph) -> DezaParams | None:
     k = g.regular_degree()
     if k is None or g.is_complete() or g.is_edgeless():
         return None
-    values = _kernels.pair_values(common_neighbour_matrix(g))
+    values = sorted(set().union(*_class_values(g)))
     if len(values) > 2:
         return None
     return DezaParams(g.n, k, values[-1], values[0])
@@ -131,18 +138,20 @@ def children(g: Graph) -> ChildPair:
 def detect_srg(g: Graph) -> SrgParams | None:
     """SRG parameters (n, k, lambda, mu), or None.
 
-    Connectivity is not required: a disjoint union with class-constant
-    common-neighbour counts (for instance m.K_n or a union of equal SRGs)
-    qualifies, which is exactly the sense needed for Deza children.
-    Complete and edgeless graphs never qualify.
+    A strongly regular graph is a Deza graph whose common-neighbour count
+    is constant on edges (lambda) and on non-edges (mu), so this refines
+    detect_deza; complete and edgeless graphs never qualify.  Connectivity
+    is not required: a disjoint union with class-constant counts (for
+    instance m.K_n or a union of equal SRGs) qualifies, which is exactly
+    the sense needed for Deza children.
     """
-    k = g.regular_degree()
-    if k is None or g.is_complete() or g.is_edgeless():
+    params = detect_deza(g)
+    if params is None:
         return None
-    lams, mus = _kernels.class_values(g.adj, common_neighbour_matrix(g))
+    lams, mus = _class_values(g)
     if len(lams) != 1 or len(mus) != 1:
         return None
-    return SrgParams(g.n, k, lams[0], mus[0])
+    return SrgParams(g.n, params.k, lams[0], mus[0])
 
 
 @per_graph

@@ -28,9 +28,8 @@ from .graphs import (
     Graph,
     components,
     distance_data,
-    distance_i_graph,
+    equal_cliques,
     is_bipartite,
-    is_disjoint_clique_union,
     per_graph,
     triangle_count,
 )
@@ -105,18 +104,11 @@ def intersection_array(g: Graph) -> IntersectionArray | None:
 
 def is_antipodal(g: Graph) -> bool:
     """The distance-d graph of a connected graph of diameter d is a disjoint
-    union of equal cliques: every class {v} ∪ {u : d(u, v) = d} is closed
-    and all have one size."""
+    union of equal cliques (K1, of diameter 0, is antipodal)."""
     dd = distance_data(g)
     if not dd.connected:
         raise ValueError("antipodality needs a connected graph")
-    related = (dd.dist == dd.diameter) | np.eye(g.n, dtype=bool)
-    # the classes are closed when u and v are related exactly if their
-    # classes have the same least member
-    least = related.argmax(axis=1)
-    sizes = related.sum(axis=1)
-    closed = (related == (least[:, None] == least[None, :])).all()
-    return bool(closed and (sizes == sizes[0]).all())
+    return equal_cliques(dd.dist == dd.diameter) is not None
 
 
 def drg_deza_classification(g: Graph) -> TheoremCase:
@@ -142,14 +134,14 @@ def drg_deza_classification(g: Graph) -> TheoremCase:
             f"{None if params is None else params.as_tuple()}"
         )
     pair = children(g)
-    dd = distance_data(g)
+    dist = distance_data(g).dist
     if a1 == 0:
         case = "deza-a1-zero"
-        want_b = (dd.dist == 2).astype("uint8")
+        want_b = dist == 2
     else:
         case = "deza-a1-eq-c2"
-        want_b = ((dd.dist == 1) | (dd.dist == 2)).astype("uint8")
-    if pair.child_b != Graph(want_b):  # child B from M^2 against the distances
+        want_b = (dist == 1) | (dist == 2)
+    if not np.array_equal(pair.child_b.adj, want_b):  # child B from M^2 against the distances
         raise ContradictionError("b-child is not the predicted distance graph")
     return TheoremCase(case, {"a1": a1, "c2": c2, "params": list(expected.as_tuple())})
 
@@ -169,7 +161,7 @@ def ddg_drg_classification(g: Graph) -> TheoremCase:
     if ia is None:
         return TheoremCase("not-distance-regular", {"ddg": list(ddg.as_tuple())})
     if ia.d == 2:
-        shape = is_disjoint_clique_union(distance_i_graph(g, 2))
+        shape = equal_cliques(distance_data(g).dist == 2)
         if shape is None:  # the divisible design test against the distance-2 graph
             raise ContradictionError("diameter-2 divisible design graph must be multipartite")
         return TheoremCase("complete-multipartite", {"parts": shape[0], "part_size": shape[1]})

@@ -150,19 +150,14 @@ def taylor_double_cover(g: Graph) -> Graph:
     if params is None or params.k != 2 * params.mu:
         raise ValueError("taylor double cover needs an SRG with k = 2*mu")
     n = g.n
-    edges = []
-    for v in range(n):
-        edges.append((0, 1 + v))
-        edges.append((n + 1, n + 2 + v))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if g.has_edge(u, v):
-                edges.append((1 + u, 1 + v))
-                edges.append((n + 2 + u, n + 2 + v))
-            else:
-                edges.append((1 + u, n + 2 + v))
-                edges.append((1 + v, n + 2 + u))
-    return Graph.from_edges(2 * n + 2, edges)
+    a = np.zeros((2 * n + 2, 2 * n + 2), dtype=np.uint8)
+    for pole in (0, n + 1):
+        side = slice(pole + 1, pole + n + 1)
+        a[pole, side] = a[side, pole] = 1
+        a[side, side] = g.adj
+    # u in one copy meets v' in the other exactly when u != v are non-adjacent
+    a[1 : n + 1, n + 2 :] = a[n + 2 :, 1 : n + 1] = 1 - g.adj - np.eye(n, dtype=np.uint8)
+    return Graph(a)
 
 
 def symmetric_design_incidence(v: int, base_block) -> Graph:

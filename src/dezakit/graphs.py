@@ -285,12 +285,21 @@ def bipartite_double(g: Graph) -> Graph:
     return Graph(a)
 
 
-def is_disjoint_clique_union(g: Graph) -> tuple[int, int] | None:
-    """(count, size) when g is m equal cliques glued disjointly, else None:
-    every reachable pair is adjacent and all components have one size."""
-    dist = distance_data(g).dist
-    sizes = (dist >= 0).sum(axis=1)
+def equal_cliques(related: np.ndarray) -> tuple[int, int] | None:
+    """(count, size) when the symmetric 0/1 matrix ``related``, read with
+    its diagonal set, is an equivalence whose classes all have one size
+    (its graph is m equal cliques glued disjointly), else None."""
+    related = related.astype(bool) | np.eye(related.shape[0], dtype=bool)
+    # it is an equivalence when u and v are related exactly if their
+    # classes have the same least member
+    least = related.argmax(axis=1)
+    sizes = related.sum(axis=1)
     size = int(sizes[0])
-    if dist.max() > 1 or (sizes != size).any():
+    if not (related == (least[:, None] == least[None, :])).all() or (sizes != size).any():
         return None
-    return g.n // size, size
+    return related.shape[0] // size, size
+
+
+def is_disjoint_clique_union(g: Graph) -> tuple[int, int] | None:
+    """(count, size) when g is m equal cliques glued disjointly, else None."""
+    return equal_cliques(g.adj)

@@ -252,7 +252,7 @@ def classify_eigenvalue_count(g: Graph) -> TheoremCase:
     if distinct == 2:
         # the clique order k + 1, a = 0 and b = k - 1 follow from detect_deza
         shape = is_disjoint_clique_union(g)
-        if shape is None:  # spectrum against the distance matrix
+        if shape is None:  # spectrum against the adjacency matrix
             raise ContradictionError("two-eigenvalue graph is not a clique union")
         return TheoremCase(
             "prop3-2eig", {"cliques": shape[0], "order": shape[1], "a": a, "b": b}

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import random_regular_graph
 import dezakit
-from dezakit import cli, families, theorems, verify
+from dezakit import cli, deza, families, theorems, verify
 from dezakit.cli import main
 from dezakit.eigenvalues import Spectrum
 from dezakit.graph6 import write_graph6
@@ -101,18 +101,21 @@ def test_construct_deterministic(capsys):
 def test_filter(tmp_path, capsys):
     path = tmp_path / "mix.g6"
     lines = []
-    for args in (("icosahedron",), ("cycle", "7"), ("johnson", "7", "3"), ("petersen",)):
+    for args in (("icosahedron",), ("cycle", "7"), ("johnson", "7", "3"), ("petersen",),
+                 ("cliques", "2", "3")):
         code, out, _ = run(capsys, "construct", *args)
         lines.append(out.strip())
-    path.write_text("\n".join(lines) + "\n")
+    # a blank line is skipped and not counted
+    path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
     code, out, err = run(capsys, "filter", "strongly-deza", str(path))
     assert code == 0
-    assert out.strip().splitlines() == [lines[0], lines[3]]
-    assert "2/4 matched" in err
+    assert out.strip().splitlines() == [lines[0], lines[3], lines[4]]
+    assert "3/5 matched" in err and "warning" not in err
     code, out, err = run(capsys, "filter", "deza", str(path))
-    assert code == 0 and len(out.strip().splitlines()) == 3
-    code, out, err = run(capsys, "filter", "drg", str(path))
     assert code == 0 and len(out.strip().splitlines()) == 4
+    # 2K3 is disconnected, so no distance-regular match
+    code, out, err = run(capsys, "filter", "drg", str(path))
+    assert code == 0 and out.strip().splitlines() == lines[:4] and "4/5 matched" in err
 
 
 def test_filter_all_four_vertex_graphs(tmp_path, capsys):
@@ -304,6 +307,20 @@ def test_analyze_reports_an_injected_contradiction(tmp_path, capsys, monkeypatch
     assert code == 1
     assert json.loads(out)[0]["theorems"]["eigenvalue_count"] == {"contradiction": message}
     assert f"inconsistency: theorems.eigenvalue_count: {message}" in err.splitlines()
+
+
+def test_analyze_reports_a_child_formula_mismatch(tmp_path, capsys, monkeypatch):
+    # the closed-form child spectra, swapped, disagree with the constructed
+    # children: the report's match flag is false and analyze exits 1
+    real = deza.child_spectra_formula
+    monkeypatch.setattr(deza, "child_spectra_formula", lambda *args: real(*args)[::-1])
+    path = tmp_path / "petersen.g6"
+    path.write_text(write_graph6(families.petersen()) + "\n")
+    code, out, err = run(capsys, "analyze", "--json", str(path))
+    assert code == 1
+    assert json.loads(out)[0]["strongly_deza"]["formula_spectra_match"] is False
+    line = "inconsistency: child spectra formula disagrees with constructed children"
+    assert line in err.splitlines()
 
 
 def test_cospectral_non_quadratic(tmp_path, capsys):

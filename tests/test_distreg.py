@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from dezakit import families
+from conftest import brute_distances
+from dezakit import distreg, families
+from dezakit.deza import ChildPair, DdgParams, DezaParams
 from dezakit.distreg import (
     FEASIBLE_UNBUILT,
     IntersectionArray,
@@ -18,14 +20,8 @@ from dezakit.distreg import (
     is_antipodal,
     unitary_nonisotropics_check,
 )
-from dezakit.errors import SpectrumShapeError
-from dezakit.graphs import (
-    Graph,
-    distance_data,
-    distance_i_graph,
-    is_connected,
-    is_disjoint_clique_union,
-)
+from dezakit.errors import ContradictionError, SpectrumShapeError
+from dezakit.graphs import Graph, distance_data, is_connected
 from dezakit.verify import DRG_CORPUS, corpus
 
 
@@ -91,14 +87,17 @@ def test_is_antipodal(heawood, icosahedron, johnson63, cube):
 
 
 def test_is_antipodal_matches_distance_graph():
-    # against the definition: the distance-d graph is a union of equal cliques
+    # against the definition: the sets {v} ∪ {u : d(u, v) = d} partition the
+    # vertices (distinct sets are disjoint) and all have one size
     graphs = list(corpus().values()) + [families.cycle(n) for n in range(3, 13)]
     graphs += [families.johnson(8, 4), families.kneser(7, 2), families.complete(5)]
     seen = set()
     for g in graphs:
         ia = intersection_array(g) if is_connected(g) else None
         if ia is not None:
-            expected = is_disjoint_clique_union(distance_i_graph(g, ia.d)) is not None
+            far = brute_distances(g) == ia.d
+            classes = {frozenset([v, *np.nonzero(far[v])[0].tolist()]) for v in range(g.n)}
+            expected = sum(map(len, classes)) == g.n and len(set(map(len, classes))) == 1
             assert is_antipodal(g) == expected
             seen.add(expected)
     assert seen == {True, False}
@@ -166,6 +165,58 @@ def test_cosp_deza_check(icosahedron, johnson63, taylor13, petersen):
         cosp_deza_check(petersen, petersen)
     with pytest.raises(ValueError, match="cospectral"):
         cosp_deza_check(icosahedron, johnson63)
+
+
+def _cosp_icosahedron_taylor_c5():
+    return cosp_deza_check(families.icosahedron(), families.taylor_double_cover(families.cycle(5)))
+
+
+@pytest.mark.parametrize("run, name, fault, message", [
+    pytest.param(
+        lambda: drg_deza_classification(families.johnson(7, 3)),
+        "detect_deza", lambda real: lambda g: DezaParams(35, 12, 4, 0),
+        "Deza detector disagrees with a1/c2", id="drg-deza-a1-c2"),
+    pytest.param(
+        lambda: drg_deza_classification(families.heawood()),
+        "detect_deza", lambda real: lambda g: None,
+        r"expected Deza parameters \(14, 3, 1, 0\), detector says None", id="drg-deza-params"),
+    pytest.param(
+        lambda: drg_deza_classification(families.trivial_design_incidence(3)),  # the cube
+        "children", lambda real: lambda g: ChildPair(real(g).child_a, g),
+        "b-child is not the predicted distance graph", id="drg-deza-child-b"),
+    pytest.param(
+        lambda: ddg_drg_classification(families.petersen()),
+        "is_divisible_design", lambda real: lambda g: DdgParams(10, 3, 0, 1, 2, 5),
+        "diameter-2 divisible design graph must be multipartite", id="ddg-diameter-2"),
+    pytest.param(
+        lambda: ddg_drg_classification(families.johnson(7, 3)),
+        "is_divisible_design", lambda real: lambda g: DdgParams(35, 12, 0, 4, 5, 7),
+        "outside all cases", id="ddg-outside"),
+    pytest.param(
+        lambda: antipodal_from_spectrum(families.icosahedron()),
+        "intersection_array", lambda real: lambda g: None,
+        "must be distance-regular with a1 = c2 = 2", id="antipodal-spectrum"),
+    pytest.param(
+        _cosp_icosahedron_taylor_c5,
+        "triangle_count", lambda real: lambda g: real(g) + 1,
+        "triangle count differs", id="cosp-triangles"),
+    pytest.param(
+        _cosp_icosahedron_taylor_c5,
+        "distance3_counts", lambda real: lambda g: ((0,) * g.n, True),
+        "distance-3 counts do not match", id="cosp-distance-3"),
+    pytest.param(
+        _cosp_icosahedron_taylor_c5,
+        # g1's array stays true, g2's (the Taylor cover's) is lost
+        "intersection_array",
+        lambda real: lambda g: real(g) if g == families.icosahedron() else None,
+        "cospectral Deza mate has a different array", id="cosp-array"),
+])
+def test_each_contradiction_fires_on_one_fault(run, name, fault, message, monkeypatch):
+    # every graph lies inside the hypotheses; one computation is made wrong,
+    # and the comparison that guards it must report a contradiction
+    monkeypatch.setattr(distreg, name, fault(getattr(distreg, name)))
+    with pytest.raises(ContradictionError, match=message):
+        run()
 
 
 def test_unitary_family():

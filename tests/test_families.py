@@ -156,6 +156,12 @@ def test_taylor_double_cover(icosahedron):
     assert exact_spectrum(t9) == exact_spectrum(families.johnson(6, 3))
     with pytest.raises(ValueError, match="2\\*mu"):
         families.taylor_double_cover(families.petersen())
+    # the vertex order is frozen, up to the cap's taylor-paley 121
+    bases = [families.paley(q) for q in (5, 9, 13, 121)] + [families.cycle(5)]
+    lines = "".join(write_graph6(families.taylor_double_cover(g)) + "\n" for g in bases)
+    assert hashlib.sha256(lines.encode("ascii")).hexdigest() == (
+        "6386b2a23f05d0cf6cb0ef8d9fcc74a81236fbc6a38ad5cfdabbbe89cfba4abb"
+    )
 
 
 def test_symmetric_design_incidence(heawood, biplane, cube):

@@ -149,11 +149,10 @@ def test_report_computes_each_fact_once(make, hessenberg_passes, monkeypatch):
         _count_computations(monkeypatch, fact)
         for fact in (deza.is_strongly_deza, graphs.bipartition, graphs.components)
     ]
-    distances, kernel_m2, pair_values, polys = [], [], [], []
+    distances, class_values, triangles, polys = [], [], [], []
     _record(monkeypatch, _kernels, "all_pairs_distances", distances)
-    for kernel in ("class_values", "triangle_count"):
-        _record(monkeypatch, _kernels, kernel, kernel_m2)
-    _record(monkeypatch, _kernels, "pair_values", pair_values)
+    _record(monkeypatch, _kernels, "class_values", class_values)
+    _record(monkeypatch, _kernels, "triangle_count", triangles)
     intersections = []
     _record(monkeypatch, _kernels, "intersection_counts", intersections, arg=0)
     # det(xI - M) mod primes: the certificate's one prime, or char_poly's
@@ -169,10 +168,11 @@ def test_report_computes_each_fact_once(make, hessenberg_passes, monkeypatch):
     assert distances and len({id(adj) for adj in distances}) == len(distances)
     # and at most once per adjacency: no equal graph is built to recompute them
     assert len({adj.tobytes() for adj in distances}) == len(distances)
-    assert pair_values and len({id(a) for a in pair_values}) == len(pair_values)
+    # one scan of M^2's values per graph serves both the Deza and the SRG test
+    assert class_values and len({id(a) for a in class_values}) == len(class_values)
     assert intersections and len({id(adj) for adj in intersections}) == len(intersections)
     assert polys and len({id(h) for h in polys}) == len(polys)
     if hessenberg_passes is not None:
         assert len(polys) == hessenberg_passes
     # the kernels read the memoised M^2 rather than multiplying it out
-    assert {id(a) for a in kernel_m2 + pair_values} <= {id(value) for _, value in m2}
+    assert {id(a) for a in class_values + triangles} <= {id(value) for _, value in m2}
