@@ -145,10 +145,9 @@ class Eigenvalue:
         disc = b * b - 4 * c
         if disc <= 0:
             raise ValueError("discriminant must be positive")
-        t, d0 = squarefree_decompose(disc)
-        if d0 == 1:
+        if is_perfect_square(disc):
             raise ValueError("rational roots: use the integer constructor")
-        return cls.quadratic(b, t, d0, 2), cls.quadratic(b, -t, d0, 2)
+        return cls.quadratic(b, 1, disc, 2), cls.quadratic(b, -1, disc, 2)
 
     # -- structure ----------------------------------------------------
 

@@ -6,7 +6,7 @@ them.  No floating point is used in either.
 The CRT route computes the exact characteristic polynomial f = det(xI - M)
 (charpoly.char_poly), strips every integer root in [-k, k] by exact
 synthetic division (k = maximum degree, a hard bound on the spectral
-radius), then divides out every proposed quadratic factor exactly.  Any
+radius), then divides out every factor the GF(p) step proposes exactly.  Any
 residual of degree >= 3 that is left is reported as a non-quadratic
 spectrum.
 
@@ -17,20 +17,24 @@ CERTIFY_ABOVE_PRIMES primes (primes_for(n, k)).  With no more, the graph is
 small, and a Hessenberg pass costs about as much at one prime as at all of
 them: its per-column overhead outweighs the arithmetic.  The certificate
 then saves nothing when it succeeds and costs one more pass when it
-declines.  When it declines, the CRT route decides.
+declines.  When it declines, the CRT route decides, so a non-quadratic
+spectrum still reports the degree of its residual.
 
 The GF(p) step.  Both routes propose factors by one exact step over GF(p),
-at the least prime p = 3 (mod 4) above max(8 k^2, deg f) for the
-polynomial f it is given (von zur Gathen & Gerhard, Modern Computer
-Algebra, ch. 14; Cantor & Zassenhaus, Math. Comp. 36, 1981).  Its radical
-R = f / gcd(f, f') is squarefree because p > deg f.  L = gcd(R, x^p - x)
-is the product of R's linear factors and Q = gcd(R / L, x^(p^2) - x) that
-of its irreducible quadratic factors.  Equal-degree splitting with the
-shifts x + a, a = 1, 2, ..., in that order, breaks L into roots and Q into
-quadratics, so a run is reproducible.  Each irreducible quadratic of Q and
-each pair (r + s, r s) of distinct roots of L is lifted to the symmetric
-range and kept when it is admissible; each root of L whose lift lies in
-[-k, k] is an integer candidate.
+at one prime per graph: p = _step_prime(k, n), the least prime
+p = 3 (mod 4) above max(8 k^2, n) (von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 14; Cantor & Zassenhaus, Math. Comp. 36, 1981).  The step runs
+at most once per graph, on f_p = det(xI - M) mod p when the certificate
+runs, else on the CRT route's residual; either way on a monic divisor f of
+det(xI - M).  Its radical R = f / gcd(f, f') is squarefree because
+p > deg f.  L = gcd(R, x^p - x) is the product of R's linear factors and
+Q = gcd(R / L, x^(p^2) - x) that of its irreducible quadratic factors.
+Equal-degree splitting with the shifts x + a, a = 1, 2, ..., in that order,
+breaks L into roots and Q into quadratics, so a run is reproducible.  It
+proposes monic integer factors: x - z for each root of L whose lift to the
+symmetric range lies in [-k, k], then x^2 - b x + c for each irreducible
+quadratic of Q and each pair (r + s, r s) of distinct roots of L whose
+lifted (b, c) is admissible.
 
 All the powers, x^p mod R, x^(p^2) mod R / L and the splitting powers
 (x + a)^((p^d - 1) / 2), are one primitive: (x + c)^e mod a monic f of
@@ -55,18 +59,15 @@ so |b| <= 2k, |c| <= k^2 and its discriminant satisfies
 irreducible factor of Q, or (x - r)(x - s) with r != s both roots of L.
 Both |b| and |c| are below p / 2, so the symmetric lift gives back the
 integer factor exactly.  Likewise an integer eigenvalue z has |z| <= k <
-p / 2, so it is a root of L that lifts back to z.  The step takes the
-least such prime, _step_prime(k, deg f), and checks p > max(8 k^2, deg f)
-on each call.  A prime above max(8 k^2, n) is complete for every divisor
-of f as well, so the quadratics proposed for f serve its residual.
+p / 2, so it is a root of L that lifts back to z.  The step checks
+p > max(8 k^2, deg f) on each call.
 
 A proposal is never trusted.  In the CRT route exact division decides the
 result: a candidate that is no factor fails it, and as every division is
 exact, the factors divided out and the residual multiply back to f.
 
-The certificate, and why it is a proof.  Let p = _step_prime(k, n) and
-f_p = det(xI - M) mod p (charpoly.char_poly_mod, one Hessenberg pass), and
-run the GF(p) step once, on f_p.
+The certificate, and why it is a proof.  Let f_p = det(xI - M) mod p
+(charpoly.char_poly_mod, one Hessenberg pass), and run the GF(p) step on it.
 - If the spectrum is quadratic, f is a product of linear and quadratic
   integer factors, and so f_p is a product of linear and quadratic factors
   mod p: R = L Q.  When deg L + deg Q < deg R, the route declines at once.
@@ -100,11 +101,6 @@ run the GF(p) step once, on f_p.
   and the route declines.
 Either route ends with the trace check: the sum of the squared
 eigenvalues is 2|E|.
-
-On a decline the CRT route decides, so a non-quadratic spectrum still
-reports the degree of its residual.  It divides by the quadratics the
-certificate's step proposed, which are complete for the residual, so no
-decline runs a second step.
 """
 
 from __future__ import annotations
@@ -140,18 +136,6 @@ class NonQuadraticSpectrumError(ValueError):
             "spectrum contains non-quadratic eigenvalues; "
             f"unfactored residual has degree {len(self.residual) - 1}"
         )
-
-
-def _extract_integer_roots(coeffs, bound: int):
-    mults: dict[int, int] = {}
-    rem = tuple(coeffs)
-    for z in range(bound, -bound - 1, -1):
-        while len(rem) > 1 and poly_eval(rem, z) == 0:
-            quotient = poly_try_divide(rem, (-z, 1))
-            assert quotient is not None
-            rem = quotient
-            mults[z] = mults.get(z, 0) + 1
-    return mults, rem
 
 
 def _admissible(b: int, c: int, bound: int) -> bool:
@@ -273,8 +257,8 @@ def _equal_degree_factors(f: list[int], d: int, p: int) -> list[list[int]]:
 
 def _step_prime(bound: int, deg: int) -> int:
     """The least prime p = 3 (mod 4) with p > max(8 bound^2, deg): the
-    smallest prime at which the GF(p) step proposes every quadratic factor
-    of a residual of degree deg (module docstring), by trial division."""
+    smallest prime at which the GF(p) step proposes every factor of a
+    polynomial of degree at most deg (module docstring), by trial division."""
     p = max(8 * bound * bound, deg) + 1
     p += (3 - p) % 4
     while any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
@@ -283,21 +267,21 @@ def _step_prime(bound: int, deg: int) -> int:
 
 
 class Proposal(NamedTuple):
-    """What the GF(p) step proposes for a monic integer polynomial f."""
+    """What the GF(p) step proposes for a monic integer polynomial f: monic
+    integer factors, each a tuple of ascending coefficients."""
 
-    #: the roots of L lifted into [-bound, bound], ascending
-    roots: list[int]
-    #: the admissible (b, c) of x^2 - b x + c, ascending
-    quadratics: list[tuple[int, int]]
+    #: x - z for each root z of L lifted into [-bound, bound], ascending in z;
+    #: then x^2 - b x + c for each admissible (b, c), ascending in (b, c)
+    factors: list[tuple[int, ...]]
     #: deg L + deg Q == deg R: f mod p has no irreducible factor of degree >= 3
     complete: bool
 
 
 def _gfp_step(rem, bound: int, p: int) -> Proposal:
     """The GF(p) step on the monic integer polynomial rem (or its residues
-    mod p).  Every integer root in [-bound, bound] and every admissible
-    (b, c) whose x^2 - b x + c divides rem is proposed; see the module
-    docstring for why this holds at the prime p."""
+    mod p).  Every x - z with z in [-bound, bound] and every admissible
+    x^2 - b x + c that divides rem is proposed; see the module docstring for
+    why this holds at the prime p."""
     if p <= max(8 * bound * bound, len(rem) - 1):
         raise ArithmeticError(f"prime {p} too small for degree {len(rem) - 1}, bound {bound}")
     if p % 4 != 3:
@@ -332,8 +316,8 @@ def _gfp_step(rem, bound: int, p: int) -> Proposal:
 
     cands = {(lift(b), lift(c)) for b, c in pairs}
     return Proposal(
-        sorted(z for z in map(lift, roots) if abs(z) <= bound),
-        sorted(bc for bc in cands if _admissible(*bc, bound)),
+        [(-z, 1) for z in sorted(z for z in map(lift, roots) if abs(z) <= bound)]
+        + [(c, -b, 1) for b, c in sorted(bc for bc in cands if _admissible(*bc, bound))],
         len(linear) + len(quadratic) == len(radical) + 1,
     )
 
@@ -385,57 +369,42 @@ def _nonzero_product(mats: list[np.ndarray], probe: np.ndarray) -> bool:
     return not mats or _product(mats + [probe]).any() or _product(mats).any()
 
 
-def _certificate(g: Graph, bound: int):
-    """The spectrum of g certified at one prime, as (integer multiplicities,
-    quadratic multiplicities), or None when the certificate declines;
-    together with the quadratics its GF(p) step proposed.  The module
-    docstring gives the proof and each reason to decline."""
-    n = g.n
-    p = _step_prime(bound, n)
-    fp = char_poly_mod(g, (p,))[0].tolist()
-    step = _gfp_step(fp, bound, p)
+def _certificate(g: Graph, fp: list[int], p: int, step: Proposal):
+    """The spectrum of g certified at the prime p, from f_p = det(xI - M)
+    mod p and the GF(p) step on it, as {factor: multiplicity}, or None when
+    the certificate declines.  The module docstring gives the proof and
+    each reason to decline."""
     if not step.complete:
-        return None, step.quadratics
-
-    # each candidate as (key, ascending coefficients, c(M))
-    a = g.adj.astype(np.int64)
+        return None
+    n = g.n
     eye = np.eye(n, dtype=np.int64)
-    cands = [(z, (-z, 1), a - z * eye) for z in step.roots]
-    if step.quadratics:
-        m2 = common_neighbour_matrix(g)
-        cands += [((b, c), (c, -b, 1), m2 - b * a + c * eye) for b, c in step.quadratics]
-    mats = [m for _, _, m in cands]
+    powers = [eye, g.adj.astype(np.int64)]  # I, M and, for a quadratic, M^2
+    if any(len(f) == 3 for f in step.factors):
+        powers.append(common_neighbour_matrix(g))
+    mats = [sum(c * m for c, m in zip(f, powers)) for f in step.factors]
     if math.prod(max(int(np.abs(m).sum(axis=1).max()), 1) for m in mats) >= 1 << 62:
-        return None, step.quadratics
+        return None
     probe = eye[:, sorted({v * (n - 1) // 3 for v in range(4)})]  # four vertices
     if _nonzero_product(mats, probe):
-        return None, step.quadratics  # P != 0
+        return None  # P != 0
 
-    int_mults: dict[int, int] = {}
-    quad_powers: dict[tuple[int, int], int] = {}
-    total = 0
-    for i, (key, poly, _) in enumerate(cands):
-        if not _nonzero_product(mats[:i] + mats[i + 1 :], probe):
-            continue  # P_c = 0: c is no factor
-        u = _multiplicity_mod(fp, poly, p)
-        (int_mults if len(poly) == 2 else quad_powers)[key] = u
-        total += (len(poly) - 1) * u
-    if total != n:  # above n, as it is never below
-        return None, step.quadratics
-    return (int_mults, quad_powers), step.quadratics
+    mults = {
+        f: _multiplicity_mod(fp, f, p)
+        for i, f in enumerate(step.factors)
+        if _nonzero_product(mats[:i] + mats[i + 1 :], probe)  # else P_c = 0: no factor
+    }
+    # the sum is n, or above it when factors collide mod p
+    return mults if sum((len(f) - 1) * u for f, u in mults.items()) == n else None
 
 
-def _divide_out_quadratics(rem, candidates):
-    powers: dict[tuple[int, int], int] = {}
-    for b, c in candidates:
-        factor = (c, -b, 1)
-        while len(rem) > 2:
-            quotient = poly_try_divide(rem, factor)
-            if quotient is None:
-                break
+def _divide_out(rem, factors, mults):
+    """rem with each factor divided out as often as it divides exactly, each
+    division counted in mults."""
+    for f in factors:
+        while (quotient := poly_try_divide(rem, f)) is not None:
             rem = quotient
-            powers[(b, c)] = powers.get((b, c), 0) + 1
-    return powers, rem
+            mults[f] = mults.get(f, 0) + 1
+    return rem
 
 
 @per_graph
@@ -446,31 +415,39 @@ def exact_spectrum(g: Graph) -> Spectrum:
     three or more is present (e.g. the 7-cycle).
     """
     bound = int(g.degrees().max(initial=0))
-    quadratics = None
+    p = _step_prime(bound, g.n)
+    step = None
     if len(primes_for(g.n, bound)) > CERTIFY_ABOVE_PRIMES:
-        certified, quadratics = _certificate(g, bound)
+        fp = char_poly_mod(g, (p,))[0].tolist()
+        step = _gfp_step(fp, bound, p)
+        certified = _certificate(g, fp, p, step)
         if certified is not None:
-            return _checked_spectrum(g, *certified)
+            return _checked_spectrum(g, certified)
 
-    cp = char_poly(g)
-    int_mults, rem = _extract_integer_roots(cp.coeffs, bound)
-    quad_powers: dict[tuple[int, int], int] = {}
+    rem = char_poly(g).coeffs
+    mults: dict[tuple[int, ...], int] = {}
+    for z in range(bound, -bound - 1, -1):
+        if poly_eval(rem, z) == 0:
+            rem = _divide_out(rem, [(-z, 1)], mults)
     if len(rem) > 1:
-        if quadratics is None:
-            quadratics = _gfp_step(rem, bound, _step_prime(bound, len(rem) - 1)).quadratics
-        quad_powers, rem = _divide_out_quadratics(rem, quadratics)
+        if step is None:
+            step = _gfp_step(rem, bound, p)
+        rem = _divide_out(rem, step.factors, mults)
     if len(rem) > 1:
         raise NonQuadraticSpectrumError(rem)
-    return _checked_spectrum(g, int_mults, quad_powers)
+    return _checked_spectrum(g, mults)
 
 
-def _checked_spectrum(g: Graph, int_mults, quad_powers) -> Spectrum:
-    entries = [(Eigenvalue.integer(z), m) for z, m in int_mults.items()]
-    for (b, c), m in quad_powers.items():
-        root, conj = Eigenvalue.quadratic_roots(b, c)
-        entries.append((root, m))
-        entries.append((conj, m))
-    spec = Spectrum(entries)  # multiplicities sum to n, by either route
+def _checked_spectrum(g: Graph, mults) -> Spectrum:
+    """The Spectrum of a table {monic factor: multiplicity}, checked by the
+    trace of M^2; the multiplicities sum to n, by either route."""
+    entries = []
+    for f, m in mults.items():
+        if len(f) == 2:
+            entries.append((Eigenvalue.integer(-f[0]), m))
+        else:
+            entries += [(root, m) for root in Eigenvalue.quadratic_roots(-f[1], f[0])]
+    spec = Spectrum(entries)
     if spec.sum_of_squares() != 2 * g.edge_count():
         raise ArithmeticError("sum of squared eigenvalues is not 2|E|")
     return spec

@@ -491,16 +491,21 @@ def test_usage_exit(capsys):
     assert run(capsys)[0] == 64
 
 
-@pytest.mark.parametrize("make", [
-    pytest.param(lambda: random_regular_graph(random.Random(258), 258, 6), id="random-6-regular"),
-    pytest.param(lambda: families.complete(258), id="complete"),
-    pytest.param(lambda: families.complete_multipartite([129, 129]), id="complete-bipartite"),
+@pytest.mark.parametrize("make, text, error", [
+    # the certificate declines, and the CRT route divides by its step's factors
+    pytest.param(lambda: random_regular_graph(random.Random(258), 258, 6), None,
+                 "spectrum contains non-quadratic eigenvalues; unfactored residual has degree 257",
+                 id="random-6-regular"),
+    pytest.param(lambda: families.complete(258), "{257^1, (-1)^257}", None, id="complete"),
+    pytest.param(lambda: families.complete_multipartite([129, 129]),
+                 "{129^1, 0^256, (-129)^1}", None, id="complete-bipartite"),
 ])
-def test_analyze_at_graph6_cap(make, tmp_path, capsys):
+def test_analyze_at_graph6_cap(make, text, error, tmp_path, capsys):
     path = tmp_path / "cap.g6"
     path.write_text(write_graph6(make()) + "\n")
     code, out, _ = run(capsys, "analyze", "--json", str(path))
     assert code == 0
     [report] = json.loads(out)
     assert report["n"] == 258
+    assert (report["spectrum_text"], report["spectrum_error"]) == (text, error)
     assert report_inconsistencies(report) == []

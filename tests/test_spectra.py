@@ -211,8 +211,8 @@ def _split_nonsquares():
 
 
 def _quadratics(rem, bound, p):
-    """The quadratics the GF(p) step proposes for rem."""
-    return spectra._gfp_step(rem, bound, p).quadratics
+    """The (b, c) of each x^2 - b x + c the GF(p) step proposes for rem."""
+    return [(-f[1], f[0]) for f in spectra._gfp_step(rem, bound, p).factors if len(f) == 3]
 
 
 def _spy(monkeypatch, name):
@@ -330,7 +330,7 @@ def test_step_prime_is_least_admissible():
 
 def test_unlucky_prime_is_refused(monkeypatch):
     g = families.paley(61)
-    _, rem = spectra._extract_integer_roots(char_poly(g).coeffs, 30)
+    rem = spectra._divide_out(char_poly(g).coeffs, [(-30, 1)], {})
     assert _quadratics(rem, 30, P) == [(-1, -15)]
     # x^2 + x - 15 has discriminant 61, so mod 61 it is (x + 31)^2: the
     # factor would be lost, and the step refuses the prime
@@ -444,10 +444,11 @@ def test_every_admissible_quadratic_is_proposed_at_small_primes():
         # split mod p (through L) and inert mod p (through Q) both occur
         legendre = {pow((b * b - 4 * c) % p, (p - 1) // 2, p) for b, c in chosen}
         assert legendre == {1, p - 1}
-        cands = _quadratics(rem, bound, p)
-        assert set(chosen) <= set(cands)
-        assert spectra._divide_out_quadratics(rem, cands) == (
-            {bc: 1 for bc in chosen}, (1,))
+        factors = spectra._gfp_step(rem, bound, p).factors
+        assert {(c, -b, 1) for b, c in chosen} <= set(factors)
+        mults = {}
+        assert spectra._divide_out(rem, factors, mults) == (1,)
+        assert mults == {(c, -b, 1): 1 for b, c in chosen}
 
     # all 34: degree 68 > 8 k^2, so p = 71
     check(quads, 71)
@@ -459,11 +460,19 @@ def test_every_admissible_quadratic_is_proposed_at_small_primes():
 # -- the one-prime certificate ------------------------------------------------
 
 
-def _certified(g):
-    """The certificate's spectrum of g, or None when it declines; called
+def _certificate(g):
+    """The certificate's table for g, or None when it declines; called
     directly, whatever primes_for(n, k) is."""
-    certified, _ = spectra._certificate(g, int(g.degrees().max(initial=0)))
-    return None if certified is None else spectra._checked_spectrum(g, *certified)
+    k = int(g.degrees().max(initial=0))
+    p = spectra._step_prime(k, g.n)
+    fp = char_poly_mod(g, (p,))[0].tolist()
+    return spectra._certificate(g, fp, p, spectra._gfp_step(fp, k, p))
+
+
+def _certified(g):
+    """The certificate's spectrum of g, or None when it declines."""
+    table = _certificate(g)
+    return None if table is None else spectra._checked_spectrum(g, table)
 
 
 def _crt_route(monkeypatch, g):
@@ -540,10 +549,10 @@ def test_certificate_declines_when_a_split_quadratic_meets_two_others():
     assert int(g.degrees().max()) == k and spectra._step_prime(k, g.n) == p
     fp = char_poly_mod(g, (p,))[0].tolist()
     step = spectra._gfp_step(fp, k, p)
-    assert step.complete and step.quadratics == [(2, -30), (4, -93), (6, -22)]
-    assert [spectra._multiplicity_mod(fp, [c % p, -b % p, 1], p)
-            for b, c in step.quadratics] == [1, 2, 1]
-    assert spectra._certificate(g, k) == (None, step.quadratics)
+    quadratics = [f for f in step.factors if len(f) == 3]
+    assert step.complete and quadratics == [(-30, -2, 1), (-93, -4, 1), (-22, -6, 1)]
+    assert [spectra._multiplicity_mod(fp, f, p) for f in quadratics] == [1, 2, 1]
+    assert _certificate(g) is None
     spec = exact_spectrum(g)
     assert spec == float_spectrum_or_residual(g)
     assert [m for ev, m in spec if not ev.is_integer] == [1] * 6
@@ -557,14 +566,13 @@ def test_certificate_declines_at_the_entry_bound():
     k = 18
     p = spectra._step_prime(k, g.n)
     step = spectra._gfp_step(char_poly_mod(g, (p,))[0].tolist(), k, p)
-    assert step.complete and step.roots == [2, 6, 8, 14, 18]
+    assert step.complete and step.factors[:5] == [(-z, 1) for z in (2, 6, 8, 14, 18)]
     a = g.adj.astype(np.int64)
-    eye = np.eye(g.n, dtype=np.int64)
-    mats = [a - z * eye for z in step.roots] + [
-        a @ a - b * a + c * eye for b, c in step.quadratics]
+    powers = (np.eye(g.n, dtype=np.int64), a, a @ a)
+    mats = [sum(c * m for c, m in zip(f, powers)) for f in step.factors]
     assert len(mats) == 10
     assert math.prod(int(np.abs(m).sum(axis=1).max()) for m in mats) >= 2**62
-    assert spectra._certificate(g, k) == (None, step.quadratics)
+    assert _certificate(g) is None
     assert exact_spectrum(g) == spectrum_from_pairs(
         pair for part in parts for pair in exact_spectrum(part))
 
@@ -594,10 +602,12 @@ def test_non_quadratic_cycles_keep_their_error(n, primes, certificate_runs, monk
     fp = char_poly_mod(families.cycle(n), (p,))[0].tolist()
     assert not spectra._gfp_step(fp, 2, p).complete
     calls, steps = _spy(monkeypatch, "_certificate"), _spy(monkeypatch, "_gfp_step")
+    primes = _spy(monkeypatch, "_step_prime")
     with pytest.raises(NonQuadraticSpectrumError) as info:
         exact_spectrum(families.cycle(n))
     assert bool(calls) == certificate_runs
-    assert len(steps) == 1  # a decline runs no second step
+    # one step prime per graph, and a decline runs no second step
+    assert primes == [(2, n)] and [q for _, _, q in steps] == [p]
     assert str(info.value) == (
         "spectrum contains non-quadratic eigenvalues; unfactored residual has degree "
         f"{n - 1}")

@@ -1,14 +1,16 @@
 """Formula evaluators and classifiers on concrete instances."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import folded_cube, hamming
-from dezakit import families
+from dezakit import families, theorems
 from dezakit.deza import SrgParams, detect_deza, detect_srg
 from dezakit.errors import ContradictionError, InfeasibleError, SpectrumShapeError
 from dezakit.eigenvalues import Eigenvalue, Spectrum
 from dezakit.graph6 import parse_graph6
-from dezakit.graphs import disjoint_union, halved_graphs, line_graph
+from dezakit.graphs import bipartite_double, disjoint_union, halved_graphs, line_graph
 from dezakit.spectra import exact_spectrum
 from dezakit.theorems import (
     affine_family_params,
@@ -294,3 +296,77 @@ def test_last_case_shape_errors(octahedron_lg, petersen):
     with pytest.raises(ValueError, match="b > a"):
         # the 4x4 rook's graph is strongly regular with lambda = mu, so b = a
         classify_last_case(line_graph(families.complete_multipartite([4, 4])))
+
+
+# -- one fault per contradiction ----------------------------------------------
+
+
+def _heawood_child_a(**fields):
+    """A fault in srg_eigen on the Heawood graph's child A, whose true
+    values are r = 0, s = -7, f = 12, g = 1."""
+    return lambda real: lambda params: replace(real(params), **fields)
+
+
+def _verdict(verdict):
+    return lambda real: lambda g: replace(real(g), verdict=verdict)
+
+
+@pytest.mark.parametrize("run, name, fault, message", [
+    pytest.param(
+        lambda: classify_eigenvalue_count(families.disjoint_cliques(3, 4)),
+        "is_disjoint_clique_union", lambda real: lambda g: None,
+        "two-eigenvalue graph is not a clique union", id="count-cliques"),
+    pytest.param(
+        lambda: classify_eigenvalue_count(families.petersen()),
+        "detect_srg", lambda real: lambda g: None,
+        "connected three-eigenvalue graph is not an SRG", id="count-srg"),
+    pytest.param(
+        lambda: classify_eigenvalue_count(disjoint_union([families.petersen()] * 2)),
+        "detect_srg", lambda real: lambda g: None,
+        "disconnected three-eigenvalue structure", id="count-components"),
+    pytest.param(
+        lambda: strongly_deza_witness(families.octahedron_line_graph()),
+        "is_strongly_deza", _verdict(False),
+        "connected non-bipartite case must be strongly Deza", id="witness-non-bipartite"),
+    pytest.param(
+        # the halves of the Desargues graph are T(5), strongly regular with
+        # lambda = 3 != mu = 4, so with no verdict they are "neither"
+        lambda: strongly_deza_witness(bipartite_double(families.petersen())),
+        "is_strongly_deza", _verdict(False),
+        "neither graph nor halves strongly Deza", id="witness-bipartite"),
+    pytest.param(
+        lambda: classify_square_case(families.heawood()),
+        "srg_eigen", _heawood_child_a(r=Eigenvalue.quadratic(-1, 1, 5, 2)),
+        "a strongly Deza child must be integral", id="square-integral-child"),
+    pytest.param(
+        lambda: classify_square_case(families.heawood()),
+        "srg_eigen", _heawood_child_a(r=_int(3)),  # theta3^2 = 2 - 3
+        "negative squared eigenvalue", id="square-negative"),
+    pytest.param(
+        lambda: classify_square_case(families.heawood()),
+        "srg_eigen", _heawood_child_a(r=_int(1)),  # theta3^2 = 1, not 2
+        "matches neither formula value", id="square-formula"),
+    pytest.param(
+        lambda: classify_square_case(families.heawood()),
+        "srg_eigen", _heawood_child_a(r=_int(-1), s=_int(0)),  # 3 and 2
+        "both formula values are non-squares", id="square-both-non-squares"),
+    pytest.param(
+        lambda: classify_square_case(families.heawood()),
+        "srg_eigen", _heawood_child_a(r=_int(2), s=_int(0)),  # 0 and 2
+        "partner value must be a nonzero square", id="square-zero-partner"),
+    pytest.param(
+        lambda: classify_square_case(families.heawood()),
+        "srg_eigen", _heawood_child_a(f=14),
+        "must both equal half of 14", id="square-multiplicities"),
+    pytest.param(
+        # C8 is Deza, not strongly Deza, and has 0 and +-sqrt(2) in its spectrum
+        lambda: singular_check(families.cycle(8)),
+        "is_strongly_deza", _verdict(True),
+        "singular strongly Deza spectra must be integral", id="singular-integral"),
+])
+def test_each_contradiction_fires_on_one_fault(run, name, fault, message, monkeypatch):
+    # every graph lies inside the hypotheses; one computation is made wrong,
+    # and the comparison that guards it must report a contradiction
+    monkeypatch.setattr(theorems, name, fault(getattr(theorems, name)))
+    with pytest.raises(ContradictionError, match=message):
+        run()

@@ -1,8 +1,10 @@
-"""verify-paper's criterion 14: its frozen random sample and its exact
-determinant oracle."""
+"""verify-paper: its frozen output, and criterion 14's frozen random sample
+and exact determinant oracle."""
 
 import hashlib
+import json
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +14,18 @@ from dezakit import verify
 from dezakit.graph6 import write_graph6
 from dezakit.verify import bareiss_determinant
 
+#: sha256 of verify-paper --json: json.dumps of the 179 rows, indent=1
+VERIFY_SHA256 = "7ac1ec515c10cb320ed9bd0c80561f4bfe54d519597485bbe2f2caa64a4a3d7f"
 #: sha256 of the 1000 graph6 lines (each ending in a newline) that
 #: criterion 14 round-trips, drawn from random.Random(181181)
 SAMPLE_SHA256 = "3e7da2f31ce3e3963e1dbc5127491e059d9bc3bde7275aa48d5fe16a42662411"
+
+
+def test_verify_paper_json_is_frozen():
+    rows = verify.run_all()
+    assert len(rows) == 179
+    text = json.dumps([asdict(r) for r in rows], indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_SHA256
 
 
 def test_criterion_14_sample_is_frozen():
