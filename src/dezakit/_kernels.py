@@ -45,7 +45,10 @@ def class_values(adj: np.ndarray, m2: np.ndarray) -> tuple[list[int], list[int]]
     n = adj.shape[0]
     offdiag = ~np.eye(n, dtype=bool)
     amask = adj.astype(bool)
-    return tuple(np.unique(m2[mask & offdiag]).tolist() for mask in (amask, ~amask))
+    # the entries are small non-negative counts, so a histogram lists them;
+    # np.unique would import numpy.ma on its first call in a process
+    return tuple(np.flatnonzero(np.bincount(m2[mask & offdiag])).tolist()
+                 for mask in (amask, ~amask))
 
 
 def triangle_count(adj: np.ndarray, m2: np.ndarray) -> int:

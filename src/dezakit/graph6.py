@@ -10,6 +10,8 @@ sparse6/digraph6) and the vertex count is capped at MAX_N = 258.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .graphs import Graph
@@ -28,19 +30,25 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-# The pairs of order n are the first n(n-1)/2 pairs of every larger order:
-# column v lists (0, v), ..., (v-1, v) and never depends on n.  So one table
-# for MAX_N serves every order by a prefix slice.
-_COLS, _ROWS = np.tril_indices(MAX_N, -1)
-_ROWS.setflags(write=False)
-_COLS.setflags(write=False)
+# graph6 lists the pairs in column order, x(0,1), x(0,2), x(1,2), ...: the
+# lower triangle in row-major order, which a boolean mask selects.  The mask
+# of order n is the leading n x n block of the mask for MAX_N, so one table
+# serves every order by a slice.
+_LOWER = np.tril(np.ones((MAX_N, MAX_N), dtype=bool), -1)
+_LOWER.setflags(write=False)
 
 
-def _column_order_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the upper triangle in graph6's column order, as
-    read-only slices of the MAX_N table."""
-    count = n * (n - 1) // 2
-    return _ROWS[:count], _COLS[:count]
+def _column_order_mask(n: int) -> np.ndarray:
+    """The pairs of order n in graph6's column order, as a read-only n x n
+    mask whose row-major True entries are (v, u) for the pair u < v."""
+    return _LOWER[:n, :n]
+
+
+# a byte outside 63..126 ('?'..'~')
+_OUT_OF_RANGE = re.compile(rb"[^?-~]")
+# a six-bit group in the high bits of a byte, from and to its graph6 character
+_GROUP_BITS = bytes(((c - 63) << 2) & 255 for c in range(256))
+_GROUP_CHAR = bytes((c >> 2) + 63 for c in range(256))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -56,9 +64,10 @@ def parse_graph6(text: str) -> Graph:
         data = line.encode("ascii")
     except UnicodeEncodeError as exc:
         raise Graph6Error("non-ASCII character", base + exc.start) from None
-    for i, byte in enumerate(data):
-        if byte < 63 or byte > 126:
-            raise Graph6Error(f"character {byte!r} out of graph6 range", base + i)
+    bad = _OUT_OF_RANGE.search(data)
+    if bad:
+        i = bad.start()
+        raise Graph6Error(f"character {data[i]!r} out of graph6 range", base + i)
 
     if data[0] == 126:
         if len(data) < 4:
@@ -87,15 +96,14 @@ def parse_graph6(text: str) -> Graph:
     if len(body) > nbytes:
         raise Graph6Error("trailing garbage after adjacency bits", body_base + nbytes)
 
-    vals = np.frombuffer(body, dtype=np.uint8) - 63
-    bits = np.unpackbits(vals.reshape(-1, 1), axis=1)[:, 2:8].reshape(-1)
-    if bits[nbits:].any():
+    # the low 6 * nbytes - nbits bits of the last group are padding
+    if nbytes and (body[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
         raise Graph6Error("nonzero padding bits", body_base + nbytes - 1)
+    groups = np.frombuffer(body.translate(_GROUP_BITS), dtype=np.uint8)
+    bits = np.unpackbits(groups.reshape(-1, 1), axis=1, count=6).reshape(-1)
     adj = np.zeros((n, n), dtype=np.uint8)
-    rows, cols = _column_order_pairs(n)
-    adj[rows, cols] = bits[:nbits]
-    adj |= adj.T
-    return Graph(adj)
+    adj[_column_order_mask(n)] = bits[:nbits]
+    return Graph(adj | adj.T)
 
 
 def write_graph6(g: Graph) -> str:
@@ -107,12 +115,8 @@ def write_graph6(g: Graph) -> str:
         prefix = bytes([n + 63])
     else:
         prefix = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    rows, cols = _column_order_pairs(n)
-    bits = g.adj[rows, cols]
-    pad = (-len(bits)) % 6
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    groups = bits.reshape(-1, 6)
-    weights = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-    body = (groups * weights).sum(axis=1).astype(np.uint8) + 63
-    return (prefix + body.tobytes()).decode("ascii")
+    nbits = n * (n - 1) // 2
+    bits = np.zeros(((nbits + 5) // 6, 6), dtype=np.uint8)
+    bits.reshape(-1)[:nbits] = g.adj[_column_order_mask(n)]
+    body = np.packbits(bits, axis=1).tobytes().translate(_GROUP_CHAR)
+    return (prefix + body).decode("ascii")

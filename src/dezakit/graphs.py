@@ -28,23 +28,33 @@ class Graph:
     __slots__ = ("n", "adj", "_hash", "_facts")
 
     def __init__(self, adj) -> None:
-        # a private copy, so later writes to the caller's array cannot reach it
-        a = np.array(adj, dtype=np.uint8, order="C")
+        a = np.asarray(adj)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency matrix must be square")
         n = int(a.shape[0])
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if a.max(initial=0) > 1:
+        # tested before the uint8 cast, which would truncate 0.5 to 0 and
+        # wrap 257 to 1; a bool or unsigned entry is 0 or 1 when none exceeds 1
+        if a.dtype.kind in "bu":
+            inexact = a.max() > 1
+        else:
+            inexact = ((a != 0) & (a != 1)).any()
+        if inexact:
             raise ValueError("adjacency entries must be 0 or 1")
-        if np.diagonal(a).any():
+        # a private copy, so later writes to the caller's array cannot reach it
+        a = a.astype(np.uint8, order="C")
+        # the two structural tests compare bytes, which costs less at the
+        # supported sizes than a numpy reduction per test
+        data = a.tobytes()
+        if data[:: n + 1] != bytes(n):
             raise ValueError("loops are not allowed")
-        if not np.array_equal(a, a.T):
+        if data != a.T.tobytes():
             raise ValueError("adjacency matrix must be symmetric")
         a.setflags(write=False)
         self.n = n
         self.adj = a
-        self._hash = hash((n, a.tobytes()))
+        self._hash = hash((n, data))
         self._facts: dict = {}
 
     @classmethod
@@ -190,8 +200,9 @@ def is_connected(g: Graph) -> bool:
 def components(g: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by minimum."""
     reach = distance_data(g).dist >= 0
-    # a component's least vertex is the first one each of its rows reaches
-    roots = np.unique(reach.argmax(axis=1))
+    # a component's least vertex is the first one each of its rows reaches,
+    # so the roots are the vertices whose own row reaches none before them
+    roots = np.flatnonzero(reach.argmax(axis=1) == np.arange(g.n))
     return [np.nonzero(reach[r])[0].tolist() for r in roots]
 
 

@@ -419,9 +419,18 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _random_graph(rng: random.Random, n: int) -> Graph:
-    """G(n, 1/2): one rng.random() draw per pair u < v, in row-major order."""
+    """G(n, 1/2): one rng.random() draw per pair u < v, in row-major order.
+
+    The draws are made in one call: getrandbits(64 m) is filled, least
+    significant first, with the same 2m Mersenne-Twister words that m calls
+    of random() consume, and random() < 0.5 exactly when the first word of
+    its pair has bit 31 clear.  So the edges and the generator state after
+    the graph are those of the per-pair draws.
+    """
     rows, cols = _upper_pairs(n)
-    edges = [rng.random() < 0.5 for _ in range(len(rows))]
+    m = len(rows)
+    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u4")
+    edges = words[::2] < 1 << 31
     a = np.zeros((n, n), dtype=np.uint8)
     a[rows, cols] = edges
     a[cols, rows] = edges

@@ -396,20 +396,48 @@ def test_closed_stdin_is_an_input_error(argv, capsys, monkeypatch):
     assert run(capsys, *argv) == (2, "", "-: stdin is closed\n")
 
 
-def test_bad_line_on_a_real_pipe():
-    good = write_graph6(families.petersen())
+def _child_env():
+    """The environment of a child Python that imports this dezakit."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(dezakit.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
     )
+    return env
+
+
+def test_bad_line_on_a_real_pipe():
+    good = write_graph6(families.petersen())
     done = subprocess.run(
         [sys.executable, "-m", "dezakit.cli", "analyze", "-"],
         input=f"{good}\n{good}\n~~\n".encode("ascii"),
-        env=env, capture_output=True, check=False,
+        env=_child_env(), capture_output=True, check=False,
     )
     assert done.returncode == 2
     assert done.stdout == b""
     assert done.stderr.decode().startswith("-:3: ")
+
+
+def test_no_analysing_verb_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 10 ms to import; numpy 1.x imports it with numpy,
+    # so only a module loaded after dezakit.cli counts
+    path = tmp_path / "petersen.g6"
+    path.write_text(write_graph6(families.petersen()) + "\n")
+    verbs = [["analyze", "--json", str(path)], ["spectrum", str(path)],
+             ["filter", "deza", str(path)], ["verify-paper"]]
+    script = f"""
+import sys
+from dezakit.cli import main
+before = set(sys.modules)
+for argv in {verbs!r}:
+    if main(argv) != 0:
+        sys.exit(f"{{argv}} failed")
+loaded = sorted(m for m in set(sys.modules) - before
+                if m == "numpy.ma" or m.startswith("numpy.ma."))
+sys.exit(f"the verbs imported {{loaded}}" if loaded else 0)
+"""
+    done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, check=False)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 @pytest.mark.parametrize("argv, order", [

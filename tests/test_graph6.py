@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from dezakit import families
-from dezakit.graph6 import MAX_N, Graph6Error, _column_order_pairs, parse_graph6, write_graph6
+from dezakit.graph6 import MAX_N, Graph6Error, _column_order_mask, parse_graph6, write_graph6
 from dezakit.graphs import Graph
 
 
@@ -99,14 +99,16 @@ def test_non_ascii():
         parse_graph6("Aé")
 
 
-def test_column_order_pairs_are_prefixes_of_one_read_only_table():
+def test_column_order_masks_are_blocks_of_one_read_only_table():
     for n in range(1, MAX_N + 1):
-        rows, cols = _column_order_pairs(n)
-        tril_cols, tril_rows = np.tril_indices(n, -1)
-        assert np.array_equal(rows, tril_rows) and np.array_equal(cols, tril_cols)
-    for pairs in _column_order_pairs(5):
-        with pytest.raises(ValueError, match="read-only"):
-            pairs[0] = 1
+        mask = _column_order_mask(n)
+        # the row-major True entries are (v, u) for the pairs u < v in
+        # graph6's column order: (0, 1), (0, 2), (1, 2), (0, 3), ...
+        vs, us = np.nonzero(mask)
+        order = [(u, v) for v in range(n) for u in range(v)]
+        assert list(zip(us.tolist(), vs.tolist())) == order
+    with pytest.raises(ValueError, match="read-only"):
+        _column_order_mask(5)[1, 0] = False
 
 
 @pytest.mark.parametrize("n", [1, 2, 62, 63, MAX_N])

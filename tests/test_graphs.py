@@ -48,8 +48,16 @@ def test_graph_validation():
         Graph([[1, 0], [0, 0]])
     with pytest.raises(ValueError, match="square"):
         Graph(np.zeros((2, 3), dtype=np.uint8))
+    # every entry that is not exactly 0 or 1 is refused, also where the uint8
+    # cast would truncate it (0.5, 1.7) or wrap it (257) to 0 or 1
+    for entry in (2, -1, 0.5, 1.7, np.int64(257)):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Graph([[0, entry], [entry, 0]])
     with pytest.raises(ValueError, match="0 or 1"):
-        Graph([[0, 2], [2, 0]])
+        Graph(np.array([[0, 2], [2, 0]], dtype=np.uint8))
+    # exact 0 and 1 are accepted in any dtype
+    for dtype in (bool, np.uint8, np.int64, float, object):
+        assert Graph(np.array([[0, 1], [1, 0]], dtype=dtype)) == families.complete(2)
     with pytest.raises(ValueError, match="at least one vertex"):
         Graph(np.zeros((0, 0), dtype=np.uint8))
 

@@ -12,8 +12,8 @@ from conftest import (
     brute_triangles,
     random_graph,
 )
-from dezakit import _kernels
-from dezakit.graphs import common_neighbour_matrix, distance_data
+from dezakit import _kernels, families
+from dezakit.graphs import Graph, common_neighbour_matrix, components, disjoint_union, distance_data
 
 
 def _random_graphs(count=12, max_n=25, seed=97):
@@ -57,6 +57,25 @@ def test_class_values_agree():
     for g in _random_graphs():
         expected = tuple(sorted(_pair_counts(g, adjacent)) for adjacent in (True, False))
         assert _kernels.class_values(g.adj, common_neighbour_matrix(g)) == expected
+
+
+def test_class_values_and_components_on_empty_selections():
+    k1, k5 = families.complete(1), families.complete(5)
+    edgeless = Graph(np.zeros((5, 5), dtype=np.uint8))
+    isolated = disjoint_union([k1, families.cycle(4), k1, families.complete(2)])
+    for g in (k1, edgeless, k5, isolated):
+        expected = tuple(sorted(_pair_counts(g, adjacent)) for adjacent in (True, False))
+        assert _kernels.class_values(g.adj, common_neighbour_matrix(g)) == expected
+        # a component is the set of vertices that one vertex reaches
+        reach = brute_distances(g) >= 0
+        expected = sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+        assert components(g) == [list(c) for c in expected]
+    # the selections are empty: K1 has no pair, the edgeless graph no
+    # adjacent pair and every vertex a root, K5 no non-adjacent pair
+    assert _pair_counts(k1, None) == _pair_counts(edgeless, True) == set()
+    assert _pair_counts(k5, False) == set()
+    assert components(edgeless) == [[v] for v in range(5)]
+    assert components(isolated) == [[0], [1, 2, 3, 4], [5], [6, 7]]
 
 
 def test_triangles_agree():

@@ -37,6 +37,18 @@ def test_criterion_14_sample_is_frozen():
     assert digest.hexdigest() == SAMPLE_SHA256
 
 
+def test_random_graph_matches_the_per_pair_draws():
+    rng, reference = random.Random(5), random.Random(5)
+    for n in (1, 2, 3, 39, 40):
+        expected = np.zeros((n, n), dtype=np.uint8)
+        for u in range(n):
+            for v in range(u + 1, n):
+                expected[u, v] = expected[v, u] = reference.random() < 0.5
+        assert np.array_equal(verify._random_graph(rng, n).adj, expected)
+        assert rng.getstate() == reference.getstate()
+    assert rng.random() == reference.random()
+
+
 def _fraction_determinant(matrix) -> int:
     """Gaussian elimination over the rationals."""
     m = [[Fraction(int(x)) for x in row] for row in matrix]
