@@ -7,14 +7,22 @@ Gerhard, Modern Computer Algebra, ch. 5).  The number of primes comes from
 a Hadamard bound on the coefficients, so the result is certified, not
 guessed; see char_poly.  Polynomials are ascending coefficient tuples.
 
-char_poly_mod is the one Hessenberg kernel: det(xI - M) mod a stack of
-primes.  char_poly runs it at every prime of primes_for(n, k), and
-spectra's one-prime certificate at a single prime.  So char_poly serves
-the spectra the certificate declines or that need one prime anyway
-(spectra.exact_spectrum), and the check of verify-paper's criterion 14
-against exact determinants.  char_poly is a per-graph fact (graphs.per_graph):
-it is memoised on the graph, so criterion 14 reads the polynomial that
-exact_spectrum already computed instead of running a second pass.
+char_poly_mod is the one Hessenberg kernel: det(xI - M_s) mod p_s for a
+stack of adjacency matrices M_s of one order, one prime p_s per row.
+char_poly runs it on one graph, one row per prime of primes_for(n, k), and
+spectra's one-prime certificate on one graph at a single prime.  char_polys
+runs many graphs at once: one stack per order, each graph filling a row per
+prime, so a stream of small graphs pays the kernel's per-column overhead
+once per order instead of once per graph.  A stack is split into passes of
+at most STACK_ELEMENTS entries, which bounds its memory whatever the stream.
+
+char_poly serves the spectra the certificate declines or that need few
+primes anyway (spectra.exact_spectrum), and the check of verify-paper's
+criterion 14 against exact determinants.  char_poly is a per-graph fact
+(graphs.per_graph): it is memoised on the graph, so criterion 14 reads the
+polynomial that exact_spectrum already computed instead of running a second
+pass, and char_polys stores its results in that memo, so a graph it has
+served runs no pass of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from functools import cache
 
 import numpy as np
 
-from .graphs import Graph, per_graph
+from .graphs import Graph, fill_facts, per_graph
 
 # -- integer polynomial helpers (ascending coefficients) -------------------
 
@@ -223,16 +231,65 @@ def _hessenberg_charpoly(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     return polys[:, n]
 
 
-def char_poly_mod(g: Graph, primes) -> np.ndarray:
-    """det(xI - M) mod each of the given primes below 2^26, by one stacked
-    Hessenberg pass: row s holds the ascending coefficients mod primes[s]."""
-    n = g.n
+#: a stacked pass holds at most this many matrix entries (rows x n^2, 8 MB
+#: of int64), so a long stream of one order runs as several passes
+STACK_ELEMENTS = 1 << 20
+
+
+def char_poly_mod(adjs, primes) -> np.ndarray:
+    """det(xI - adjs[s]) mod primes[s] for a stack of adjacency matrices of
+    one order and one prime below 2^26 per matrix, by one stacked Hessenberg
+    pass: row s holds the ascending coefficients mod primes[s]."""
+    if len({a.shape for a in adjs}) != 1:
+        raise ValueError("a stack holds matrices of one order")
+    n = adjs[0].shape[0]
     if n > MAX_ORDER:
         raise ValueError(f"char_poly supports n <= {MAX_ORDER}, got {n}")
     p = np.array(primes, dtype=np.int64)
-    h = np.repeat(g.adj.astype(np.int64)[None], len(primes), axis=0)
+    h = np.array(adjs, dtype=np.int64)
     _hessenberg(h, p)
     return _hessenberg_charpoly(h, p)
+
+
+def _lift(residues: list[list[int]], primes) -> CharPoly:
+    """The integer polynomial with the given residues mod each prime (one
+    row per prime), by the Chinese remainder theorem and the symmetric lift."""
+    modulus = math.prod(primes)
+    weights = []
+    for q in primes:
+        rest = modulus // q
+        weights.append(rest * pow(rest, -1, q))
+    half = modulus // 2
+    coeffs = []
+    for column in zip(*residues):
+        c = sum(r * w for r, w in zip(column, weights)) % modulus
+        coeffs.append(c - modulus if c > half else c)
+    return CharPoly(tuple(coeffs))
+
+
+def _char_polys(graphs) -> list[CharPoly]:
+    """det(xI - M) of each graph, in order: the graphs of one order run as
+    one stack of (graph, prime) rows, split into passes of at most
+    STACK_ELEMENTS entries, and each graph's rows are lifted together."""
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    polys: list = [None] * len(graphs)
+    for n, members in by_order.items():
+        adjs, primes, spans = [], [], []
+        for i in members:
+            g = graphs[i]
+            ps = primes_for(n, int(g.degrees().max(initial=0)))
+            spans.append((i, len(primes), len(primes) + len(ps)))
+            adjs += [g.adj] * len(ps)
+            primes += ps
+        per = max(STACK_ELEMENTS // (n * n), 1)
+        residues = []
+        for s in range(0, len(primes), per):
+            residues += char_poly_mod(adjs[s : s + per], primes[s : s + per]).tolist()
+        for i, start, stop in spans:
+            polys[i] = _lift(residues[start:stop], primes[start:stop])
+    return polys
 
 
 @per_graph
@@ -244,8 +301,10 @@ def char_poly(g: Graph) -> CharPoly:
     descending list of primes below 2^26) M is reduced to upper Hessenberg
     form by a similarity over GF(p), and det(xI - M) mod p is read off the
     Hessenberg recurrence.  All primes run together as one stack of int64
-    matrices.  The residues are combined by the Chinese remainder theorem
-    and lifted to the symmetric range (-P/2, P/2], P the product of primes.
+    matrices, split into passes of at most STACK_ELEMENTS entries
+    (char_polys stacks many graphs of one order the same way).  The
+    residues are combined by the Chinese remainder theorem and lifted to the
+    symmetric range (-P/2, P/2], P the product of primes.
 
     Bound.  The coefficient of x^(n-i) is, up to sign, the sum of the
     C(n, i) principal i x i minors of M.  A row of such a minor holds at
@@ -262,17 +321,11 @@ def char_poly(g: Graph) -> CharPoly:
     and a sum of n such products fits int64 while n <= MAX_ORDER (it stays
     below 2^61 at the graph6 cap of n = 258).
     """
-    primes = primes_for(g.n, int(g.degrees().max(initial=0)))
-    residues = char_poly_mod(g, primes)
+    return _char_polys([g])[0]
 
-    modulus = math.prod(primes)
-    weights = []
-    for q in primes:
-        rest = modulus // q
-        weights.append(rest * pow(rest, -1, q))
-    half = modulus // 2
-    coeffs = []
-    for column in residues.T.tolist():
-        c = sum(r * w for r, w in zip(column, weights)) % modulus
-        coeffs.append(c - modulus if c > half else c)
-    return CharPoly(tuple(coeffs))
+
+def char_polys(graphs) -> list[CharPoly]:
+    """char_poly of each graph, storing it on every graph that lacks it:
+    those graphs run one stacked pass per order (split at STACK_ELEMENTS)
+    instead of one pass each, and their memo serves every later char_poly."""
+    return fill_facts(char_poly, graphs, _char_polys)

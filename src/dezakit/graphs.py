@@ -116,7 +116,22 @@ def per_graph(fn):
             facts[fn] = fn(g)
         return facts[fn]
 
+    # the memo's key for fill_facts; functools.wraps copies it onto any
+    # wrapper of the fact, where __wrapped__ would name the fact itself
+    fact.memo_key = fn
     return fact
+
+
+def fill_facts(fact, graphs, compute) -> list:
+    """The per_graph fact of each graph, in order.  The graphs that lack it
+    get it from one call compute(lacking), which returns their values in
+    order, and store it: a batch computes the fact for many graphs at once,
+    and the memo serves each later call."""
+    key = fact.memo_key
+    lacking = [g for g in graphs if key not in g._facts]
+    for g, value in zip(lacking, compute(lacking), strict=True):
+        g._facts[key] = value
+    return [g._facts[key] for g in graphs]
 
 
 @dataclass(frozen=True)

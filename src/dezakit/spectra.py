@@ -14,10 +14,14 @@ The certificate (_certificate) settles a spectrum whose eigenvalues are all
 integers or quadratic irrationals at one prime, with no Chinese
 remaindering.  It runs when char_poly would need more than
 CERTIFY_ABOVE_PRIMES primes (primes_for(n, k)).  With no more, the graph is
-small, and a Hessenberg pass costs about as much at one prime as at all of
-them: its per-column overhead outweighs the arithmetic.  The certificate
-then saves nothing when it succeeds and costs one more pass when it
-declines.  When it declines, the CRT route decides, so a non-quadratic
+small (n <= 80 unless it has no edge), and the verbs run its char_poly as a
+few rows of one stacked Hessenberg pass per order and chunk of their input
+(prefill_char_polys), which shares the pass's per-column overhead among the
+graphs.  The certificate would then save nothing when it succeeds and cost
+a pass of its own when it declines.  Above the gate the certificate costs
+no more than a stacked pass on a quadratic spectrum, the kind the graphs of
+the paper have, and less as n grows; a non-quadratic spectrum pays for the
+decline.  When it declines, the CRT route decides, so a non-quadratic
 spectrum still reports the degree of its residual.
 
 The GF(p) step.  Both routes propose factors by one exact step over GF(p),
@@ -114,6 +118,7 @@ from .charpoly import (
     MAX_ORDER,
     char_poly,
     char_poly_mod,
+    char_polys,
     poly_eval,
     poly_try_divide,
     primes_for,
@@ -407,6 +412,20 @@ def _divide_out(rem, factors, mults):
     return rem
 
 
+def _crt_route(n: int, bound: int) -> bool:
+    """Whether the CRT route decides the spectrum of a graph with n vertices
+    and maximum degree bound, with no certificate tried first."""
+    return len(primes_for(n, bound)) <= CERTIFY_ABOVE_PRIMES
+
+
+def prefill_char_polys(graphs) -> None:
+    """Store char_poly on exactly the graphs whose spectrum the CRT route
+    will decide (charpoly.char_polys): one stacked Hessenberg pass per order
+    instead of one per graph.  Certificate-route graphs are left alone, so
+    no graph runs a pass that exact_spectrum would not run."""
+    char_polys([g for g in graphs if _crt_route(g.n, int(g.degrees().max(initial=0)))])
+
+
 @per_graph
 def exact_spectrum(g: Graph) -> Spectrum:
     """Exact eigenvalues with certified multiplicities.
@@ -417,8 +436,8 @@ def exact_spectrum(g: Graph) -> Spectrum:
     bound = int(g.degrees().max(initial=0))
     p = _step_prime(bound, g.n)
     step = None
-    if len(primes_for(g.n, bound)) > CERTIFY_ABOVE_PRIMES:
-        fp = char_poly_mod(g, (p,))[0].tolist()
+    if not _crt_route(g.n, bound):
+        fp = char_poly_mod([g.adj], (p,))[0].tolist()
         step = _gfp_step(fp, bound, p)
         certified = _certificate(g, fp, p, step)
         if certified is not None:

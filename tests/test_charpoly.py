@@ -1,13 +1,14 @@
 """Exact characteristic polynomials against independent oracles: Bareiss
 determinants, the Faddeev-LeVerrier recurrence and closed forms."""
 
+import contextlib
 import math
 import random
 
 import numpy as np
 import pytest
 
-from conftest import faddeev_leverrier, random_graph
+from conftest import faddeev_leverrier, random_graph, random_regular_graph
 from dezakit import charpoly, families, spectra
 from dezakit.charpoly import CharPoly, char_poly, poly_divmod_monic, poly_eval, poly_mul, poly_try_divide
 from dezakit.graph6 import MAX_N
@@ -62,17 +63,18 @@ def test_matches_bareiss_determinant():
 def test_char_poly_is_a_per_graph_fact(monkeypatch):
     passes = []
     kernel = charpoly.char_poly_mod
+    # each pass is recorded by the adjacency array of its first row
     monkeypatch.setattr(charpoly, "char_poly_mod",
-                        lambda g, primes: passes.append(g) or kernel(g, primes))
+                        lambda adjs, primes: passes.append(adjs[0]) or kernel(adjs, primes))
     g = Graph(families.petersen().adj)  # no fact computed yet
     assert _prime_count(g) <= spectra.CERTIFY_ABOVE_PRIMES  # the CRT route
     spectra.exact_spectrum(g)
-    assert passes == [g]
+    assert len(passes) == 1 and passes[0] is g.adj
     cp = char_poly(g)
-    assert char_poly(g) is cp and passes == [g]
+    assert char_poly(g) is cp and len(passes) == 1
     # an equal graph is a new analysis: it runs its own pass
     other = Graph(g.adj)
-    assert char_poly(other) == cp and len(passes) == 2 and passes[1] is other
+    assert char_poly(other) == cp and len(passes) == 2 and passes[1] is other.adj
 
 
 def test_poly_helpers():
@@ -179,3 +181,94 @@ def test_hessenberg_mod_small_primes():
         exact = np.array(faddeev_leverrier(g), dtype=object)
         for q, row in zip(p.tolist(), residues.tolist()):
             assert row == (exact % q).tolist()
+
+
+def _path(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _stack_mix():
+    """Fresh graphs of mixed orders needing 1, 2 and 3 primes, K1, an
+    edgeless graph, the perfect matching on 80 vertices (the largest order
+    the CRT route decides for a graph with edges), and paths beside graphs
+    of their order: a path is already Hessenberg, so it needs no step at any
+    column, while the kernel steps a column when any row of the stack needs
+    it."""
+    rng = random.Random(20)
+    return [
+        Graph(np.zeros((1, 1), dtype=np.uint8)),
+        Graph(np.zeros((6, 6), dtype=np.uint8)),
+        _path(8),
+        families.cycle(8),
+        random_graph(rng, 8),
+        families.petersen(),
+        random_regular_graph(rng, 16, 6),
+        random_regular_graph(rng, 20, 3),
+        random_regular_graph(rng, 27, 10),
+        families.disjoint_cliques(40, 2),
+        _path(14),
+        families.heawood(),
+    ]
+
+
+def test_char_polys_match_char_poly_graph_by_graph():
+    mix = _stack_mix()
+    assert sorted({_prime_count(g) for g in mix}) == [1, 2, 3]
+    assert all(_prime_count(g) <= spectra.CERTIFY_ABOVE_PRIMES for g in mix)
+    stacked = charpoly.char_polys([Graph(g.adj) for g in mix])
+    assert stacked == [char_poly(Graph(g.adj)) for g in mix]
+    assert stacked[0].coeffs == (0, 1)  # K1
+    assert stacked[1].coeffs == (0,) * 6 + (1,)  # edgeless
+    matching = (1,)
+    for _ in range(40):
+        matching = poly_mul(matching, (-1, 0, 1))
+    assert stacked[9].coeffs == matching  # (x^2 - 1)^40
+    for g, cp in zip(mix[:9], stacked):
+        assert cp.coeffs == faddeev_leverrier(g)
+
+
+def test_kernel_refuses_mixed_orders():
+    with pytest.raises(ValueError, match="one order"):
+        charpoly.char_poly_mod([families.cycle(5).adj, families.cycle(6).adj], (7, 7))
+
+
+def _count_passes(monkeypatch):
+    """The shape of the stack of every Hessenberg pass from now on."""
+    shapes = []
+    kernel = charpoly._hessenberg
+    monkeypatch.setattr(charpoly, "_hessenberg",
+                        lambda h, p: shapes.append(h.shape) or kernel(h, p))
+    return shapes
+
+
+def test_prefill_runs_one_pass_per_order(monkeypatch):
+    rng = random.Random(4)
+    crt = _stack_mix()[2:] + [families.cycle(7), random_regular_graph(rng, 16, 6)]
+    certified = families.paley(61)  # 7 primes: the certificate decides it
+    assert _prime_count(certified) > spectra.CERTIFY_ABOVE_PRIMES
+    shapes = _count_passes(monkeypatch)
+    spectra.prefill_char_polys(crt + [certified])
+    orders = {g.n for g in crt}
+    assert len(shapes) == len(orders) and {n for _, n, _ in shapes} == orders
+    assert sum(rows for rows, _, _ in shapes) == sum(map(_prime_count, crt))
+    # the spectra read the stored polynomials; only the certificate runs
+    for g in crt:
+        with contextlib.suppress(spectra.NonQuadraticSpectrumError):  # C7, P8, ...
+            spectra.exact_spectrum(g)
+    assert len(shapes) == len(orders)
+    spectra.exact_spectrum(certified)
+    assert shapes[-1] == (1, 61, 61)
+    # a graph that holds its polynomial is not passed again
+    late = families.icosahedron()
+    spectra.prefill_char_polys(crt + [late])
+    assert shapes[len(orders) + 1 :] == [(1, 12, 12)]
+
+
+def test_stacks_stay_within_the_element_budget(monkeypatch):
+    matchings = [families.disjoint_cliques(40, 2) for _ in range(256)]
+    shapes = _count_passes(monkeypatch)
+    spectra.prefill_char_polys(matchings)
+    assert all(rows * n * n <= charpoly.STACK_ELEMENTS for rows, n, _ in shapes)
+    per = charpoly.STACK_ELEMENTS // 80**2
+    assert [rows for rows, _, _ in shapes] == [per] * (768 // per) + [768 % per]
+    assert len({char_poly(g) for g in matchings}) == 1

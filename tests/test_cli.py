@@ -15,9 +15,9 @@ import dezakit
 from dezakit import cli, deza, families, theorems, verify
 from dezakit.cli import main
 from dezakit.eigenvalues import Spectrum
-from dezakit.graph6 import write_graph6
-from dezakit.report import report_inconsistencies
-from dezakit.spectra import exact_spectrum
+from dezakit.graph6 import parse_graph6, write_graph6
+from dezakit.report import build_report, report_inconsistencies
+from dezakit.spectra import NonQuadraticSpectrumError, exact_spectrum
 
 
 def run(capsys, *argv):
@@ -229,6 +229,48 @@ def test_spectrum_json_and_bad_line(tmp_path, capsys):
         code, out, err = run(capsys, "spectrum", *flags, str(path))
         assert (code, out) == (2, "")
         assert err == f"{path}:2: graph6 vertex count must be at least 1 (byte offset 0)\n"
+
+
+def test_chunk_boundaries_change_no_output(tmp_path, capsys, monkeypatch):
+    # 2 CHUNK + 3 graphs of mixed orders and prime counts; Paley(61)
+    # (certificate route) is in the first two chunks, C7 (non-quadratic) in
+    # the first and the last
+    rng = random.Random(256)
+    pool = [random_regular_graph(rng, n, k)  # one prime, and two at n = 16
+            for n, k in ((8, 3), (9, 4), (10, 3), (11, 4), (12, 5), (13, 6), (14, 5),
+                         (16, 6), (16, 9))]
+    graphs = [families.paley(61), families.cycle(7), families.petersen()]
+    graphs += [pool[i % len(pool)] for i in range(2 * cli.CHUNK)]
+    graphs[cli.CHUNK + 1], graphs[2 * cli.CHUNK + 1] = graphs[0], graphs[1]
+    path = tmp_path / "stream.g6"
+    lines = [write_graph6(g) for g in graphs]
+    path.write_text("\n".join(lines) + "\n")
+    chunks = []
+    prefill = cli.prefill_char_polys
+    monkeypatch.setattr(cli, "prefill_char_polys",
+                        lambda gs: chunks.append(len(gs)) or prefill(gs))
+    fresh = [(f"{path}:{i}", parse_graph6(line)) for i, line in enumerate(lines, 1)]
+
+    code, out, _ = run(capsys, "analyze", "--json", str(path))
+    assert code == 0 and chunks == [cli.CHUNK, cli.CHUNK, 3]
+    assert out == json.dumps([build_report(g, src) for src, g in fresh], indent=1) + "\n"
+
+    code, out, _ = run(capsys, "spectrum", "--json", str(path))
+    expected = []
+    for src, g in fresh:
+        try:
+            spec = exact_spectrum(g)
+            expected.append({"source": src, "spectrum": spec.to_json(), "text": str(spec)})
+        except NonQuadraticSpectrumError as exc:
+            expected.append({"source": src, "error": str(exc)})
+    assert code == 0 and out == json.dumps(expected, indent=1) + "\n"
+
+    # a bad line in the second chunk still fails the whole input
+    lines[cli.CHUNK + 5] = "?"
+    path.write_text("\n".join(lines) + "\n")
+    for verb in ("analyze", "spectrum"):
+        code, out, err = run(capsys, verb, "--json", str(path))
+        assert (code, out) == (2, "") and err.startswith(f"{path}:{cli.CHUNK + 6}: ")
 
 
 def test_children(tmp_path, capsys):

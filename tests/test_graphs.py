@@ -1,5 +1,6 @@
 """Graph type, structural queries, and the graph operators."""
 
+import functools
 import gc
 import random
 import weakref
@@ -28,6 +29,7 @@ from dezakit.graphs import (
     disjoint_union,
     distance_data,
     distance_i_graph,
+    fill_facts,
     halved_graphs,
     induced_subgraph,
     is_bipartite,
@@ -106,6 +108,33 @@ def test_per_graph_memoises_on_the_graph():
             fact(k1)
     assert len(calls) == 4
 
+
+
+def test_fill_facts_stores_what_the_fact_would_compute():
+    calls, batches = [], []
+
+    @per_graph
+    def fact(g):
+        calls.append(g)
+        return g.n
+
+    # a wrapper made with functools.wraps (as a tracer makes) fills the
+    # same memo as the fact it wraps
+    @functools.wraps(fact)
+    def wrapped(g):
+        return fact(g)
+
+    held, a, b = families.cycle(4), families.cycle(5), families.petersen()
+    assert fact(held) == 4 and len(calls) == 1
+
+    def batch(graphs):
+        batches.append(graphs)
+        return [10 * g.n for g in graphs]
+
+    # only the graphs that lack the fact are computed, in one call
+    assert fill_facts(wrapped, [held, a, b], batch) == [4, 50, 100]
+    assert len(batches) == 1 and [id(g) for g in batches[0]] == [id(a), id(b)]
+    assert fact(a) == 50 and fact(b) == 100 and len(calls) == 1
 
 def test_facts_are_dropped_with_the_graph():
     g = families.paley(13)

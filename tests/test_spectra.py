@@ -465,7 +465,7 @@ def _certificate(g):
     directly, whatever primes_for(n, k) is."""
     k = int(g.degrees().max(initial=0))
     p = spectra._step_prime(k, g.n)
-    fp = char_poly_mod(g, (p,))[0].tolist()
+    fp = char_poly_mod([g.adj], (p,))[0].tolist()
     return spectra._certificate(g, fp, p, spectra._gfp_step(fp, k, p))
 
 
@@ -547,7 +547,7 @@ def test_certificate_declines_when_a_split_quadratic_meets_two_others():
                         join_of_cliques(1, 5, 3, 2)])
     k, p = 13, 1367
     assert int(g.degrees().max()) == k and spectra._step_prime(k, g.n) == p
-    fp = char_poly_mod(g, (p,))[0].tolist()
+    fp = char_poly_mod([g.adj], (p,))[0].tolist()
     step = spectra._gfp_step(fp, k, p)
     quadratics = [f for f in step.factors if len(f) == 3]
     assert step.complete and quadratics == [(-30, -2, 1), (-93, -4, 1), (-22, -6, 1)]
@@ -565,7 +565,7 @@ def test_certificate_declines_at_the_entry_bound():
     g = disjoint_union(parts)
     k = 18
     p = spectra._step_prime(k, g.n)
-    step = spectra._gfp_step(char_poly_mod(g, (p,))[0].tolist(), k, p)
+    step = spectra._gfp_step(char_poly_mod([g.adj], (p,))[0].tolist(), k, p)
     assert step.complete and step.factors[:5] == [(-z, 1) for z in (2, 6, 8, 14, 18)]
     a = g.adj.astype(np.int64)
     powers = (np.eye(g.n, dtype=np.int64), a, a @ a)
@@ -580,7 +580,7 @@ def test_certificate_declines_at_the_entry_bound():
 def test_c7_certificate_declines_at_membership(c7, monkeypatch):
     # mod 43 the cubic factor of C7 splits, so the step is complete and the
     # certificate declines at P != 0
-    fp = char_poly_mod(c7, (43,))[0].tolist()
+    fp = char_poly_mod([c7.adj], (43,))[0].tolist()
     assert spectra._step_prime(2, 7) == 43 and spectra._gfp_step(fp, 2, 43).complete
     assert _certified(c7) is None
     # membership alone declines it: a count forced to n changes nothing
@@ -599,7 +599,7 @@ def test_c7_certificate_declines_at_membership(c7, monkeypatch):
 def test_non_quadratic_cycles_keep_their_error(n, primes, certificate_runs, monkeypatch):
     assert len(spectra.primes_for(n, 2)) == primes
     p = spectra._step_prime(2, n)
-    fp = char_poly_mod(families.cycle(n), (p,))[0].tolist()
+    fp = char_poly_mod([families.cycle(n).adj], (p,))[0].tolist()
     assert not spectra._gfp_step(fp, 2, p).complete
     calls, steps = _spy(monkeypatch, "_certificate"), _spy(monkeypatch, "_gfp_step")
     primes = _spy(monkeypatch, "_step_prime")
