@@ -70,6 +70,20 @@ A proposal is never trusted.  In the CRT route exact division decides the
 result: a candidate that is no factor fails it, and as every division is
 exact, the factors divided out and the residual multiply back to f.
 
+Why the CRT route's table is a function of (f, k) alone.  The route reads
+nothing of the graph but f = char_poly(g) and its maximum degree k: it
+tries the integers in [-k, k] as roots, runs the GF(p) step at
+p = _step_prime(k, deg f) on what is left, and divides out what the step
+proposes; every division is exact.  So the table {factor: multiplicity}
+and the residual it leaves depend on (f, k) and on nothing else, and
+graphs with equal (f, k) share one (_factor_table): relabelled copies,
+cospectral mates of equal maximum degree, the children that many Deza
+graphs have in common.  The last FACTOR_TABLES tables are kept.  Each
+graph still runs its own trace check, and a non-quadratic residual is a
+kept value too, so every graph that has it raises.  The certificate reads
+M itself and shares nothing; when it declines, its step goes to the same
+function, past the cache.
+
 The certificate, and why it is a proof.  Let f_p = det(xI - M) mod p
 (charpoly.char_poly_mod, one Hessenberg pass), and run the GF(p) step on it.
 - If the spectrum is quadratic, f is a product of linear and quadratic
@@ -109,7 +123,9 @@ eigenvalues is 2|E|.
 
 from __future__ import annotations
 
+import functools
 import math
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -130,6 +146,10 @@ from .graphs import Graph, common_neighbour_matrix, per_graph
 #: the certificate runs when char_poly would need more primes than this; the
 #: module docstring says why it does not run below
 CERTIFY_ABOVE_PRIMES = 3
+
+#: how many factor tables the CRT route keeps across graphs (least recently
+#: used first out); README gives the memory this bounds
+FACTOR_TABLES = 256
 
 
 class NonQuadraticSpectrumError(ValueError):
@@ -426,6 +446,37 @@ def prefill_char_polys(graphs) -> None:
     char_polys([g for g in graphs if _crt_route(g.n, int(g.degrees().max(initial=0)))])
 
 
+class FactorTable(NamedTuple):
+    """What the CRT route makes of a characteristic polynomial."""
+
+    #: read-only {monic factor: multiplicity}
+    factors: MappingProxyType
+    #: what no factor divides: (1,), or a non-quadratic residual
+    residual: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=FACTOR_TABLES)
+def _factor_table(coeffs: tuple[int, ...], bound: int, step: Proposal | None) -> FactorTable:
+    """The CRT route on the monic integer polynomial coeffs, for a graph of
+    maximum degree bound: strip every integer root in [-bound, bound], then
+    divide out what the GF(p) step proposes for the rest, at
+    p = _step_prime(bound, deg coeffs), or what the given step proposed.
+
+    Cached on (coeffs, bound) with step None: the table is a function of
+    these alone (module docstring).  A certificate's decline hands over its
+    step through _factor_table.__wrapped__, past the cache."""
+    rem = coeffs
+    mults: dict[tuple[int, ...], int] = {}
+    for z in range(bound, -bound - 1, -1):
+        if poly_eval(rem, z) == 0:
+            rem = _divide_out(rem, [(-z, 1)], mults)
+    if len(rem) > 1:
+        if step is None:
+            step = _gfp_step(rem, bound, _step_prime(bound, len(coeffs) - 1))
+        rem = _divide_out(rem, step.factors, mults)
+    return FactorTable(MappingProxyType(mults), rem)
+
+
 @per_graph
 def exact_spectrum(g: Graph) -> Spectrum:
     """Exact eigenvalues with certified multiplicities.
@@ -434,27 +485,19 @@ def exact_spectrum(g: Graph) -> Spectrum:
     three or more is present (e.g. the 7-cycle).
     """
     bound = int(g.degrees().max(initial=0))
-    p = _step_prime(bound, g.n)
-    step = None
-    if not _crt_route(g.n, bound):
+    if _crt_route(g.n, bound):
+        table = _factor_table(char_poly(g).coeffs, bound, None)
+    else:
+        p = _step_prime(bound, g.n)
         fp = char_poly_mod([g.adj], (p,))[0].tolist()
         step = _gfp_step(fp, bound, p)
         certified = _certificate(g, fp, p, step)
         if certified is not None:
             return _checked_spectrum(g, certified)
-
-    rem = char_poly(g).coeffs
-    mults: dict[tuple[int, ...], int] = {}
-    for z in range(bound, -bound - 1, -1):
-        if poly_eval(rem, z) == 0:
-            rem = _divide_out(rem, [(-z, 1)], mults)
-    if len(rem) > 1:
-        if step is None:
-            step = _gfp_step(rem, bound, p)
-        rem = _divide_out(rem, step.factors, mults)
-    if len(rem) > 1:
-        raise NonQuadraticSpectrumError(rem)
-    return _checked_spectrum(g, mults)
+        table = _factor_table.__wrapped__(char_poly(g).coeffs, bound, step)
+    if len(table.residual) > 1:
+        raise NonQuadraticSpectrumError(table.residual)
+    return _checked_spectrum(g, table.factors)
 
 
 def _checked_spectrum(g: Graph, mults) -> Spectrum:

@@ -19,7 +19,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from dezakit import families
+from dezakit import families, spectra
 from dezakit.charpoly import char_poly, poly_try_divide
 from dezakit.eigenvalues import Eigenvalue, Spectrum
 from dezakit.graphs import Graph, bipartite_double, disjoint_union, line_graph
@@ -242,6 +242,13 @@ def folded_cube(d: int) -> Graph:
     n = 1 << (d - 1)
     flips = [1 << i for i in range(d - 1)] + [n - 1]
     return Graph.from_edges(n, [(v, v ^ f) for v in range(n) for f in flips])
+
+
+@pytest.fixture(autouse=True)
+def fresh_factor_tables():
+    """Start each test with no factor table cached, so that a test which
+    counts GF(p) steps does not depend on what earlier tests factored."""
+    spectra._factor_table.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -150,7 +152,8 @@ def test_spectrum_lives_on_its_graph(monkeypatch):
     g = families.petersen()
     spec = exact_spectrum(g)
     assert exact_spectrum(g) is spec and len(calls) == 1
-    # an equal graph is a new analysis: no cache spans graphs
+    # an equal graph is a new analysis: its char_poly is computed again, and
+    # only the factor table of that polynomial is shared
     assert exact_spectrum(Graph(g.adj)) == spec and len(calls) == 2
     # a failure is not stored: C7 is computed again
     c7 = families.cycle(7)
@@ -611,6 +614,108 @@ def test_non_quadratic_cycles_keep_their_error(n, primes, certificate_runs, monk
     assert str(info.value) == (
         "spectrum contains non-quadratic eigenvalues; unfactored residual has degree "
         f"{n - 1}")
+
+
+# -- the CRT route's factor tables, shared across graphs ------------------------
+
+
+def _relabelled(g, seed):
+    perm = np.random.default_rng(seed).permutation(g.n)
+    return Graph(g.adj[np.ix_(perm, perm)])
+
+
+def test_relabelled_copy_reuses_the_table(monkeypatch):
+    steps = _spy(monkeypatch, "_gfp_step")
+    g = families.paley(13)
+    copy = _relabelled(g, 1)
+    assert not np.array_equal(g.adj, copy.adj)
+    spec = exact_spectrum(g)
+    assert len(steps) == 1
+    # no second GF(p) step, and an equal spectrum
+    assert exact_spectrum(copy) == spec and str(exact_spectrum(copy)) == str(spec)
+    assert len(steps) == 1
+    info = spectra._factor_table.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_a_cached_residual_still_raises(c7, monkeypatch):
+    steps = _spy(monkeypatch, "_gfp_step")
+    residuals = []
+    for g in (c7, _relabelled(c7, 2)):
+        with pytest.raises(NonQuadraticSpectrumError) as info:
+            exact_spectrum(g)
+        residuals.append(info.value.residual)
+    assert residuals[0] == residuals[1] == _power((-1, -2, 1, 1), 2)
+    assert len(steps) == 1
+
+
+def test_cospectral_graphs_of_unequal_degree_take_two_entries():
+    # K_{1,4} and C4 + K1: both det(xI - M) = x^5 - 4x^3, maximum degrees 4, 2
+    star = families.complete_multipartite([1, 4])
+    square = disjoint_union([families.cycle(4), families.complete(1)])
+    assert char_poly(star) == char_poly(square)
+    assert exact_spectrum(star) == exact_spectrum(square)
+    assert str(exact_spectrum(star)) == "{2^1, 0^3, (-2)^1}"
+    info = spectra._factor_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+
+
+def test_factor_tables_are_bounded():
+    # (x - 1)^a (x + 1)^b: integer roots alone, so no GF(p) step runs
+    size = spectra.FACTOR_TABLES
+    polys = [_product(*[(-1, 1)] * a, *[(1, 1)] * b) for a in range(1, 18) for b in range(18)]
+    assert len(set(polys)) > size
+    for i, f in enumerate(polys[: size + 1]):
+        table = spectra._factor_table(f, 1, None)
+        assert table.residual == (1,) and sum(table.factors.values()) == len(f) - 1
+        assert spectra._factor_table.cache_info().currsize == min(i + 1, size)
+    info = spectra._factor_table.cache_info()
+    assert info.maxsize == size and info.currsize == size
+
+
+def test_a_cached_table_cannot_be_changed():
+    g = families.petersen()
+    table = spectra._factor_table(char_poly(g).coeffs, 3, None)
+    with pytest.raises(TypeError):
+        table.factors[(-3, 1)] = 2
+    with pytest.raises(TypeError):
+        del table.factors[(-1, 1)]
+    with pytest.raises(AttributeError):
+        table.factors.clear()
+    assert dict(table.factors) == {(-3, 1): 1, (-1, 1): 5, (2, 1): 4}
+    assert spectra._factor_table(char_poly(g).coeffs, 3, None) is table
+
+
+def test_threads_share_the_tables_without_a_lock():
+    # more threads than cores, switching often, over relabelled copies
+    bases = [families.paley(13), families.cycle(7), families.complete_multipartite([1, 4]),
+             disjoint_union([families.cycle(4), families.complete(1)])]
+    expected = [str(_spectrum_or_residual(g)) for g in bases]
+    spectra._factor_table.cache_clear()
+    results, errors = [], []
+
+    def work(seed):
+        try:
+            for i in range(40):
+                j = (seed + i) % len(bases)
+                copy = _relabelled(bases[j], seed * 40 + i)
+                results.append((j, str(_spectrum_or_residual(copy))))
+        except Exception as exc:  # noqa: BLE001 - asserted empty by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert len(results) == 240 and all(text == expected[j] for j, text in results)
+    assert spectra._factor_table.cache_info().currsize == len(bases)
 
 
 @pytest.mark.parametrize("make, text", [
