@@ -26,7 +26,7 @@ from . import report as report_mod
 from . import verify as verify_mod
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import Graph, is_connected
-from .spectra import NonQuadraticSpectrumError, exact_spectrum, prefill_char_polys
+from .spectra import NonQuadraticSpectrumError, exact_spectrum, prefill_spectra
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -34,8 +34,12 @@ EXIT_INPUT = 2
 EXIT_USAGE = 64
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a filter stopped by a closed pipe
 
-#: analyze and spectrum read this many graphs at a time and stack their
-#: characteristic polynomials (spectra.prefill_char_polys)
+#: analyze and spectrum read this many graphs at a time and fill the chunk's
+#: spectra first: one stacked Hessenberg pass per order, then one stacked
+#: GF(p) step for the factor tables the store lacks (spectra.prefill_spectra),
+#: and for analyze the same again for the children that build_report checks
+#: (report.prefill_reports); spectra.FACTOR_TABLES keeps 3 CHUNK tables, so
+#: none of them goes before the chunk's reports read it
 CHUNK = 256
 
 
@@ -80,14 +84,13 @@ def _graphs(path: str):
         yield source, g
 
 
-def _chunked_graphs(path: str):
-    """_graphs(path), read CHUNK graphs at a time: the characteristic
-    polynomials of each chunk's CRT-route graphs run as one stacked pass per
-    order before its first graph is yielded.  A graph is let go once
+def _chunked_graphs(path: str, prefill):
+    """_graphs(path), read CHUNK graphs at a time: prefill(graphs) runs on
+    each chunk before its first graph is yielded.  A graph is let go once
     yielded, so the caller alone decides how long it lives."""
     graphs = _graphs(path)
     while chunk := deque(islice(graphs, CHUNK)):
-        prefill_char_polys([g for _, g in chunk])
+        prefill([g for _, g in chunk])
         while chunk:
             yield chunk.popleft()
 
@@ -114,7 +117,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
-    reports = [report_mod.build_report(g, source) for source, g in _chunked_graphs(args.path)]
+    graphs = _chunked_graphs(args.path, report_mod.prefill_reports)
+    reports = [report_mod.build_report(g, source) for source, g in graphs]
 
     issues = [
         issue for rep in reports for issue in report_mod.report_inconsistencies(rep)
@@ -219,7 +223,7 @@ def cmd_filter(args) -> int:
 
 def cmd_spectrum(args) -> int:
     payload = []
-    for source, g in _chunked_graphs(args.path):
+    for source, g in _chunked_graphs(args.path, prefill_spectra):
         try:
             spec = exact_spectrum(g)
             payload.append({"source": source, "spectrum": spec.to_json(), "text": str(spec)})

@@ -16,7 +16,7 @@ from . import theorems
 from .eigenvalues import Eigenvalue
 from .errors import ContradictionError
 from .graphs import Graph, structural_profile
-from .spectra import NonQuadraticSpectrumError, exact_spectrum
+from .spectra import NonQuadraticSpectrumError, crt_route, exact_spectrum, prefill_spectra
 
 SCHEMA = "deza-report/1"
 
@@ -142,6 +142,29 @@ def build_report(g: Graph, source: str = "graph") -> dict:
                 checks["witness"] = _attempt(theorems.strongly_deza_witness, g)
     report["theorems"] = checks
     return report
+
+
+def prefill_reports(graphs) -> None:
+    """Fill what build_report reads of the spectra of a chunk of graphs and
+    of their children, before the first report: the graphs' CRT-route
+    spectra (spectra.prefill_spectra), then those of the children that
+    build_report checks against the formula, the children of each graph
+    with Deza parameters b > a whose spectrum is quadratic.  A child has an
+    edge, so it can take the CRT route only at an order where a graph of
+    maximum degree 1 does; no other graph's children are built here."""
+    prefill_spectra(graphs)
+    children = []
+    for g in graphs:
+        params = deza_mod.detect_deza(g) if crt_route(g.n, 1) else None
+        if params is None or params.b == params.a:
+            continue
+        try:
+            exact_spectrum(g)
+        except NonQuadraticSpectrumError:
+            continue
+        pair = deza_mod.children(g)
+        children += [pair.child_a, pair.child_b]
+    prefill_spectra(children)
 
 
 def report_inconsistencies(report: dict) -> list[str]:

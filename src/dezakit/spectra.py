@@ -16,7 +16,7 @@ remaindering.  It runs when char_poly would need more than
 CERTIFY_ABOVE_PRIMES primes (primes_for(n, k)).  With no more, the graph is
 small (n <= 80 unless it has no edge), and the verbs run its char_poly as a
 few rows of one stacked Hessenberg pass per order and chunk of their input
-(prefill_char_polys), which shares the pass's per-column overhead among the
+(prefill_spectra), which shares the pass's per-column overhead among the
 graphs.  The certificate would then save nothing when it succeeds and cost
 a pass of its own when it declines.  Above the gate the certificate costs
 no more than a stacked pass on a quadratic spectrum, the kind the graphs of
@@ -28,10 +28,10 @@ The GF(p) step.  Both routes propose factors by one exact step over GF(p),
 at one prime per graph: p = _step_prime(k, n), the least prime
 p = 3 (mod 4) above max(8 k^2, n) (von zur Gathen & Gerhard, Modern Computer
 Algebra, ch. 14; Cantor & Zassenhaus, Math. Comp. 36, 1981).  The step runs
-at most once per graph, on f_p = det(xI - M) mod p when the certificate
-runs, else on the CRT route's residual; either way on a monic divisor f of
-det(xI - M).  Its radical R = f / gcd(f, f') is squarefree because
-p > deg f.  L = gcd(R, x^p - x) is the product of R's linear factors and
+on f_p = det(xI - M) mod p when the certificate runs, else on the CRT
+route's residual; either way on a monic divisor f of det(xI - M).  Its
+radical R = f / gcd(f, f') is squarefree because p > deg f.
+L = gcd(R, x^p - x) is the product of R's linear factors and
 Q = gcd(R / L, x^(p^2) - x) that of its irreducible quadratic factors.
 Equal-degree splitting with the shifts x + a, a = 1, 2, ..., in that order,
 breaks L into roots and Q into quadratics, so a run is reproducible.  It
@@ -40,20 +40,36 @@ symmetric range lies in [-k, k], then x^2 - b x + c for each irreducible
 quadratic of Q and each pair (r + s, r s) of distinct roots of L whose
 lifted (b, c) is admissible.
 
+The step runs on a stack of rows (_gfp_step), each row a polynomial with its
+own bound k and its own prime, in phases over all rows: the radicals, then
+x^p, L, x^(p^2) mod R / L and Q, then the splitting rounds.  Round a tries
+x + a on every piece of every row not yet split, so each row meets the
+shifts in the order it would meet them alone.  The CRT route runs the step
+once per distinct residual per chunk of the verbs' input (prefill_spectra),
+as one stack; the certificate runs it on one row.
+
 All the powers, x^p mod R, x^(p^2) mod R / L and the splitting powers
-(x + a)^((p^d - 1) / 2), are one primitive: (x + c)^e mod a monic f of
-degree d, by repeated squaring on int64 vectors.  A square is one
-convolution, and its coefficients at x^d and above are folded back by one
-product with a d x (d - 1) reduction matrix whose columns x^(d + j) mod f
-are built once per power.  A power costs one squaring per bit of e: x^p
-takes about log2 p of them and x^(p^2) twice as many, so 10 and 20 at
-p = 971 (k = 11), 18 and 35 at Paley(257)'s p = 131111, and at most 25
-and 50 at the largest prime an order up to MAX_ORDER asks for,
-33488947 < 3.4e7.  Residues are below p, so every sum is of at most d
-products below p^2, at most d (p - 1)^2 < 2^63 for d <= MAX_ORDER, and
-int64 is exact; deg f > MAX_ORDER is refused.  A piece of L of degree
-2 needs no power: as p = 3 (mod 4), s = disc^((p + 1) / 4) is a square
-root of its discriminant (both are checked), and its roots are
+(x + a)^((p^d - 1) / 2), are one primitive (_pow_x_plus): (x + c_s)^(e_s)
+mod a monic f_s of degree d, for a stack of rows of one degree d, each row
+with its own shift c_s, exponent e_s and prime p_s, by repeated squaring on
+int64 arrays.  A row whose exponent is shorter than the longest meets
+leading zero bits first, and stays 1 through them: 1^2 = 1, and its product
+with x + c is masked off.  A square is one batched product of each row's
+Toeplitz matrix, gathered as the windows of a strided view of the row
+between zeros (no copy), with the row reversed.  Its coefficients at x^d
+and above are folded back by one batched product with [I | R_s], R_s the
+row's d x (d - 1) reduction matrix, whose columns x^(d + j) mod f_s are
+built once per power; so no temporary exceeds rows x (2d - 1) x d int64,
+and _powers splits a stack at STACK_ELEMENTS of them.  A power costs one
+squaring per bit of e: x^p takes about log2 p of them and x^(p^2) twice as
+many, so 10 and 20 at p = 971 (k = 11), 18 and 35 at Paley(257)'s
+p = 131111, and at most 25 and 50 at the largest prime an order up to
+MAX_ORDER asks for, 33488947 < 3.4e7.  Residues are below p, so every sum
+(a window times the reversed row, a row of the fold times the square) is
+of at most d products below p^2, at most d (p - 1)^2 < 2^63 for
+d <= MAX_ORDER, and int64 is exact; deg f > MAX_ORDER is refused.  No float enters.  A piece of
+L of degree 2 needs no power: as p = 3 (mod 4), s = disc^((p + 1) / 4) is a
+square root of its discriminant (both are checked), and its roots are
 (-c1 +- s) / 2.
 
 Why every factor is proposed, at this prime.  Let x^2 - b x + c be an
@@ -76,13 +92,15 @@ tries the integers in [-k, k] as roots, runs the GF(p) step at
 p = _step_prime(k, deg f) on what is left, and divides out what the step
 proposes; every division is exact.  So the table {factor: multiplicity}
 and the residual it leaves depend on (f, k) and on nothing else, and
-graphs with equal (f, k) share one (_factor_table): relabelled copies,
-cospectral mates of equal maximum degree, the children that many Deza
-graphs have in common.  The last FACTOR_TABLES tables are kept.  Each
-graph still runs its own trace check, and a non-quadratic residual is a
-kept value too, so every graph that has it raises.  The certificate reads
-M itself and shares nothing; when it declines, its step goes to the same
-function, past the cache.
+graphs with equal (f, k) share one: relabelled copies, cospectral mates of
+equal maximum degree, the children that many Deza graphs have in common.
+One store (_TableStore) keeps the last FACTOR_TABLES tables by (f, k); a
+lookup computes every table it lacks at once (_crt_tables), with one
+stacked step.  Each graph still runs its own trace check.  A graph's table,
+from either route, is a per-graph fact (_spectrum_table), so a
+non-quadratic residual is found once per graph, and exact_spectrum raises
+it on every call.  The certificate reads M itself and shares nothing; when
+it declines, its step goes to _crt_tables too, past the store.
 
 The certificate, and why it is a proof.  Let f_p = det(xI - M) mod p
 (charpoly.char_poly_mod, one Hessenberg pass), and run the GF(p) step on it.
@@ -125,6 +143,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -132,6 +152,7 @@ import numpy as np
 
 from .charpoly import (
     MAX_ORDER,
+    STACK_ELEMENTS,
     char_poly,
     char_poly_mod,
     char_polys,
@@ -148,8 +169,10 @@ from .graphs import Graph, common_neighbour_matrix, per_graph
 CERTIFY_ABOVE_PRIMES = 3
 
 #: how many factor tables the CRT route keeps across graphs (least recently
-#: used first out); README gives the memory this bounds
-FACTOR_TABLES = 256
+#: used first out): three per graph of a 256-graph chunk of the verbs' input,
+#: the graph's and its two children's, so none of a chunk's prefilled tables
+#: goes before its reports read it; README gives the memory this bounds
+FACTOR_TABLES = 3 * 256
 
 
 class NonQuadraticSpectrumError(ValueError):
@@ -214,29 +237,65 @@ def _monic_gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _pow_x_plus(c: int, e: int, f: list[int], p: int) -> list[int]:
-    """(x + c)^e mod the monic f of degree d >= 1 over GF(p), by repeated
-    squaring on int64 vectors of d coefficients (see the module docstring
-    for the reduction matrix and why int64 is exact)."""
-    d = len(f) - 1
-    xd = np.array([-a % p for a in f[:-1]], dtype=np.int64)  # x^d mod f
-    red = np.empty((d, d - 1), dtype=np.int64)  # column j: x^(d + j) mod f
+def _pow_x_plus(c, e, f, p) -> np.ndarray:
+    """(x + c_s)^(e_s) mod f_s over GF(p_s) for a stack of monic f_s of one
+    degree d >= 1, the rows of f (ascending, d + 1 coefficients each); c, e
+    and p are int64 broadcasts over the rows.  Row s of the result holds the
+    d coefficients of its power.  The module docstring gives the square, the
+    fold and why int64 is exact."""
+    f = np.asarray(f, dtype=np.int64)
+    rows, d = f.shape[0], f.shape[1] - 1
+    p = np.asarray(p, dtype=np.int64).reshape(-1, 1, 1)
+    e = np.asarray(e, dtype=np.int64).reshape(-1, 1)
+    # fold[s] = [I | R_s], column d + j of R_s being x^(d + j) mod f_s, so
+    # fold[s] @ square is the square mod f_s
+    fold = np.zeros((rows, d, 2 * d - 1), dtype=np.int64)
+    fold[:, :, :d] = np.eye(d, dtype=np.int64)
+    xd = -f[:, :d] % p[:, 0]  # x^d mod f
     col = xd
-    for j in range(d - 1):
-        red[:, j] = col
-        col = col[-1] * xd
-        col[1:] += red[:-1, j]
-        col %= p
-    r = np.zeros(d, dtype=np.int64)
-    r[0] = 1
-    for bit in bin(e)[2:]:
-        sq = np.convolve(r, r) % p
-        r = (sq[:d] + red @ sq[d:]) % p
-        if bit == "1":  # times x + c
-            shifted = c * r + r[-1] * xd
-            shifted[1:] += r[:-1]
-            r = shifted % p
-    return _trim(r.tolist())
+    for j in range(d, 2 * d - 1):
+        fold[:, :, j] = col
+        col = col[:, -1:] * xd
+        col[:, 1:] += fold[:, :-1, j]
+        col %= p[:, 0]
+    # times[s] = c_s I + the companion matrix of f_s: the product by x + c_s
+    times = np.zeros((rows, d, d), dtype=np.int64)
+    times[:, np.arange(d), np.arange(d)] = np.asarray(c, dtype=np.int64).reshape(-1, 1) % p[:, 0]
+    times[:, np.arange(1, d), np.arange(d - 1)] = 1
+    times[:, :, -1] += xd
+    # the power r sits between d - 1 zeros on each side, so the windows of
+    # d entries are the rows of its Toeplitz matrix, and square[k] is the
+    # k-th window times r reversed
+    padded = np.zeros((rows, 3 * d - 2, 1), dtype=np.int64)
+    r = padded[:, d - 1 : 2 * d - 1]
+    r[:, 0] = 1
+    toeplitz = np.lib.stride_tricks.sliding_window_view(padded[:, :, 0], d, axis=1)
+    reversed_r = r[:, ::-1]
+    bits = (e >> np.arange(int(e.max()).bit_length() - 1, -1, -1)) & 1 == 1
+    for bit, anyset, allset in zip(bits.T, bits.any(axis=0).tolist(), bits.all(axis=0).tolist()):
+        r[:] = np.matmul(fold, np.matmul(toeplitz, reversed_r) % p) % p
+        if anyset:  # times x + c, on the rows whose bit is set
+            shifted = np.matmul(times, r) % p
+            r[:] = shifted if allset else np.where(bit[:, None, None], shifted, r)
+    return r[:, :, 0]
+
+
+def _powers(rows) -> list[list[int]]:
+    """(x + c)^e mod f over GF(p) for each row (c, e, f, p), f a monic list of
+    degree >= 1: the rows of one degree run as one stack of _pow_x_plus,
+    split so that no stack's fold matrices exceed STACK_ELEMENTS entries."""
+    by_degree: dict[int, list[int]] = {}
+    for i, (_, _, f, _) in enumerate(rows):
+        by_degree.setdefault(len(f) - 1, []).append(i)
+    out: list = [None] * len(rows)
+    for d, members in by_degree.items():
+        per = max(STACK_ELEMENTS // ((2 * d - 1) * d), 1)
+        for start in range(0, len(members), per):
+            block = members[start : start + per]
+            c, e, f, p = zip(*(rows[i] for i in block))
+            for i, power in zip(block, _pow_x_plus(c, e, f, p).tolist()):
+                out[i] = _trim(power)
+    return out
 
 
 def _split_quadratic(g: list[int], p: int) -> list[list[int]]:
@@ -252,31 +311,38 @@ def _split_quadratic(g: list[int], p: int) -> list[list[int]]:
     return [[(c1 - s) * half % p, 1], [(c1 + s) * half % p, 1]]
 
 
-def _equal_degree_factors(f: list[int], d: int, p: int) -> list[list[int]]:
-    """The monic irreducible factors of a monic squarefree f over GF(p)
-    whose irreducible factors all have degree d (Cantor-Zassenhaus, with
-    the shifts x + a, a = 1, 2, ... in turn instead of random elements; a
-    quadratic piece of a product of linear factors is split in closed
-    form)."""
-    e = (p**d - 1) // 2
-    done, todo = [], [f]
+def _equal_degree_factors(jobs) -> list[list[list[int]]]:
+    """For each job (f, d, p): the monic irreducible factors of a monic
+    squarefree f over GF(p) whose irreducible factors all have degree d
+    (Cantor-Zassenhaus, with the shifts x + a, a = 1, 2, ... in turn instead
+    of random elements; a quadratic piece of a product of linear factors is
+    split in closed form).  Round a tries x + a on every piece of every job
+    not yet split, as one _powers call, so each job meets the shifts as it
+    would alone; a job with f = 1 has no factor."""
+    done: list[list[list[int]]] = [[] for _ in jobs]
+    todo = [(j, f) for j, (f, _, _) in enumerate(jobs) if len(f) > 1]
     a = 0
     while todo:
         a += 1
         pending = []
-        for g in todo:
+        for j, g in todo:
+            _, d, p = jobs[j]
             if len(g) - 1 == d:
-                done.append(g)
-                continue
-            if d == 1 and len(g) == 3:
-                done += _split_quadratic(g, p)
-                continue
-            s = _monic_gcd_mod(g, _sub_mod(_pow_x_plus(a, e, g, p), [1], p), p)
-            if 1 < len(s) < len(g):
-                pending += [s, _divmod_mod(g, s, p)[0]]
+                done[j].append(g)
+            elif d == 1 and len(g) == 3:
+                done[j] += _split_quadratic(g, p)
             else:
-                pending.append(g)
-        todo = pending
+                pending.append((j, g))
+        todo = []
+        powers = _powers([(a, (jobs[j][2] ** jobs[j][1] - 1) // 2, g, jobs[j][2])
+                          for j, g in pending])
+        for (j, g), power in zip(pending, powers):
+            p = jobs[j][2]
+            s = _monic_gcd_mod(g, _sub_mod(power, [1], p), p)
+            if 1 < len(s) < len(g):
+                todo += [(j, s), (j, _divmod_mod(g, s, p)[0])]
+            else:
+                todo.append((j, g))
     return done
 
 
@@ -302,49 +368,54 @@ class Proposal(NamedTuple):
     complete: bool
 
 
-def _gfp_step(rem, bound: int, p: int) -> Proposal:
-    """The GF(p) step on the monic integer polynomial rem (or its residues
-    mod p).  Every x - z with z in [-bound, bound] and every admissible
-    x^2 - b x + c that divides rem is proposed; see the module docstring for
-    why this holds at the prime p."""
-    if p <= max(8 * bound * bound, len(rem) - 1):
-        raise ArithmeticError(f"prime {p} too small for degree {len(rem) - 1}, bound {bound}")
-    if p % 4 != 3:
-        raise ArithmeticError(f"prime {p} is not 3 mod 4")
-    if len(rem) - 1 > MAX_ORDER:
-        raise ArithmeticError(f"degree {len(rem) - 1} exceeds {MAX_ORDER}")
-    f = [c % p for c in rem]
-    radical = _divmod_mod(f, _monic_gcd_mod(f, _derivative_mod(f, p), p), p)[0]
+def _gfp_step(rows) -> list[Proposal]:
+    """The GF(p) step on each row (rem, bound, p), rem a monic integer
+    polynomial (or its residues mod p).  Every x - z with z in
+    [-bound, bound] and every admissible x^2 - b x + c that divides rem is
+    proposed; see the module docstring for why this holds at the prime p,
+    and for the phases in which the rows run together."""
+    radicals = []
+    for rem, bound, p in rows:
+        if p <= max(8 * bound * bound, len(rem) - 1):
+            raise ArithmeticError(f"prime {p} too small for degree {len(rem) - 1}, bound {bound}")
+        if p % 4 != 3:
+            raise ArithmeticError(f"prime {p} is not 3 mod 4")
+        if len(rem) - 1 > MAX_ORDER:
+            raise ArithmeticError(f"degree {len(rem) - 1} exceeds {MAX_ORDER}")
+        f = [c % p for c in rem]
+        radicals.append(_divmod_mod(f, _monic_gcd_mod(f, _derivative_mod(f, p), p), p)[0])
+    primes = [p for _, _, p in rows]
     x = [0, 1]
-    linear = _monic_gcd_mod(radical, _sub_mod(_pow_x_plus(0, p, radical, p), x, p), p)
-    rest = _divmod_mod(radical, linear, p)[0]
-    quadratic = [1]
-    if len(rest) > 1:
-        xpp = _pow_x_plus(0, p * p, rest, p)
-        quadratic = _monic_gcd_mod(rest, _sub_mod(xpp, x, p), p)
+    xp = _powers([(0, p, r, p) for r, p in zip(radicals, primes)])
+    linears = [_monic_gcd_mod(r, _sub_mod(w, x, p), p) for r, w, p in zip(radicals, xp, primes)]
+    rests = [_divmod_mod(r, lin, p)[0] for r, lin, p in zip(radicals, linears, primes)]
+    deep = [i for i, rest in enumerate(rests) if len(rest) > 1]
+    quadratics = [[1]] * len(rows)
+    for i, w in zip(deep, _powers([(0, primes[i] ** 2, rests[i], primes[i]) for i in deep])):
+        quadratics[i] = _monic_gcd_mod(rests[i], _sub_mod(w, x, primes[i]), primes[i])
+    pieces = _equal_degree_factors([(q, 2, p) for q, p in zip(quadratics, primes)]
+                                   + [(lin, 1, p) for lin, p in zip(linears, primes)])
 
-    # x^2 - b x + c, with b and c lifted to the symmetric range
-    pairs = set()
-    if len(quadratic) > 1:
-        for c0, c1, _ in _equal_degree_factors(quadratic, 2, p):
-            pairs.add((-c1 % p, c0))
-    roots = []
-    if len(linear) > 1:
-        roots = [-c0 % p for c0, _ in _equal_degree_factors(linear, 1, p)]
-        for i, r in enumerate(roots):
-            for s in roots[i + 1 :]:
+    proposals = []
+    for i, (_, bound, p) in enumerate(rows):
+        # x^2 - b x + c, with b and c lifted to the symmetric range
+        pairs = {(-c1 % p, c0) for c0, c1, _ in pieces[i]}
+        roots = [-c0 % p for c0, _ in pieces[len(rows) + i]]
+        for j, r in enumerate(roots):
+            for s in roots[j + 1 :]:
                 pairs.add(((r + s) % p, r * s % p))
-    half = p // 2
+        half = p // 2
 
-    def lift(v: int) -> int:
-        return v - p if v > half else v
+        def lift(v: int) -> int:
+            return v - p if v > half else v
 
-    cands = {(lift(b), lift(c)) for b, c in pairs}
-    return Proposal(
-        [(-z, 1) for z in sorted(z for z in map(lift, roots) if abs(z) <= bound)]
-        + [(c, -b, 1) for b, c in sorted(bc for bc in cands if _admissible(*bc, bound))],
-        len(linear) + len(quadratic) == len(radical) + 1,
-    )
+        cands = {(lift(b), lift(c)) for b, c in pairs}
+        proposals.append(Proposal(
+            [(-z, 1) for z in sorted(z for z in map(lift, roots) if abs(z) <= bound)]
+            + [(c, -b, 1) for b, c in sorted(bc for bc in cands if _admissible(*bc, bound))],
+            len(linears[i]) + len(quadratics[i]) == len(radicals[i]) + 1,
+        ))
+    return proposals
 
 
 def _multiplicity_mod(f: list[int], factor, p: int) -> int:
@@ -432,22 +503,14 @@ def _divide_out(rem, factors, mults):
     return rem
 
 
-def _crt_route(n: int, bound: int) -> bool:
+def crt_route(n: int, bound: int) -> bool:
     """Whether the CRT route decides the spectrum of a graph with n vertices
     and maximum degree bound, with no certificate tried first."""
     return len(primes_for(n, bound)) <= CERTIFY_ABOVE_PRIMES
 
 
-def prefill_char_polys(graphs) -> None:
-    """Store char_poly on exactly the graphs whose spectrum the CRT route
-    will decide (charpoly.char_polys): one stacked Hessenberg pass per order
-    instead of one per graph.  Certificate-route graphs are left alone, so
-    no graph runs a pass that exact_spectrum would not run."""
-    char_polys([g for g in graphs if _crt_route(g.n, int(g.degrees().max(initial=0)))])
-
-
 class FactorTable(NamedTuple):
-    """What the CRT route makes of a characteristic polynomial."""
+    """What a route makes of a characteristic polynomial."""
 
     #: read-only {monic factor: multiplicity}
     factors: MappingProxyType
@@ -455,26 +518,115 @@ class FactorTable(NamedTuple):
     residual: tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=FACTOR_TABLES)
-def _factor_table(coeffs: tuple[int, ...], bound: int, step: Proposal | None) -> FactorTable:
-    """The CRT route on the monic integer polynomial coeffs, for a graph of
-    maximum degree bound: strip every integer root in [-bound, bound], then
-    divide out what the GF(p) step proposes for the rest, at
-    p = _step_prime(bound, deg coeffs), or what the given step proposed.
+def _crt_tables(keys, steps) -> list[FactorTable]:
+    """The CRT route on each key (coeffs, bound), coeffs a monic integer
+    polynomial and bound its graph's maximum degree: strip every integer
+    root in [-bound, bound], then divide out what the GF(p) step proposes
+    for the rest, at p = _step_prime(bound, deg coeffs), or what steps[i]
+    proposed when it is not None.  The steps run as one stacked call."""
+    rems, mults = [], []
+    for coeffs, bound in keys:
+        rem, found = coeffs, {}
+        for z in range(bound, -bound - 1, -1):
+            if poly_eval(rem, z) == 0:
+                rem = _divide_out(rem, [(-z, 1)], found)
+        rems.append(rem)
+        mults.append(found)
+    steps = list(steps)
+    need = [i for i, (rem, step) in enumerate(zip(rems, steps)) if len(rem) > 1 and step is None]
+    rows = [(rems[i], keys[i][1], _step_prime(keys[i][1], len(keys[i][0]) - 1)) for i in need]
+    if rows:
+        for i, step in zip(need, _gfp_step(rows)):
+            steps[i] = step
+    tables = []
+    for rem, found, step in zip(rems, mults, steps):
+        if len(rem) > 1:
+            rem = _divide_out(rem, step.factors, found)
+        tables.append(FactorTable(MappingProxyType(found), rem))
+    return tables
 
-    Cached on (coeffs, bound) with step None: the table is a function of
-    these alone (module docstring).  A certificate's decline hands over its
-    step through _factor_table.__wrapped__, past the cache."""
-    rem = coeffs
-    mults: dict[tuple[int, ...], int] = {}
-    for z in range(bound, -bound - 1, -1):
-        if poly_eval(rem, z) == 0:
-            rem = _divide_out(rem, [(-z, 1)], mults)
-    if len(rem) > 1:
-        if step is None:
-            step = _gfp_step(rem, bound, _step_prime(bound, len(coeffs) - 1))
-        rem = _divide_out(rem, step.factors, mults)
-    return FactorTable(MappingProxyType(mults), rem)
+
+class TableInfo(NamedTuple):
+    """A table store's counts, as functools.lru_cache reports its own."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _TableStore:
+    """The CRT route's tables by (coeffs, bound), the maxsize most recently
+    used kept.  One lock guards the tables and the counts, so threads need
+    none of their own; a table is computed outside it, and two threads that
+    both miss a key compute equal tables."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._tables: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = self._misses = 0
+
+    def lookup(self, keys) -> list[FactorTable]:
+        """The table of each key, in order.  The keys the store lacks are
+        computed by one _crt_tables call, each once, and stored."""
+        with self._lock:
+            found = {key: self._tables[key] for key in keys if key in self._tables}
+            for key in found:
+                self._tables.move_to_end(key)
+        missing = [key for key in dict.fromkeys(keys) if key not in found]
+        if missing:
+            found.update(zip(missing, _crt_tables(missing, [None] * len(missing))))
+        with self._lock:
+            for key in missing:
+                self._tables[key] = found[key]
+                self._tables.move_to_end(key)
+            while len(self._tables) > self.maxsize:
+                self._tables.popitem(last=False)
+            self._misses += len(missing)
+            self._hits += len(keys) - len(missing)
+        return [found[key] for key in keys]
+
+    def info(self) -> TableInfo:
+        with self._lock:
+            return TableInfo(self._hits, self._misses, self.maxsize, len(self._tables))
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+            self._hits = self._misses = 0
+
+
+_TABLES = _TableStore(FACTOR_TABLES)
+
+
+def prefill_spectra(graphs) -> None:
+    """Fill what exact_spectrum reads on the CRT route, for exactly the
+    graphs that take it: their char_poly as one stacked Hessenberg pass per
+    order (charpoly.char_polys), then the factor tables the store lacks,
+    with one stacked GF(p) step.  Certificate-route graphs are left alone,
+    so no graph runs a pass or a step that exact_spectrum would not run."""
+    bounds = [int(g.degrees().max(initial=0)) for g in graphs]
+    crt = [(g, bound) for g, bound in zip(graphs, bounds) if crt_route(g.n, bound)]
+    polys = char_polys([g for g, _ in crt])
+    _TABLES.lookup([(poly.coeffs, bound) for poly, (_, bound) in zip(polys, crt)])
+
+
+@per_graph
+def _spectrum_table(g: Graph) -> FactorTable:
+    """The table of g's spectrum, from the route that decides it: the
+    store's table of (char_poly, maximum degree), or the certificate's, or
+    on a decline the CRT route's with the certificate's step."""
+    bound = int(g.degrees().max(initial=0))
+    if crt_route(g.n, bound):
+        return _TABLES.lookup([(char_poly(g).coeffs, bound)])[0]
+    p = _step_prime(bound, g.n)
+    fp = char_poly_mod([g.adj], (p,))[0].tolist()
+    (step,) = _gfp_step([(fp, bound, p)])
+    certified = _certificate(g, fp, p, step)
+    if certified is not None:
+        return FactorTable(MappingProxyType(certified), (1,))
+    return _crt_tables([(char_poly(g).coeffs, bound)], [step])[0]
 
 
 @per_graph
@@ -484,17 +636,7 @@ def exact_spectrum(g: Graph) -> Spectrum:
     Raises NonQuadraticSpectrumError when an eigenvalue of algebraic degree
     three or more is present (e.g. the 7-cycle).
     """
-    bound = int(g.degrees().max(initial=0))
-    if _crt_route(g.n, bound):
-        table = _factor_table(char_poly(g).coeffs, bound, None)
-    else:
-        p = _step_prime(bound, g.n)
-        fp = char_poly_mod([g.adj], (p,))[0].tolist()
-        step = _gfp_step(fp, bound, p)
-        certified = _certificate(g, fp, p, step)
-        if certified is not None:
-            return _checked_spectrum(g, certified)
-        table = _factor_table.__wrapped__(char_poly(g).coeffs, bound, step)
+    table = _spectrum_table(g)
     if len(table.residual) > 1:
         raise NonQuadraticSpectrumError(table.residual)
     return _checked_spectrum(g, table.factors)

@@ -248,7 +248,7 @@ def folded_cube(d: int) -> Graph:
 def fresh_factor_tables():
     """Start each test with no factor table cached, so that a test which
     counts GF(p) steps does not depend on what earlier tests factored."""
-    spectra._factor_table.cache_clear()
+    spectra._TABLES.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import faddeev_leverrier, random_graph, random_regular_graph
-from dezakit import charpoly, families, spectra
+from dezakit import charpoly, deza, families, report, spectra
 from dezakit.charpoly import CharPoly, char_poly, poly_divmod_monic, poly_eval, poly_mul, poly_try_divide
 from dezakit.graph6 import MAX_N
 from dezakit.graphs import Graph, complement
@@ -247,7 +247,7 @@ def test_prefill_runs_one_pass_per_order(monkeypatch):
     certified = families.paley(61)  # 7 primes: the certificate decides it
     assert _prime_count(certified) > spectra.CERTIFY_ABOVE_PRIMES
     shapes = _count_passes(monkeypatch)
-    spectra.prefill_char_polys(crt + [certified])
+    spectra.prefill_spectra(crt + [certified])
     orders = {g.n for g in crt}
     assert len(shapes) == len(orders) and {n for _, n, _ in shapes} == orders
     assert sum(rows for rows, _, _ in shapes) == sum(map(_prime_count, crt))
@@ -260,15 +260,47 @@ def test_prefill_runs_one_pass_per_order(monkeypatch):
     assert shapes[-1] == (1, 61, 61)
     # a graph that holds its polynomial is not passed again
     late = families.icosahedron()
-    spectra.prefill_char_polys(crt + [late])
+    spectra.prefill_spectra(crt + [late])
     assert shapes[len(orders) + 1 :] == [(1, 12, 12)]
 
 
 def test_stacks_stay_within_the_element_budget(monkeypatch):
     matchings = [families.disjoint_cliques(40, 2) for _ in range(256)]
     shapes = _count_passes(monkeypatch)
-    spectra.prefill_char_polys(matchings)
+    spectra.prefill_spectra(matchings)
     assert all(rows * n * n <= charpoly.STACK_ELEMENTS for rows, n, _ in shapes)
     per = charpoly.STACK_ELEMENTS // 80**2
     assert [rows for rows, _, _ in shapes] == [per] * (768 // per) + [768 % per]
     assert len({char_poly(g) for g in matchings}) == 1
+
+
+def _prefill_chunk():
+    """Fresh copies of a chunk: quadratic Deza graphs with b > a, one of them
+    its own child, and two non-quadratic ones (C7, C9)."""
+    return [families.complete_multipartite([3, 3, 3]), families.disjoint_cliques(3, 3),
+            families.taylor_double_cover(families.paley(5)), families.cycle(7),
+            families.cycle(9)]
+
+
+def test_prefill_leaves_the_reports_no_pass_and_no_step(monkeypatch):
+    chunk = _prefill_chunk()
+    assert all(spectra.crt_route(g.n, int(g.degrees().max())) for g in chunk)
+    assert all(deza.detect_deza(g).b > deza.detect_deza(g).a for g in chunk)
+    expected = [report.build_report(Graph(g.adj), str(i)) for i, g in enumerate(chunk)]
+    spectra._TABLES.clear()
+    report.prefill_reports(chunk)
+    # the children of the non-quadratic parents are not built
+    assert [deza.children.memo_key in g._facts for g in chunk] == [True] * 3 + [False] * 2
+    shapes = _count_passes(monkeypatch)
+    steps = []
+    step = spectra._gfp_step
+    monkeypatch.setattr(spectra, "_gfp_step", lambda rows: steps.append(rows) or step(rows))
+    reports = [report.build_report(g, str(i)) for i, g in enumerate(chunk)]
+    assert reports == expected
+    assert shapes == [] and steps == []
+    # the children that build_report read hold the prefilled polynomials;
+    # the non-quadratic parents' children get no char_poly
+    for g, quadratic in zip(chunk, [True] * 3 + [False] * 2):
+        pair = deza.children(g)
+        computed = [char_poly.memo_key in c._facts for c in (pair.child_a, pair.child_b)]
+        assert computed == [quadratic, quadratic]

@@ -12,7 +12,8 @@ import pytest
 
 from conftest import random_regular_graph
 import dezakit
-from dezakit import cli, deza, families, theorems, verify
+from dezakit import cli, deza, families, spectra, theorems, verify
+from dezakit import report as report_mod
 from dezakit.cli import main
 from dezakit.eigenvalues import Spectrum
 from dezakit.graph6 import parse_graph6, write_graph6
@@ -231,28 +232,41 @@ def test_spectrum_json_and_bad_line(tmp_path, capsys):
         assert err == f"{path}:2: graph6 vertex count must be at least 1 (byte offset 0)\n"
 
 
-def test_chunk_boundaries_change_no_output(tmp_path, capsys, monkeypatch):
-    # 2 CHUNK + 3 graphs of mixed orders and prime counts; Paley(61)
-    # (certificate route) is in the first two chunks, C7 (non-quadratic) in
-    # the first and the last
+def _chunk_stream(tmp_path):
+    """2 CHUNK + 3 graphs of mixed orders and prime counts, written to a
+    file, and their lines.  Paley(61) (certificate route) is in the first two
+    chunks, C7 (non-quadratic) in the first and the last.  The first two
+    chunks hold Deza graphs with b > a whose children take the CRT route:
+    K_{3,3,3} and 3K3 (each a child of the other), Taylor-Paley(5), and C9,
+    whose spectrum is not quadratic."""
     rng = random.Random(256)
     pool = [random_regular_graph(rng, n, k)  # one prime, and two at n = 16
             for n, k in ((8, 3), (9, 4), (10, 3), (11, 4), (12, 5), (13, 6), (14, 5),
                          (16, 6), (16, 9))]
+    pool += [families.complete_multipartite([3, 3, 3]), families.disjoint_cliques(3, 3),
+             families.taylor_double_cover(families.paley(5)), families.cycle(9)]
     graphs = [families.paley(61), families.cycle(7), families.petersen()]
     graphs += [pool[i % len(pool)] for i in range(2 * cli.CHUNK)]
     graphs[cli.CHUNK + 1], graphs[2 * cli.CHUNK + 1] = graphs[0], graphs[1]
     path = tmp_path / "stream.g6"
     lines = [write_graph6(g) for g in graphs]
     path.write_text("\n".join(lines) + "\n")
+    return path, lines
+
+
+def test_chunk_boundaries_change_no_output(tmp_path, capsys, monkeypatch):
+    path, lines = _chunk_stream(tmp_path)
     chunks = []
-    prefill = cli.prefill_char_polys
-    monkeypatch.setattr(cli, "prefill_char_polys",
-                        lambda gs: chunks.append(len(gs)) or prefill(gs))
+    for module, name in ((report_mod, "prefill_reports"), (cli, "prefill_spectra")):
+        prefill = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda gs, name=name, prefill=prefill:
+                            chunks.append((name, len(gs))) or prefill(gs))
     fresh = [(f"{path}:{i}", parse_graph6(line)) for i, line in enumerate(lines, 1)]
 
     code, out, _ = run(capsys, "analyze", "--json", str(path))
-    assert code == 0 and chunks == [cli.CHUNK, cli.CHUNK, 3]
+    sizes = [cli.CHUNK, cli.CHUNK, 3]
+    assert code == 0 and chunks == [("prefill_reports", size) for size in sizes]
     assert out == json.dumps([build_report(g, src) for src, g in fresh], indent=1) + "\n"
 
     code, out, _ = run(capsys, "spectrum", "--json", str(path))
@@ -264,6 +278,7 @@ def test_chunk_boundaries_change_no_output(tmp_path, capsys, monkeypatch):
         except NonQuadraticSpectrumError as exc:
             expected.append({"source": src, "error": str(exc)})
     assert code == 0 and out == json.dumps(expected, indent=1) + "\n"
+    assert chunks[3:] == [("prefill_spectra", size) for size in sizes]
 
     # a bad line in the second chunk still fails the whole input
     lines[cli.CHUNK + 5] = "?"
@@ -271,6 +286,16 @@ def test_chunk_boundaries_change_no_output(tmp_path, capsys, monkeypatch):
     for verb in ("analyze", "spectrum"):
         code, out, err = run(capsys, verb, "--json", str(path))
         assert (code, out) == (2, "") and err.startswith(f"{path}:{cli.CHUNK + 6}: ")
+
+
+def test_a_stream_computes_no_table_twice(tmp_path, capsys, monkeypatch):
+    path, _ = _chunk_stream(tmp_path)
+    keys = []
+    compute = spectra._crt_tables
+    monkeypatch.setattr(spectra, "_crt_tables",
+                        lambda ks, steps: keys.extend(ks) or compute(ks, steps))
+    assert run(capsys, "analyze", "--json", str(path))[0] == 0
+    assert len(keys) == len(set(keys)) == spectra._TABLES.info().misses
 
 
 def test_children(tmp_path, capsys):

@@ -16,7 +16,7 @@ from conftest import (
     random_regular_graph,
     rem_mod,
 )
-from dezakit import deza, families, spectra
+from dezakit import cli, deza, families, spectra
 from dezakit.charpoly import MAX_ORDER, CharPoly, char_poly, char_poly_mod, modular_primes, poly_mul
 from dezakit.eigenvalues import Eigenvalue, Spectrum
 from dezakit.graphs import Graph, disjoint_union
@@ -155,12 +155,13 @@ def test_spectrum_lives_on_its_graph(monkeypatch):
     # an equal graph is a new analysis: its char_poly is computed again, and
     # only the factor table of that polynomial is shared
     assert exact_spectrum(Graph(g.adj)) == spec and len(calls) == 2
-    # a failure is not stored: C7 is computed again
+    # a failure raises on every call, from the table stored on the graph:
+    # C7's char_poly is read once
     c7 = families.cycle(7)
     for _ in range(2):
         with pytest.raises(NonQuadraticSpectrumError):
             exact_spectrum(c7)
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_spectrum_from_pairs_merges():
@@ -213,9 +214,15 @@ def _split_nonsquares():
     return [d for d in range(2, 50) if math.isqrt(d) ** 2 != d and _legendre(d) == 1]
 
 
+def _step(rem, bound, p):
+    """The GF(p) step on the one row (rem, bound, p)."""
+    (proposal,) = spectra._gfp_step([(rem, bound, p)])
+    return proposal
+
+
 def _quadratics(rem, bound, p):
     """The (b, c) of each x^2 - b x + c the GF(p) step proposes for rem."""
-    return [(-f[1], f[0]) for f in spectra._gfp_step(rem, bound, p).factors if len(f) == 3]
+    return [(-f[1], f[0]) for f in _step(rem, bound, p).factors if len(f) == 3]
 
 
 def _spy(monkeypatch, name):
@@ -223,6 +230,16 @@ def _spy(monkeypatch, name):
     calls, fn = [], getattr(spectra, name)
     monkeypatch.setattr(spectra, name, lambda *args: calls.append(args) or fn(*args))
     return calls
+
+
+def _step_rows(calls):
+    """The rows of every recorded _gfp_step call, in order."""
+    return [row for (rows,) in calls for row in rows]
+
+
+def _pow_one(c, e, f, p):
+    """(x + c)^e mod f over GF(p) as a trimmed list, from a stack of one."""
+    return spectra._trim(spectra._pow_x_plus([c], [e], [f], [p])[0].tolist())
 
 
 def test_pow_x_plus_matches_list_oracle():
@@ -233,7 +250,7 @@ def test_pow_x_plus_matches_list_oracle():
             f = [rng.randrange(p) for _ in range(d)] + [1]
             c = rng.randrange(p) if d % 2 else 0
             for e in (p, p * p, (p - 1) // 2, (p * p - 1) // 2):
-                assert spectra._pow_x_plus(c, e, f, p) == powmod([c, 1], e, f, p)
+                assert _pow_one(c, e, f, p) == powmod([c, 1], e, f, p)
     # the int64 worst case: degree MAX_ORDER, every coefficient p - 1 at the
     # largest step prime; the last square has 2 MAX_ORDER - 1 coefficients,
     # each a sum of up to MAX_ORDER products below p^2
@@ -241,7 +258,67 @@ def test_pow_x_plus_matches_list_oracle():
     assert MAX_ORDER * (p - 1) ** 2 < 2**63
     f = [p - 1] * MAX_ORDER + [1]
     e = 2 * MAX_ORDER
-    assert spectra._pow_x_plus(p - 1, e, f, p) == powmod([p - 1, 1], e, f, p)
+    assert _pow_one(p - 1, e, f, p) == powmod([p - 1, 1], e, f, p)
+
+
+def _stacked_step_rows():
+    """GF(p) step rows (rem, bound, p): seeded residuals of every degree from
+    1 to 13 at primes 43 to 971, the residuals of Paley(13) and C7, C258's
+    degree-252 residual at p = 263, and a row of degree 258 at P_MAX, every
+    coefficient but the leading one p - 1."""
+    rng = random.Random(22)
+    rows = []
+    for d in range(1, 14):
+        bound = rng.randint(2, 11)
+        rem = (1,)
+        while len(rem) - 1 < d:
+            left, kind = d - (len(rem) - 1), rng.randrange(3)
+            if kind == 0 or left == 1:
+                factor = (-rng.randint(-bound, bound), 1)
+            elif kind == 1:
+                factor = (rng.randint(-bound * bound, bound * bound),
+                          rng.randint(-2 * bound, 2 * bound), 1)
+            else:  # what is left, as one random monic factor
+                factor = tuple(rng.randint(-5, 5) for _ in range(left)) + (1,)
+            rem = poly_mul(rem, factor)
+        rows.append((rem, bound, spectra._step_prime(bound, d)))
+    for g, roots in ((families.paley(13), (6,)), (families.cycle(7), (2,)),
+                     (families.cycle(258), range(-2, 3))):
+        bound = int(g.degrees().max())
+        rem = spectra._divide_out(char_poly(g).coeffs, [(-z, 1) for z in roots], {})
+        rows.append((rem, bound, spectra._step_prime(bound, g.n)))
+    rows.append(((P_MAX - 1,) * 258 + (1,), 1, P_MAX))
+    return rows
+
+
+def test_a_stack_steps_as_its_rows_alone():
+    rows = _stacked_step_rows()
+    primes = sorted({p for _, _, p in rows})
+    assert primes[0] == 43 and 971 in primes and primes[-1] == P_MAX
+    assert {len(rem) - 1 for rem, _, _ in rows} >= set(range(1, 14)) | {252, 258}
+    assert rows[-2][2] == 263 and len(rows[-2][0]) - 1 == 252
+    assert spectra._gfp_step(rows) == [_step(*row) for row in rows]
+
+
+def test_a_stack_powers_as_its_rows_alone():
+    # per degree, rows of mixed primes, exponents of unequal length and
+    # shifts; the list oracle checks the small degrees and the short
+    # exponents, among them a power mod the degree-258 row at P_MAX
+    rows = _stacked_step_rows()
+    for d in sorted({len(rem) - 1 for rem, _, _ in rows}):
+        stack = [([c % p for c in rem], p) for rem, _, p in rows if len(rem) - 1 == d]
+        stack += [([(c + k) % p for c in f[:-1]] + [1], p) for f, p in stack for k in (1, 2)]
+        f = [f for f, _ in stack]
+        p = [p for _, p in stack]
+        e = [(q * q - 1) // 2 if i % 3 == 0 else q if i % 3 == 1 else 2 * d + 1
+             for i, q in enumerate(p)]
+        c = [i * 7 % q for i, q in enumerate(p)]
+        stacked = spectra._pow_x_plus(c, e, f, p)
+        assert stacked.shape == (len(stack), d)
+        for row, args in zip(stacked.tolist(), zip(c, e, f, p)):
+            assert spectra._trim(row) == _pow_one(*args)
+            if d <= 13 or args[1] < 1000:
+                assert spectra._trim(row) == powmod([args[0], 1], args[1], args[2], args[3])
 
 
 def test_quadratic_candidates_on_synthetic_residuals(monkeypatch):
@@ -265,14 +342,14 @@ def test_quadratic_candidates_on_synthetic_residuals(monkeypatch):
     splits = _spy(monkeypatch, "_split_quadratic")
     # degree 2: split in closed form, with no splitting power at all
     assert cands((-s1, 0, 1), 7, P) == [(0, -s1)]
-    assert len(splits) == 1 and [e for _, e, _, _ in powers] == [P]
+    assert len(splits) == 1 and [e for _, es, _, _ in powers for e in es] == [P]
     # degree 3 and 4: Cantor-Zassenhaus leaves a piece of degree 2
     for rem, pairs in [(_product((-s1, 0, 1), (-2, 0, 0, 1)), [(0, -s1)]),
                        (_product((-s1, 0, 1), (-s2, 0, 1)), [(0, -s1), (0, -s2)])]:
         powers.clear()
         splits.clear()
         assert cands(rem, 7, P) == sorted(pairs)
-        assert splits and (P - 1) // 2 in [e for _, e, _, _ in powers]
+        assert splits and (P - 1) // 2 in [e for _, es, _, _ in powers for e in es]
 
 
 def test_split_and_irreducible_quadratics_are_both_proposed():
@@ -427,7 +504,7 @@ def test_small_step_prime_end_to_end(monkeypatch, make, prime, residual_degree):
     g = make()
     calls = _spy(monkeypatch, "_gfp_step")
     exact = _spectrum_or_residual(g)
-    assert [p for _, _, p in calls] == [prime]
+    assert [p for _, _, p in _step_rows(calls)] == [prime]
     assert exact == float_spectrum_or_residual(g)
     if residual_degree is None:
         assert isinstance(exact, Spectrum) and len(exact.to_json()) == 3
@@ -447,7 +524,7 @@ def test_every_admissible_quadratic_is_proposed_at_small_primes():
         # split mod p (through L) and inert mod p (through Q) both occur
         legendre = {pow((b * b - 4 * c) % p, (p - 1) // 2, p) for b, c in chosen}
         assert legendre == {1, p - 1}
-        factors = spectra._gfp_step(rem, bound, p).factors
+        factors = _step(rem, bound, p).factors
         assert {(c, -b, 1) for b, c in chosen} <= set(factors)
         mults = {}
         assert spectra._divide_out(rem, factors, mults) == (1,)
@@ -469,7 +546,7 @@ def _certificate(g):
     k = int(g.degrees().max(initial=0))
     p = spectra._step_prime(k, g.n)
     fp = char_poly_mod([g.adj], (p,))[0].tolist()
-    return spectra._certificate(g, fp, p, spectra._gfp_step(fp, k, p))
+    return spectra._certificate(g, fp, p, _step(fp, k, p))
 
 
 def _certified(g):
@@ -551,7 +628,7 @@ def test_certificate_declines_when_a_split_quadratic_meets_two_others():
     k, p = 13, 1367
     assert int(g.degrees().max()) == k and spectra._step_prime(k, g.n) == p
     fp = char_poly_mod([g.adj], (p,))[0].tolist()
-    step = spectra._gfp_step(fp, k, p)
+    step = _step(fp, k, p)
     quadratics = [f for f in step.factors if len(f) == 3]
     assert step.complete and quadratics == [(-30, -2, 1), (-93, -4, 1), (-22, -6, 1)]
     assert [spectra._multiplicity_mod(fp, f, p) for f in quadratics] == [1, 2, 1]
@@ -568,7 +645,7 @@ def test_certificate_declines_at_the_entry_bound():
     g = disjoint_union(parts)
     k = 18
     p = spectra._step_prime(k, g.n)
-    step = spectra._gfp_step(char_poly_mod([g.adj], (p,))[0].tolist(), k, p)
+    step = _step(char_poly_mod([g.adj], (p,))[0].tolist(), k, p)
     assert step.complete and step.factors[:5] == [(-z, 1) for z in (2, 6, 8, 14, 18)]
     a = g.adj.astype(np.int64)
     powers = (np.eye(g.n, dtype=np.int64), a, a @ a)
@@ -584,7 +661,7 @@ def test_c7_certificate_declines_at_membership(c7, monkeypatch):
     # mod 43 the cubic factor of C7 splits, so the step is complete and the
     # certificate declines at P != 0
     fp = char_poly_mod([c7.adj], (43,))[0].tolist()
-    assert spectra._step_prime(2, 7) == 43 and spectra._gfp_step(fp, 2, 43).complete
+    assert spectra._step_prime(2, 7) == 43 and _step(fp, 2, 43).complete
     assert _certified(c7) is None
     # membership alone declines it: a count forced to n changes nothing
     with monkeypatch.context() as m:
@@ -603,14 +680,14 @@ def test_non_quadratic_cycles_keep_their_error(n, primes, certificate_runs, monk
     assert len(spectra.primes_for(n, 2)) == primes
     p = spectra._step_prime(2, n)
     fp = char_poly_mod([families.cycle(n).adj], (p,))[0].tolist()
-    assert not spectra._gfp_step(fp, 2, p).complete
+    assert not _step(fp, 2, p).complete
     calls, steps = _spy(monkeypatch, "_certificate"), _spy(monkeypatch, "_gfp_step")
     primes = _spy(monkeypatch, "_step_prime")
     with pytest.raises(NonQuadraticSpectrumError) as info:
         exact_spectrum(families.cycle(n))
     assert bool(calls) == certificate_runs
     # one step prime per graph, and a decline runs no second step
-    assert primes == [(2, n)] and [q for _, _, q in steps] == [p]
+    assert primes == [(2, n)] and [q for _, _, q in _step_rows(steps)] == [p]
     assert str(info.value) == (
         "spectrum contains non-quadratic eigenvalues; unfactored residual has degree "
         f"{n - 1}")
@@ -630,11 +707,11 @@ def test_relabelled_copy_reuses_the_table(monkeypatch):
     copy = _relabelled(g, 1)
     assert not np.array_equal(g.adj, copy.adj)
     spec = exact_spectrum(g)
-    assert len(steps) == 1
+    assert len(_step_rows(steps)) == 1
     # no second GF(p) step, and an equal spectrum
     assert exact_spectrum(copy) == spec and str(exact_spectrum(copy)) == str(spec)
-    assert len(steps) == 1
-    info = spectra._factor_table.cache_info()
+    assert len(_step_rows(steps)) == 1
+    info = spectra._TABLES.info()
     assert (info.hits, info.misses) == (1, 1)
 
 
@@ -646,7 +723,7 @@ def test_a_cached_residual_still_raises(c7, monkeypatch):
             exact_spectrum(g)
         residuals.append(info.value.residual)
     assert residuals[0] == residuals[1] == _power((-1, -2, 1, 1), 2)
-    assert len(steps) == 1
+    assert len(_step_rows(steps)) == 1
 
 
 def test_cospectral_graphs_of_unequal_degree_take_two_entries():
@@ -656,26 +733,37 @@ def test_cospectral_graphs_of_unequal_degree_take_two_entries():
     assert char_poly(star) == char_poly(square)
     assert exact_spectrum(star) == exact_spectrum(square)
     assert str(exact_spectrum(star)) == "{2^1, 0^3, (-2)^1}"
-    info = spectra._factor_table.cache_info()
+    info = spectra._TABLES.info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
 
 
 def test_factor_tables_are_bounded():
-    # (x - 1)^a (x + 1)^b: integer roots alone, so no GF(p) step runs
+    # (x - 1)^a (x + 1)^b x^c: integer roots alone, so no GF(p) step runs
     size = spectra.FACTOR_TABLES
-    polys = [_product(*[(-1, 1)] * a, *[(1, 1)] * b) for a in range(1, 18) for b in range(18)]
+    polys = [_product(*[(-1, 1)] * a, *[(1, 1)] * b, *[(0, 1)] * c)
+             for a in range(1, 11) for b in range(10) for c in range(10)]
     assert len(set(polys)) > size
     for i, f in enumerate(polys[: size + 1]):
-        table = spectra._factor_table(f, 1, None)
+        (table,) = spectra._TABLES.lookup([(f, 1)])
         assert table.residual == (1,) and sum(table.factors.values()) == len(f) - 1
-        assert spectra._factor_table.cache_info().currsize == min(i + 1, size)
-    info = spectra._factor_table.cache_info()
+        assert spectra._TABLES.info().currsize == min(i + 1, size)
+    info = spectra._TABLES.info()
     assert info.maxsize == size and info.currsize == size
+    # the least recently used went first: the first polynomial is computed again
+    assert info.misses == size + 1
+    spectra._TABLES.lookup([(polys[size], 1), (polys[0], 1)])
+    assert spectra._TABLES.info()[:2] == (1, size + 2)
+
+
+def test_a_chunk_and_its_children_fit_the_store():
+    # a chunk's graphs and both children of each take at most 3 CHUNK
+    # tables, which the prefill fills before the chunk's reports read them
+    assert spectra.FACTOR_TABLES >= 3 * cli.CHUNK
 
 
 def test_a_cached_table_cannot_be_changed():
     g = families.petersen()
-    table = spectra._factor_table(char_poly(g).coeffs, 3, None)
+    (table,) = spectra._TABLES.lookup([(char_poly(g).coeffs, 3)])
     with pytest.raises(TypeError):
         table.factors[(-3, 1)] = 2
     with pytest.raises(TypeError):
@@ -683,7 +771,7 @@ def test_a_cached_table_cannot_be_changed():
     with pytest.raises(AttributeError):
         table.factors.clear()
     assert dict(table.factors) == {(-3, 1): 1, (-1, 1): 5, (2, 1): 4}
-    assert spectra._factor_table(char_poly(g).coeffs, 3, None) is table
+    assert spectra._TABLES.lookup([(char_poly(g).coeffs, 3)])[0] is table
 
 
 def test_threads_share_the_tables_without_a_lock():
@@ -691,7 +779,7 @@ def test_threads_share_the_tables_without_a_lock():
     bases = [families.paley(13), families.cycle(7), families.complete_multipartite([1, 4]),
              disjoint_union([families.cycle(4), families.complete(1)])]
     expected = [str(_spectrum_or_residual(g)) for g in bases]
-    spectra._factor_table.cache_clear()
+    spectra._TABLES.clear()
     results, errors = [], []
 
     def work(seed):
@@ -715,7 +803,7 @@ def test_threads_share_the_tables_without_a_lock():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
     assert len(results) == 240 and all(text == expected[j] for j, text in results)
-    assert spectra._factor_table.cache_info().currsize == len(bases)
+    assert spectra._TABLES.info().currsize == len(bases)
 
 
 @pytest.mark.parametrize("make, text", [
