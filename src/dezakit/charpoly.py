@@ -14,7 +14,9 @@ spectra's one-prime certificate on one graph at a single prime.  char_polys
 runs many graphs at once: one stack per order, each graph filling a row per
 prime, so a stream of small graphs pays the kernel's per-column overhead
 once per order instead of once per graph.  A stack is split into passes of
-at most STACK_ELEMENTS entries, which bounds its memory whatever the stream.
+at most STACK_ELEMENTS entries, which bounds its memory whatever the stream;
+stacked groups and splits rows so, for these passes and for the stacked
+powers of spectra's GF(p) step.
 
 char_poly serves the spectra the certificate declines or that need few
 primes anyway (spectra.exact_spectrum), and the check of verify-paper's
@@ -231,9 +233,27 @@ def _hessenberg_charpoly(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     return polys[:, n]
 
 
-#: a stacked pass holds at most this many matrix entries (rows x n^2, 8 MB
-#: of int64), so a long stream of one order runs as several passes
+#: a stacked pass holds at most this many matrix entries (8 MB of int64), so
+#: a long stream of one shape runs as several passes
 STACK_ELEMENTS = 1 << 20
+
+
+def stacked(run, rows, shape) -> list:
+    """run(stack) on each stack of rows, with the results put back in the
+    order of rows: the rows whose matrices have one shape(row) run together
+    in order, split into stacks of at most STACK_ELEMENTS entries (one row
+    at least), so a pass's memory is bounded whatever the input."""
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, row in enumerate(rows):
+        by_shape.setdefault(shape(row), []).append(i)
+    out: list = [None] * len(rows)
+    for dims, members in by_shape.items():
+        per = max(STACK_ELEMENTS // math.prod(dims), 1)
+        for start in range(0, len(members), per):
+            block = members[start : start + per]
+            for i, value in zip(block, run([rows[i] for i in block])):
+                out[i] = value
+    return out
 
 
 def char_poly_mod(adjs, primes) -> np.ndarray:
@@ -268,28 +288,15 @@ def _lift(residues: list[list[int]], primes) -> CharPoly:
 
 
 def _char_polys(graphs) -> list[CharPoly]:
-    """det(xI - M) of each graph, in order: the graphs of one order run as
-    one stack of (graph, prime) rows, split into passes of at most
-    STACK_ELEMENTS entries, and each graph's rows are lifted together."""
-    by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(i)
-    polys: list = [None] * len(graphs)
-    for n, members in by_order.items():
-        adjs, primes, spans = [], [], []
-        for i in members:
-            g = graphs[i]
-            ps = primes_for(n, int(g.degrees().max(initial=0)))
-            spans.append((i, len(primes), len(primes) + len(ps)))
-            adjs += [g.adj] * len(ps)
-            primes += ps
-        per = max(STACK_ELEMENTS // (n * n), 1)
-        residues = []
-        for s in range(0, len(primes), per):
-            residues += char_poly_mod(adjs[s : s + per], primes[s : s + per]).tolist()
-        for i, start, stop in spans:
-            polys[i] = _lift(residues[start:stop], primes[start:stop])
-    return polys
+    """det(xI - M) of each graph, in order: each graph fills one (M, prime)
+    row per prime, the rows of one order run as stacked passes (stacked),
+    and each graph's rows are lifted together."""
+    primes = [primes_for(g.n, int(g.degrees().max(initial=0))) for g in graphs]
+    rows = [(g.adj, p) for g, ps in zip(graphs, primes) for p in ps]
+    residues = stacked(lambda stack: char_poly_mod(*zip(*stack)).tolist(), rows,
+                       lambda row: row[0].shape)
+    rest = iter(residues)
+    return [_lift([next(rest) for _ in ps], ps) for ps in primes]
 
 
 @per_graph

@@ -34,12 +34,11 @@ EXIT_INPUT = 2
 EXIT_USAGE = 64
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a filter stopped by a closed pipe
 
-#: analyze and spectrum read this many graphs at a time and fill the chunk's
-#: spectra first: one stacked Hessenberg pass per order, then one stacked
-#: GF(p) step for the factor tables the store lacks (spectra.prefill_spectra),
-#: and for analyze the same again for the children that build_report checks
-#: (report.prefill_reports); spectra.FACTOR_TABLES keeps 3 CHUNK tables, so
-#: none of them goes before the chunk's reports read it
+#: analyze and spectrum read this many graphs at a time and store the chunk's
+#: spectra on its graphs first: one stacked Hessenberg pass per order, then
+#: one stacked GF(p) step for the factor tables the store lacks
+#: (spectra.prefill_spectra), and for analyze the same again for the children
+#: that build_report checks (report.prefill_reports)
 CHUNK = 256
 
 

@@ -46,6 +46,20 @@ def _record(value):
     return value
 
 
+def _compares_children(g: Graph) -> bool:
+    """Whether g's report compares the spectra of g's children with the
+    closed formula: g has Deza parameters with b > a and a quadratic
+    spectrum."""
+    params = deza_mod.detect_deza(g)
+    if params is None or params.b == params.a:
+        return False
+    try:
+        exact_spectrum(g)
+    except NonQuadraticSpectrumError:
+        return False
+    return True
+
+
 def build_report(g: Graph, source: str = "graph") -> dict:
     profile = structural_profile(g)
     report: dict = {
@@ -94,7 +108,7 @@ def build_report(g: Graph, source: str = "graph") -> dict:
             "child_b_spectrum": None,
             "formula_spectra_match": None,
         }
-        if spec is not None:
+        if _compares_children(g):
             entry["formula_spectra_match"] = deza_mod.verify_child_formula(g)
             pair = deza_mod.children(g)
             entry["child_a_spectrum"] = exact_spectrum(pair.child_a).to_json()
@@ -145,26 +159,16 @@ def build_report(g: Graph, source: str = "graph") -> dict:
 
 
 def prefill_reports(graphs) -> None:
-    """Fill what build_report reads of the spectra of a chunk of graphs and
-    of their children, before the first report: the graphs' CRT-route
-    spectra (spectra.prefill_spectra), then those of the children that
-    build_report checks against the formula, the children of each graph
-    with Deza parameters b > a whose spectrum is quadratic.  A child has an
-    edge, so it can take the CRT route only at an order where a graph of
-    maximum degree 1 does; no other graph's children are built here."""
+    """Store on a chunk of graphs, and on their children, the spectra
+    build_report reads, before the first report: the graphs' CRT-route
+    spectra (spectra.prefill_spectra), then those of the children whose
+    spectra build_report compares with the formula (_compares_children).  A
+    child has an edge, so it can take the CRT route only at an order where a
+    graph of maximum degree 1 does; no other graph's children are built
+    here."""
     prefill_spectra(graphs)
-    children = []
-    for g in graphs:
-        params = deza_mod.detect_deza(g) if crt_route(g.n, 1) else None
-        if params is None or params.b == params.a:
-            continue
-        try:
-            exact_spectrum(g)
-        except NonQuadraticSpectrumError:
-            continue
-        pair = deza_mod.children(g)
-        children += [pair.child_a, pair.child_b]
-    prefill_spectra(children)
+    pairs = [deza_mod.children(g) for g in graphs if crt_route(g.n, 1) and _compares_children(g)]
+    prefill_spectra([child for pair in pairs for child in (pair.child_a, pair.child_b)])
 
 
 def report_inconsistencies(report: dict) -> list[str]:

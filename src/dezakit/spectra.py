@@ -60,7 +60,8 @@ between zeros (no copy), with the row reversed.  Its coefficients at x^d
 and above are folded back by one batched product with [I | R_s], R_s the
 row's d x (d - 1) reduction matrix, whose columns x^(d + j) mod f_s are
 built once per power; so no temporary exceeds rows x (2d - 1) x d int64,
-and _powers splits a stack at STACK_ELEMENTS of them.  A power costs one
+and _powers splits a stack at charpoly.STACK_ELEMENTS of them, by the
+splitter of the Hessenberg stacks (charpoly.stacked).  A power costs one
 squaring per bit of e: x^p takes about log2 p of them and x^(p^2) twice as
 many, so 10 and 20 at p = 971 (k = 11), 18 and 35 at Paley(257)'s
 p = 131111, and at most 25 and 50 at the largest prime an order up to
@@ -99,8 +100,14 @@ lookup computes every table it lacks at once (_crt_tables), with one
 stacked step.  Each graph still runs its own trace check.  A graph's table,
 from either route, is a per-graph fact (_spectrum_table), so a
 non-quadratic residual is found once per graph, and exact_spectrum raises
-it on every call.  The certificate reads M itself and shares nothing; when
-it declines, its step goes to _crt_tables too, past the store.
+it on every call.  One batch function gives the CRT route's tables
+(_crt_route_tables): _spectrum_table calls it on one graph and its
+char_poly, prefill_spectra on a chunk and its char_polys, and the prefill
+stores each table on its graph.  So exact_spectrum reads the graph, not the
+store, and the store only saves recomputing a table: its size decides how
+much is computed again, never what a spectrum reads.  The certificate reads
+M itself and shares nothing; when it declines, its step goes to _crt_tables
+too, past the store.
 
 The certificate, and why it is a proof.  Let f_p = det(xI - M) mod p
 (charpoly.char_poly_mod, one Hessenberg pass), and run the GF(p) step on it.
@@ -141,7 +148,6 @@ eigenvalues is 2|E|.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections import OrderedDict
@@ -152,16 +158,16 @@ import numpy as np
 
 from .charpoly import (
     MAX_ORDER,
-    STACK_ELEMENTS,
     char_poly,
     char_poly_mod,
     char_polys,
     poly_eval,
     poly_try_divide,
     primes_for,
+    stacked,
 )
 from .eigenvalues import Eigenvalue, Spectrum, is_perfect_square
-from .graphs import Graph, common_neighbour_matrix, per_graph
+from .graphs import Graph, common_neighbour_matrix, fill_facts, per_graph
 
 
 #: the certificate runs when char_poly would need more primes than this; the
@@ -169,10 +175,10 @@ from .graphs import Graph, common_neighbour_matrix, per_graph
 CERTIFY_ABOVE_PRIMES = 3
 
 #: how many factor tables the CRT route keeps across graphs (least recently
-#: used first out): three per graph of a 256-graph chunk of the verbs' input,
-#: the graph's and its two children's, so none of a chunk's prefilled tables
-#: goes before its reports read it; README gives the memory this bounds
-FACTOR_TABLES = 3 * 256
+#: used first out): more than a 1001-graph stream of small random regular
+#: graphs makes (517-530 with their children), so such a stream computes
+#: each table once; README gives the memory this bounds
+FACTOR_TABLES = 768
 
 
 class NonQuadraticSpectrumError(ValueError):
@@ -282,20 +288,10 @@ def _pow_x_plus(c, e, f, p) -> np.ndarray:
 
 def _powers(rows) -> list[list[int]]:
     """(x + c)^e mod f over GF(p) for each row (c, e, f, p), f a monic list of
-    degree >= 1: the rows of one degree run as one stack of _pow_x_plus,
-    split so that no stack's fold matrices exceed STACK_ELEMENTS entries."""
-    by_degree: dict[int, list[int]] = {}
-    for i, (_, _, f, _) in enumerate(rows):
-        by_degree.setdefault(len(f) - 1, []).append(i)
-    out: list = [None] * len(rows)
-    for d, members in by_degree.items():
-        per = max(STACK_ELEMENTS // ((2 * d - 1) * d), 1)
-        for start in range(0, len(members), per):
-            block = members[start : start + per]
-            c, e, f, p = zip(*(rows[i] for i in block))
-            for i, power in zip(block, _pow_x_plus(c, e, f, p).tolist()):
-                out[i] = _trim(power)
-    return out
+    degree d >= 1: the rows of one degree run as stacks of _pow_x_plus,
+    split by the d x (2d - 1) fold matrix of a row (charpoly.stacked)."""
+    return stacked(lambda stack: [_trim(power) for power in _pow_x_plus(*zip(*stack)).tolist()],
+                   rows, lambda row: (len(row[2]) - 1, 2 * len(row[2]) - 3))
 
 
 def _split_quadratic(g: list[int], p: int) -> list[list[int]]:
@@ -600,26 +596,32 @@ class _TableStore:
 _TABLES = _TableStore(FACTOR_TABLES)
 
 
+def _crt_route_tables(graphs, polys) -> list[FactorTable]:
+    """The CRT route's table of each graph, polys[i] being its char_poly: the
+    store's table of (char_poly, maximum degree), the tables it lacks
+    computed with one stacked GF(p) step."""
+    return _TABLES.lookup([(poly.coeffs, int(g.degrees().max(initial=0)))
+                           for g, poly in zip(graphs, polys)])
+
+
 def prefill_spectra(graphs) -> None:
-    """Fill what exact_spectrum reads on the CRT route, for exactly the
-    graphs that take it: their char_poly as one stacked Hessenberg pass per
-    order (charpoly.char_polys), then the factor tables the store lacks,
-    with one stacked GF(p) step.  Certificate-route graphs are left alone,
+    """Store on each graph that takes the CRT route and lacks it the table
+    exact_spectrum reads (_spectrum_table): their char_poly as one stacked
+    Hessenberg pass per order (charpoly.char_polys), then their tables by
+    one _crt_route_tables call.  Certificate-route graphs are left alone,
     so no graph runs a pass or a step that exact_spectrum would not run."""
-    bounds = [int(g.degrees().max(initial=0)) for g in graphs]
-    crt = [(g, bound) for g, bound in zip(graphs, bounds) if crt_route(g.n, bound)]
-    polys = char_polys([g for g, _ in crt])
-    _TABLES.lookup([(poly.coeffs, bound) for poly, (_, bound) in zip(polys, crt)])
+    crt = [g for g in graphs if crt_route(g.n, int(g.degrees().max(initial=0)))]
+    fill_facts(_spectrum_table, crt, lambda gs: _crt_route_tables(gs, char_polys(gs)))
 
 
 @per_graph
 def _spectrum_table(g: Graph) -> FactorTable:
-    """The table of g's spectrum, from the route that decides it: the
-    store's table of (char_poly, maximum degree), or the certificate's, or
-    on a decline the CRT route's with the certificate's step."""
+    """The table of g's spectrum, from the route that decides it: the CRT
+    route's (_crt_route_tables), or the certificate's, or on a decline the
+    CRT route's with the certificate's step."""
     bound = int(g.degrees().max(initial=0))
     if crt_route(g.n, bound):
-        return _TABLES.lookup([(char_poly(g).coeffs, bound)])[0]
+        return _crt_route_tables([g], [char_poly(g)])[0]
     p = _step_prime(bound, g.n)
     fp = char_poly_mod([g.adj], (p,))[0].tolist()
     (step,) = _gfp_step([(fp, bound, p)])

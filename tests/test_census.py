@@ -8,7 +8,9 @@ factor tables, which graphs with equal polynomials share."""
 import hashlib
 import json
 
-from dezakit import families
+from dezakit import families, spectra
+from dezakit.cli import main
+from dezakit.graph6 import write_graph6
 from dezakit.graphs import bipartite_double, line_graph
 from dezakit.report import build_report, report_inconsistencies
 
@@ -76,3 +78,17 @@ def test_census_slice_is_consistent_and_frozen():
     assert digest.hexdigest() == (
         "fd0fb5eaf835b40aa9a589da360c7aabb50c4b3d2bc03a324c5b0dc2cc14898c"
     )
+
+
+def test_census_slice_streams_through_the_chunks(tmp_path, capsys):
+    # many census graphs share polynomials and children across a chunk
+    census = [g for _, g in _census(LIMIT)]
+    path = tmp_path / "census.g6"
+    path.write_text("".join(write_graph6(g) + "\n" for g in census))
+    assert main(["analyze", "--json", str(path)]) == 0
+    streamed = json.loads(capsys.readouterr().out)
+    spectra._TABLES.clear()
+    singles = [build_report(g) for g in census]
+    assert len(streamed) == len(singles) == 368
+    for got, want in zip(streamed, singles):
+        assert {**got, "source": None} == {**want, "source": None}

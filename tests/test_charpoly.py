@@ -287,7 +287,9 @@ def test_prefill_leaves_the_reports_no_pass_and_no_step(monkeypatch):
     assert all(spectra.crt_route(g.n, int(g.degrees().max())) for g in chunk)
     assert all(deza.detect_deza(g).b > deza.detect_deza(g).a for g in chunk)
     expected = [report.build_report(Graph(g.adj), str(i)) for i, g in enumerate(chunk)]
-    spectra._TABLES.clear()
+    # a store of one table keeps none of the chunk's: the reports read the
+    # tables the prefill stored on the graphs and their children
+    monkeypatch.setattr(spectra, "_TABLES", spectra._TableStore(1))
     report.prefill_reports(chunk)
     # the children of the non-quadratic parents are not built
     assert [deza.children.memo_key in g._facts for g in chunk] == [True] * 3 + [False] * 2
@@ -295,9 +297,10 @@ def test_prefill_leaves_the_reports_no_pass_and_no_step(monkeypatch):
     steps = []
     step = spectra._gfp_step
     monkeypatch.setattr(spectra, "_gfp_step", lambda rows: steps.append(rows) or step(rows))
+    lookups = spectra._TABLES.info()
     reports = [report.build_report(g, str(i)) for i, g in enumerate(chunk)]
     assert reports == expected
-    assert shapes == [] and steps == []
+    assert shapes == [] and steps == [] and spectra._TABLES.info() == lookups
     # the children that build_report read hold the prefilled polynomials;
     # the non-quadratic parents' children get no char_poly
     for g, quadratic in zip(chunk, [True] * 3 + [False] * 2):

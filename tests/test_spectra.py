@@ -16,7 +16,7 @@ from conftest import (
     random_regular_graph,
     rem_mod,
 )
-from dezakit import cli, deza, families, spectra
+from dezakit import deza, families, spectra
 from dezakit.charpoly import MAX_ORDER, CharPoly, char_poly, char_poly_mod, modular_primes, poly_mul
 from dezakit.eigenvalues import Eigenvalue, Spectrum
 from dezakit.graphs import Graph, disjoint_union
@@ -753,12 +753,6 @@ def test_factor_tables_are_bounded():
     assert info.misses == size + 1
     spectra._TABLES.lookup([(polys[size], 1), (polys[0], 1)])
     assert spectra._TABLES.info()[:2] == (1, size + 2)
-
-
-def test_a_chunk_and_its_children_fit_the_store():
-    # a chunk's graphs and both children of each take at most 3 CHUNK
-    # tables, which the prefill fills before the chunk's reports read them
-    assert spectra.FACTOR_TABLES >= 3 * cli.CHUNK
 
 
 def test_a_cached_table_cannot_be_changed():

@@ -4,14 +4,16 @@ and exact determinant oracle."""
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dezakit import verify
+from dezakit import charpoly, verify
 from dezakit.graph6 import write_graph6
+from dezakit.graphs import Graph
 from dezakit.verify import bareiss_determinant
 
 #: sha256 of verify-paper --json: json.dumps of the 179 rows, indent=1
@@ -26,6 +28,19 @@ def test_verify_paper_json_is_frozen():
     assert len(rows) == 179
     text = json.dumps([asdict(r) for r in rows], indent=1)
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_SHA256
+
+
+def test_run_all_stacks_the_passes_of_the_corpus(monkeypatch):
+    fresh = {name: Graph(g.adj) for name, g in verify.corpus().items()}  # no fact yet
+    monkeypatch.setattr(verify, "corpus", lambda: fresh)
+    orders = []
+    kernel = charpoly._hessenberg
+    monkeypatch.setattr(charpoly, "_hessenberg",
+                        lambda h, p: orders.append(h.shape[1]) or kernel(h, p))
+    verify.run_all()
+    # one pass per order for the corpus graphs, one for their children, and
+    # none of a graph at a time
+    assert max(Counter(orders).values()) <= 2
 
 
 def test_criterion_14_sample_is_frozen():
