@@ -16,7 +16,7 @@ from conftest import (
     random_regular_graph,
     rem_mod,
 )
-from dezakit import deza, families, spectra
+from dezakit import deza, families, report, spectra
 from dezakit.charpoly import MAX_ORDER, CharPoly, char_poly, char_poly_mod, modular_primes, poly_mul
 from dezakit.eigenvalues import Eigenvalue, Spectrum
 from dezakit.graphs import Graph, disjoint_union
@@ -753,6 +753,20 @@ def test_factor_tables_are_bounded():
     assert info.misses == size + 1
     spectra._TABLES.lookup([(polys[size], 1), (polys[0], 1)])
     assert spectra._TABLES.info()[:2] == (1, size + 2)
+
+
+def test_a_chunk_and_its_children_fit_the_store(monkeypatch):
+    # the prefill stores each table on its graph, so a chunk and the children
+    # its reports compare fit whatever the store keeps: here one table
+    monkeypatch.setattr(spectra, "_TABLES", spectra._TableStore(1))
+    chunk = [families.complete_multipartite([3, 3, 3]), families.disjoint_cliques(3, 3),
+             families.taylor_double_cover(families.paley(5))]
+    report.prefill_reports(chunk)
+    pairs = [deza.children(g) for g in chunk]
+    graphs = chunk + [c for pair in pairs for c in (pair.child_a, pair.child_b)]
+    assert all(spectra._spectrum_table.memo_key in g._facts for g in graphs)
+    assert spectra._TABLES.info().currsize == 1
+    assert [exact_spectrum(g) for g in graphs] == [exact_spectrum(Graph(g.adj)) for g in graphs]
 
 
 def test_a_cached_table_cannot_be_changed():
