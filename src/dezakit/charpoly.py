@@ -14,9 +14,9 @@ spectra's one-prime certificate on one graph at a single prime.  char_polys
 runs many graphs at once: one stack per order, each graph filling a row per
 prime, so a stream of small graphs pays the kernel's per-column overhead
 once per order instead of once per graph.  A stack is split into passes of
-at most STACK_ELEMENTS entries, which bounds its memory whatever the stream;
-stacked groups and splits rows so, for these passes and for the stacked
-powers of spectra's GF(p) step.
+at most graphs.STACK_ELEMENTS entries, which bounds its memory whatever the
+stream; graphs.stacked groups and splits rows so, for these passes, for the
+stacked powers of spectra's GF(p) step and for the structural kernels.
 
 char_poly serves the spectra the certificate declines or that need few
 primes anyway (spectra.exact_spectrum), and the check of verify-paper's
@@ -35,7 +35,7 @@ from functools import cache
 
 import numpy as np
 
-from .graphs import Graph, fill_facts, per_graph
+from .graphs import Graph, fill_facts, per_graph, stacked
 
 # -- integer polynomial helpers (ascending coefficients) -------------------
 
@@ -233,29 +233,6 @@ def _hessenberg_charpoly(h: np.ndarray, p: np.ndarray) -> np.ndarray:
     return polys[:, n]
 
 
-#: a stacked pass holds at most this many matrix entries (8 MB of int64), so
-#: a long stream of one shape runs as several passes
-STACK_ELEMENTS = 1 << 20
-
-
-def stacked(run, rows, shape) -> list:
-    """run(stack) on each stack of rows, with the results put back in the
-    order of rows: the rows whose matrices have one shape(row) run together
-    in order, split into stacks of at most STACK_ELEMENTS entries (one row
-    at least), so a pass's memory is bounded whatever the input."""
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, row in enumerate(rows):
-        by_shape.setdefault(shape(row), []).append(i)
-    out: list = [None] * len(rows)
-    for dims, members in by_shape.items():
-        per = max(STACK_ELEMENTS // math.prod(dims), 1)
-        for start in range(0, len(members), per):
-            block = members[start : start + per]
-            for i, value in zip(block, run([rows[i] for i in block])):
-                out[i] = value
-    return out
-
-
 def char_poly_mod(adjs, primes) -> np.ndarray:
     """det(xI - adjs[s]) mod primes[s] for a stack of adjacency matrices of
     one order and one prime below 2^26 per matrix, by one stacked Hessenberg
@@ -308,7 +285,7 @@ def char_poly(g: Graph) -> CharPoly:
     descending list of primes below 2^26) M is reduced to upper Hessenberg
     form by a similarity over GF(p), and det(xI - M) mod p is read off the
     Hessenberg recurrence.  All primes run together as one stack of int64
-    matrices, split into passes of at most STACK_ELEMENTS entries
+    matrices, split into passes of at most graphs.STACK_ELEMENTS entries
     (char_polys stacks many graphs of one order the same way).  The
     residues are combined by the Chinese remainder theorem and lifted to the
     symmetric range (-P/2, P/2], P the product of primes.
@@ -333,6 +310,6 @@ def char_poly(g: Graph) -> CharPoly:
 
 def char_polys(graphs) -> list[CharPoly]:
     """char_poly of each graph, storing it on every graph that lacks it:
-    those graphs run one stacked pass per order (split at STACK_ELEMENTS)
+    those graphs run one stacked pass per order (split at graphs.STACK_ELEMENTS)
     instead of one pass each, and their memo serves every later char_poly."""
     return fill_facts(char_poly, graphs, _char_polys)

@@ -35,10 +35,12 @@ EXIT_USAGE = 64
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a filter stopped by a closed pipe
 
 #: analyze and spectrum read this many graphs at a time and store the chunk's
-#: spectra on its graphs first: one stacked Hessenberg pass per order, then
-#: one stacked GF(p) step for the factor tables the store lacks
-#: (spectra.prefill_spectra), and for analyze the same again for the children
-#: that build_report checks (report.prefill_reports)
+#: facts on its graphs first: for analyze the structural facts of the graphs
+#: that share a stack (n <= 80), one kernel call per order and stack
+#: (report.prefill_reports); for both the spectra,
+#: one stacked Hessenberg pass per order, then one stacked GF(p) step for
+#: the factor tables the store lacks (spectra.prefill_spectra); and for
+#: analyze the class values and spectra of the children build_report checks
 CHUNK = 256
 
 

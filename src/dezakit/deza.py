@@ -18,7 +18,16 @@ import numpy as np
 
 from . import _kernels
 from .eigenvalues import Eigenvalue, Spectrum
-from .graphs import Graph, common_neighbour_matrix, is_disjoint_clique_union, per_graph
+from .graphs import (
+    Graph,
+    adjacency_stack,
+    by_order,
+    common_neighbour_matrix,
+    fill_facts,
+    is_disjoint_clique_union,
+    per_graph,
+    square_stack,
+)
 from .spectra import exact_spectrum, spectrum_from_pairs
 
 
@@ -86,11 +95,29 @@ class StronglyDezaResult:
     child_b_srg: SrgParams | None
 
 
+def _class_value_lists(graphs) -> list[tuple[list[int], list[int]]]:
+    return by_order(
+        lambda gs: _kernels.class_values(adjacency_stack(gs), square_stack(gs)), graphs)
+
+
 @per_graph
 def _class_values(g: Graph) -> tuple[list[int], list[int]]:
     """Distinct common-neighbour counts over adjacent and over non-adjacent
     pairs, each ascending: the one scan of M^2's values per graph."""
-    return _kernels.class_values(g.adj, common_neighbour_matrix(g))
+    return _class_value_lists([g])[0]
+
+
+def _may_be_deza(g: Graph) -> bool:
+    """Regular and neither complete nor edgeless: the graphs whose M^2
+    values detect_deza reads."""
+    k = g.regular_degree()
+    return k is not None and 0 < k < g.n - 1
+
+
+def fill_class_values(graphs) -> None:
+    """Store on each graph that detect_deza reads them for (_may_be_deza)
+    its class values, by one M^2 product and one kernel call per stack."""
+    fill_facts(_class_values, [g for g in graphs if _may_be_deza(g)], _class_value_lists)
 
 
 @per_graph
@@ -100,13 +127,12 @@ def detect_deza(g: Graph) -> DezaParams | None:
     Not-Deza is an ordinary outcome: irregular, complete, edgeless, or more
     than two distinct common-neighbour counts.
     """
-    k = g.regular_degree()
-    if k is None or g.is_complete() or g.is_edgeless():
+    if not _may_be_deza(g):
         return None
     values = sorted(set().union(*_class_values(g)))
     if len(values) > 2:
         return None
-    return DezaParams(g.n, k, values[-1], values[0])
+    return DezaParams(g.n, g.regular_degree(), values[-1], values[0])
 
 
 @per_graph

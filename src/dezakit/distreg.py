@@ -25,10 +25,16 @@ from .errors import ContradictionError, SpectrumShapeError
 from .eigenvalues import Eigenvalue
 from .families import prime_power
 from .graphs import (
+    DistanceData,
     Graph,
+    adjacency_stack,
+    by_order,
     components,
     distance_data,
+    distance_stack,
     equal_cliques,
+    fill_distance_data,
+    fill_facts,
     is_bipartite,
     per_graph,
     triangle_count,
@@ -78,22 +84,40 @@ class IntersectionArray:
         return "{" + bs + ";" + cs + "}"
 
 
+def _intersection_numbers(graphs) -> list:
+    def run(gs):
+        data = [distance_data(g) for g in gs]
+        found = _kernels.intersection_counts(adjacency_stack(gs), distance_stack(gs))
+        return [(None, witness) if counts is None else (_array_of(dd, *counts), None)
+                for dd, (counts, witness) in zip(data, found)]
+
+    return by_order(run, graphs)
+
+
+def _array_of(dd: DistanceData, b, c, a) -> IntersectionArray:
+    """The intersection array of a distance-regular graph with distances dd
+    and counts b_i, c_i, a_i for i = 0..diameter."""
+    d = dd.diameter
+    # a distance-regular graph's k_i are the distance-class sizes of any vertex
+    k_i = tuple(np.bincount(dd.dist[0]).tolist())
+    return IntersectionArray(d, tuple(b[:d]), tuple(c[1:]), tuple(a[1:]), k_i)
+
+
 @per_graph
 def intersection_numbers(
     g: Graph,
 ) -> tuple[IntersectionArray | None, tuple[int, int] | None]:
     """(array, None) for a distance-regular graph, else (None, witness pair)."""
-    dd = distance_data(g)
-    if not dd.connected:
+    if not distance_data(g).connected:
         raise ValueError("intersection numbers need a connected graph")
-    counts, witness = _kernels.intersection_counts(g.adj, dd.dist, dd.diameter)
-    if counts is None:
-        return None, witness
-    b, c, a = counts
-    d = dd.diameter
-    # a distance-regular graph's k_i are the distance-class sizes of any vertex
-    k_i = tuple(np.bincount(dd.dist[0]).tolist())
-    return IntersectionArray(d, tuple(b[:d]), tuple(c[1:]), tuple(a[1:]), k_i), None
+    return _intersection_numbers([g])[0]
+
+
+def fill_intersection_numbers(graphs) -> None:
+    """Store on each connected graph its intersection numbers, by one kernel
+    call per stack; the graphs lacking distances get them first, the same way."""
+    connected = [g for g, dd in zip(graphs, fill_distance_data(graphs)) if dd.connected]
+    fill_facts(intersection_numbers, connected, _intersection_numbers)
 
 
 def intersection_array(g: Graph) -> IntersectionArray | None:

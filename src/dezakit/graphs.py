@@ -7,11 +7,18 @@ storage keeps every operation matrix-shaped and kernel-friendly.
 A graph is also its analysis context: a ``per_graph`` function stores its
 result on the graph, so each fact is computed once and dropped with the
 graph.  Threads need no lock: a race can only compute one value twice.
+
+A batch fills a fact for many graphs at once (``fill_facts``): the
+structural facts here -- the degree vector, M^2, the distances and the
+triangle count -- each run once per stack of graphs of one order
+(``by_order``), and the single-graph fact is the batch of one.  Each graph
+keeps its own copy of its row of a stack.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,19 +80,18 @@ class Graph:
         return [(int(u), int(v)) for u, v in zip(us, vs)]
 
     def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
+        return int(self.degrees().sum()) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u, v])
 
     def degrees(self) -> np.ndarray:
-        return self.adj.sum(axis=1, dtype=np.int64)
+        """The read-only int64 degree vector, computed once per graph."""
+        return _degrees(self)
 
     def regular_degree(self) -> int | None:
         """The common degree, or None if the graph is not regular."""
-        deg = self.degrees()
-        k = int(deg[0])
-        return k if bool((deg == k).all()) else None
+        return _regular_degree(self)
 
     def is_complete(self) -> bool:
         return self.edge_count() == self.n * (self.n - 1) // 2
@@ -134,6 +140,91 @@ def fill_facts(fact, graphs, compute) -> list:
     return [g._facts[key] for g in graphs]
 
 
+#: a stacked pass holds at most this many matrix entries (8 MB of int64), so
+#: a long stream of one shape runs as several passes
+STACK_ELEMENTS = 1 << 20
+
+
+def stacked(run, rows, shape) -> list:
+    """run(stack) on each stack of rows, with the results put back in the
+    order of rows: the rows whose matrices have one shape(row) run together
+    in order, split into stacks of at most STACK_ELEMENTS entries (one row
+    at least), so a pass's memory is bounded whatever the input."""
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(rows):
+        by_shape.setdefault(shape(row), []).append(i)
+    out: list = [None] * len(rows)
+    for dims, members in by_shape.items():
+        per = max(STACK_ELEMENTS // math.prod(dims), 1)
+        for start in range(0, len(members), per):
+            block = members[start : start + per]
+            for i, value in zip(block, run([rows[i] for i in block])):
+                out[i] = value
+    return out
+
+
+def by_order(run, graphs) -> list:
+    """run(graphs) on stacks of the graphs, one order per stack, with the
+    results put back in order.  A graph counts n^3 entries, the size of the
+    largest temporary of a structural kernel (intersection_counts gathers a
+    row of n distances for each of up to n^2 pairs), so a graph with n >= 81
+    runs alone."""
+    return stacked(run, graphs, _order_shape)
+
+
+def _order_shape(g: Graph) -> tuple[int, int, int]:
+    return (g.n,) * 3
+
+
+def shares_stack(g: Graph) -> bool:
+    """Whether by_order can stack g with another graph of its order (n <= 80):
+    only then does a batch save a kernel call on g, so a caller that keeps
+    a batch's facts until it reads them fills only these graphs."""
+    return 2 * math.prod(_order_shape(g)) <= STACK_ELEMENTS
+
+
+def _stack(arrays) -> np.ndarray:
+    """Arrays of one shape as one stack; a single array is a stack of one,
+    viewed rather than copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def adjacency_stack(graphs) -> np.ndarray:
+    """The adjacency matrices of graphs of one order, as one uint8 stack."""
+    return _stack([g.adj for g in graphs])
+
+
+def _unstack(stack: np.ndarray) -> list[np.ndarray]:
+    """Each array of a result stack as a read-only copy, so a graph's fact
+    is freed with the graph rather than with the last graph of its stack."""
+    out = [m.copy() for m in stack]
+    for m in out:
+        m.setflags(write=False)
+    return out
+
+
+def _degree_vectors(graphs) -> list[np.ndarray]:
+    return by_order(lambda gs: _unstack(adjacency_stack(gs).sum(axis=2, dtype=np.int64)), graphs)
+
+
+@per_graph
+def _degrees(g: Graph) -> np.ndarray:
+    return _degree_vectors([g])[0]
+
+
+@per_graph
+def _regular_degree(g: Graph) -> int | None:
+    deg = g.degrees()
+    k = int(deg[0])
+    return k if bool((deg == k).all()) else None
+
+
+def fill_degrees(graphs) -> list[np.ndarray]:
+    """Each graph's degree vector, stored on the graphs that lack it by one
+    row sum per stack."""
+    return fill_facts(_degrees, graphs, _degree_vectors)
+
+
 @dataclass(frozen=True)
 class DistanceData:
     """All-pairs graph distances; UNREACHABLE (-1) marks disconnected pairs."""
@@ -162,13 +253,30 @@ def common_neighbours(g: Graph, u: int, v: int) -> int:
     return int((g.adj[u] & g.adj[v]).sum())
 
 
+def _squares(graphs) -> list[np.ndarray]:
+    def run(gs):
+        a = adjacency_stack(gs).astype(np.int64)
+        return _unstack(a @ a)
+
+    return by_order(run, graphs)
+
+
 @per_graph
 def common_neighbour_matrix(g: Graph) -> np.ndarray:
     """M^2 as a read-only int64 matrix (diagonal holds the degrees)."""
-    a = g.adj.astype(np.int64)
-    m2 = a @ a
-    m2.setflags(write=False)
-    return m2
+    return _squares([g])[0]
+
+
+def fill_common_neighbour_matrices(graphs) -> list[np.ndarray]:
+    """Each graph's M^2, stored on the graphs that lack it by one stacked
+    product per stack."""
+    return fill_facts(common_neighbour_matrix, graphs, _squares)
+
+
+def square_stack(graphs) -> np.ndarray:
+    """The M^2s of graphs of one order, as one int64 stack; the graphs that
+    lack theirs get it first (fill_common_neighbour_matrices)."""
+    return _stack(fill_common_neighbour_matrices(graphs))
 
 
 def complement(g: Graph) -> Graph:
@@ -198,13 +306,31 @@ def line_graph(g: Graph) -> Graph:
     return meet_graph(g.n, edges, 1)
 
 
+def _distance_data(graphs) -> list[DistanceData]:
+    def run(gs):
+        dists = _kernels.all_pairs_distances(adjacency_stack(gs))
+        reach = (dists >= 0).all(axis=(1, 2)).tolist()
+        diameters = dists.max(axis=(1, 2)).tolist()
+        return [DistanceData(dist, diameter if reached else UNREACHABLE)
+                for dist, reached, diameter in zip(_unstack(dists), reach, diameters)]
+
+    return by_order(run, graphs)
+
+
 @per_graph
 def distance_data(g: Graph) -> DistanceData:
-    dist = _kernels.all_pairs_distances(g.adj)
-    dist.setflags(write=False)
-    if (dist < 0).any():
-        return DistanceData(dist, UNREACHABLE)
-    return DistanceData(dist, int(dist.max()))
+    return _distance_data([g])[0]
+
+
+def fill_distance_data(graphs) -> list[DistanceData]:
+    """Each graph's distances, stored on the graphs that lack them by one
+    kernel call per stack."""
+    return fill_facts(distance_data, graphs, _distance_data)
+
+
+def distance_stack(graphs) -> np.ndarray:
+    """The distance matrices of graphs of one order, as one int32 stack."""
+    return _stack([distance_data(g).dist for g in graphs])
 
 
 def is_connected(g: Graph) -> bool:
@@ -270,9 +396,22 @@ def halved_graphs(g: Graph) -> tuple[Graph, Graph]:
     return halves[0], halves[1]
 
 
+def _triangle_counts(graphs) -> list[int]:
+    return by_order(
+        lambda gs: _kernels.triangle_count(adjacency_stack(gs), square_stack(gs)), graphs)
+
+
+@per_graph
 def triangle_count(g: Graph) -> int:
     """Number of triangles, via closed-walk counting (trace(M^3)/6)."""
-    return _kernels.triangle_count(g.adj, common_neighbour_matrix(g))
+    return _triangle_counts([g])[0]
+
+
+def fill_triangle_counts(graphs) -> list[int]:
+    """Each graph's triangle count, stored on the graphs that lack it by one
+    kernel call per stack; those lacking M^2 get it too, by one product per
+    stack."""
+    return fill_facts(triangle_count, graphs, _triangle_counts)
 
 
 def structural_profile(g: Graph) -> StructuralProfile:

@@ -60,8 +60,8 @@ between zeros (no copy), with the row reversed.  Its coefficients at x^d
 and above are folded back by one batched product with [I | R_s], R_s the
 row's d x (d - 1) reduction matrix, whose columns x^(d + j) mod f_s are
 built once per power; so no temporary exceeds rows x (2d - 1) x d int64,
-and _powers splits a stack at charpoly.STACK_ELEMENTS of them, by the
-splitter of the Hessenberg stacks (charpoly.stacked).  A power costs one
+and _powers splits a stack at graphs.STACK_ELEMENTS of them, by the
+splitter of the Hessenberg stacks (graphs.stacked).  A power costs one
 squaring per bit of e: x^p takes about log2 p of them and x^(p^2) twice as
 many, so 10 and 20 at p = 971 (k = 11), 18 and 35 at Paley(257)'s
 p = 131111, and at most 25 and 50 at the largest prime an order up to
@@ -164,10 +164,9 @@ from .charpoly import (
     poly_eval,
     poly_try_divide,
     primes_for,
-    stacked,
 )
 from .eigenvalues import Eigenvalue, Spectrum, is_perfect_square
-from .graphs import Graph, common_neighbour_matrix, fill_facts, per_graph
+from .graphs import Graph, common_neighbour_matrix, fill_facts, per_graph, stacked
 
 
 #: the certificate runs when char_poly would need more primes than this; the
@@ -289,7 +288,7 @@ def _pow_x_plus(c, e, f, p) -> np.ndarray:
 def _powers(rows) -> list[list[int]]:
     """(x + c)^e mod f over GF(p) for each row (c, e, f, p), f a monic list of
     degree d >= 1: the rows of one degree run as stacks of _pow_x_plus,
-    split by the d x (2d - 1) fold matrix of a row (charpoly.stacked)."""
+    split by the d x (2d - 1) fold matrix of a row (graphs.stacked)."""
     return stacked(lambda stack: [_trim(power) for power in _pow_x_plus(*zip(*stack)).tolist()],
                    rows, lambda row: (len(row[2]) - 1, 2 * len(row[2]) - 3))
 

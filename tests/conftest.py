@@ -102,6 +102,23 @@ def brute_intersection_counts(adj: np.ndarray, dist: np.ndarray, diameter: int):
     return ok, b, c, a
 
 
+def brute_first_failure(adj: np.ndarray, dist: np.ndarray, diameter: int):
+    """(i, count, (x, y)) for a connected graph that is not distance-regular,
+    else None: at the least distance i where b_i, c_i or a_i (scanned in
+    that order) is not constant, the first ordered pair at distance i, by
+    rows then columns, whose count differs from the first pair's."""
+    n = adj.shape[0]
+    for i in range(diameter + 1):
+        pairs = [(x, y) for x in range(n) for y in range(n) if dist[x, y] == i]
+        for name, step in (("b", 1), ("c", -1), ("a", 0)):
+            counts = [sum(1 for w in range(n) if adj[y, w] and dist[x, w] == i + step)
+                      for x, y in pairs]
+            for pair, count in zip(pairs, counts):
+                if count != counts[0]:
+                    return i, name, pair
+    return None
+
+
 def faddeev_leverrier(g: Graph) -> tuple[int, ...]:
     """Ascending coefficients of det(xI - M) by the Faddeev-LeVerrier
     recurrence over object-dtype big integers: n matrix products, O(n^4)."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import faddeev_leverrier, random_graph, random_regular_graph
-from dezakit import charpoly, deza, families, report, spectra
+from dezakit import charpoly, deza, families, graphs, report, spectra
 from dezakit.charpoly import CharPoly, char_poly, poly_divmod_monic, poly_eval, poly_mul, poly_try_divide
 from dezakit.graph6 import MAX_N
 from dezakit.graphs import Graph, complement
@@ -268,8 +268,8 @@ def test_stacks_stay_within_the_element_budget(monkeypatch):
     matchings = [families.disjoint_cliques(40, 2) for _ in range(256)]
     shapes = _count_passes(monkeypatch)
     spectra.prefill_spectra(matchings)
-    assert all(rows * n * n <= charpoly.STACK_ELEMENTS for rows, n, _ in shapes)
-    per = charpoly.STACK_ELEMENTS // 80**2
+    assert all(rows * n * n <= graphs.STACK_ELEMENTS for rows, n, _ in shapes)
+    per = graphs.STACK_ELEMENTS // 80**2
     assert [rows for rows, _, _ in shapes] == [per] * (768 // per) + [768 % per]
     assert len({char_poly(g) for g in matchings}) == 1
 

@@ -29,7 +29,11 @@ from dezakit.graphs import (
     disjoint_union,
     distance_data,
     distance_i_graph,
+    fill_common_neighbour_matrices,
+    fill_degrees,
+    fill_distance_data,
     fill_facts,
+    fill_triangle_counts,
     halved_graphs,
     induced_subgraph,
     is_bipartite,
@@ -311,6 +315,29 @@ def test_bipartition_matches_bfs():
     assert any(sides is None for sides in outcomes)
     assert any(sides is not None and len(components(g)) > 1
                for g, sides in zip(graphs, outcomes))
+
+
+def test_structural_fillers_match_the_oracles():
+    # 300 graphs of orders 1 to 12, so each filler runs stacks of many graphs
+    # of one order, connected and not
+    rng = random.Random(29)
+    graphs = [random_graph(rng, rng.randint(1, 12), rng.choice((0.1, 0.3, 0.6)))
+              for _ in range(300)]
+    graphs.append(disjoint_union([families.cycle(4), families.cycle(8)]))
+    degrees = fill_degrees(graphs)
+    squares = fill_common_neighbour_matrices(graphs)
+    data = fill_distance_data(graphs)
+    triangles = fill_triangle_counts(graphs)
+    for g, deg, m2, dd, tri in zip(graphs, degrees, squares, data, triangles):
+        a = g.adj.astype(np.int64)
+        assert np.array_equal(deg, a.sum(axis=1)) and np.array_equal(m2, a @ a)
+        assert np.array_equal(dd.dist, brute_distances(g))
+        assert dd.connected == (brute_distances(g) >= 0).all()
+        assert tri == brute_triangles(g)
+        # each graph owns its read-only arrays: none keeps its stack alive
+        for fact in (deg, m2, dd.dist):
+            assert fact.flags.owndata and not fact.flags.writeable
+    assert {dd.connected for dd in data} == {True, False}
 
 
 def _clique_union_by_components(g):

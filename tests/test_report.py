@@ -1,11 +1,14 @@
 """Report building, JSON round trips, expectation matching."""
 
+import functools
 import json
+import random
 import sys
 
+import numpy as np
 import pytest
 
-from dezakit import _kernels, charpoly, deza, families, graphs, spectra
+from dezakit import _kernels, charpoly, deza, distreg, families, graphs, report, spectra
 from dezakit.graph6 import parse_graph6
 from dezakit.graphs import Graph
 from dezakit.report import (
@@ -116,6 +119,7 @@ def _count_computations(monkeypatch, fact):
     so a fact that is not memoised counts once per call."""
     computed = []
 
+    @functools.wraps(fact)  # keeps memo_key, so fill_facts takes it too
     def counted(g):
         fresh = fact.__wrapped__ not in g._facts
         value = fact(g)
@@ -137,6 +141,16 @@ def _record(monkeypatch, module, name, calls, arg=-1):
     monkeypatch.setattr(module, name, lambda *args: calls.append(args[arg]) or original(*args))
 
 
+def _matrices(stacks):
+    """The matrices of the recorded kernel stacks, one list."""
+    return [matrix for stack in stacks for matrix in stack]
+
+
+def _unique(matrices) -> bool:
+    """No two of the matrices hold the same entries."""
+    return len({m.tobytes() for m in matrices}) == len(matrices)
+
+
 @pytest.mark.parametrize("make, hessenberg_passes", [
     pytest.param(lambda: families.bundled_graph("klein24"), None, id="klein24"),
     # the complement child is computed; the other child is the graph itself
@@ -144,15 +158,42 @@ def _record(monkeypatch, module, name, calls, arg=-1):
 ])
 def test_report_computes_each_fact_once(make, hessenberg_passes, monkeypatch):
     g = Graph(make().adj)  # no fact computed yet
-    m2 = _count_computations(monkeypatch, graphs.common_neighbour_matrix)
+    # M^2 is computed by the stacked product, whichever fact asks for it
+    m2 = []
+    squares = graphs._squares
+
+    def counted_squares(gs):
+        values = squares(gs)
+        m2.extend(zip(gs, values))
+        return values
+
+    monkeypatch.setattr(graphs, "_squares", counted_squares)
+    # the M^2s handed out for each kernel call's stack
+    handed = []
+    fill = graphs.fill_common_neighbour_matrices
+
+    def recorded_fill(gs):
+        values = fill(gs)
+        handed.append(values)
+        return values
+
+    monkeypatch.setattr(graphs, "fill_common_neighbour_matrices", recorded_fill)
     facts = [
         _count_computations(monkeypatch, fact)
         for fact in (deza.is_strongly_deza, graphs.bipartition, graphs.components)
     ]
+    # each kernel call records its stack of adjacency matrices or of M^2s
     distances, class_values, triangles, polys = [], [], [], []
     _record(monkeypatch, _kernels, "all_pairs_distances", distances)
     _record(monkeypatch, _kernels, "class_values", class_values)
     _record(monkeypatch, _kernels, "triangle_count", triangles)
+    read = []  # (the M^2s last handed out, the M^2 stack) of each call
+    for name in ("class_values", "triangle_count"):
+        def spy(adjs, m2s, original=getattr(_kernels, name)):
+            read.append((handed[-1], m2s))
+            return original(adjs, m2s)
+
+        monkeypatch.setattr(_kernels, name, spy)
     intersections = []
     _record(monkeypatch, _kernels, "intersection_counts", intersections, arg=0)
     # det(xI - M) mod primes: the certificate's one prime, or char_poly's
@@ -165,15 +206,130 @@ def test_report_computes_each_fact_once(make, hessenberg_passes, monkeypatch):
     assert m2 and len({id(h) for h, _ in m2}) == len(m2)
     for computed in facts:
         assert computed and len({id(h) for h, _ in computed}) == len(computed)
-    assert distances and len({id(adj) for adj in distances}) == len(distances)
-    # and at most once per adjacency: no equal graph is built to recompute them
-    assert len({adj.tobytes() for adj in distances}) == len(distances)
+    # a graph's matrix is in one stack of one call at most, and no equal
+    # graph is built to recompute its distances
+    assert distances and _unique(_matrices(distances))
     # one scan of M^2's values per graph serves both the Deza and the SRG test
-    assert class_values and len({id(a) for a in class_values}) == len(class_values)
-    assert intersections and len({id(adj) for adj in intersections}) == len(intersections)
+    assert class_values and _unique(_matrices(class_values))
+    assert intersections and _unique(_matrices(intersections))
     # each pass is on another graph's adjacency array
     assert polys and len({id(adjs[0]) for adjs in polys}) == len(polys)
     if hessenberg_passes is not None:
         assert len(polys) == hessenberg_passes
-    # the kernels read the memoised M^2 rather than multiplying it out
-    assert {id(a) for a in class_values + triangles} <= {id(value) for _, value in m2}
+    # the kernels read the memoised M^2 rather than multiplying it out: each
+    # call's stack is made of the matrices handed out just before it, and
+    # those are the very arrays the stacked product stored
+    memo = {id(value) for _, value in m2}
+    assert read and len(read) == len(handed)
+    for matrices, stack in read:
+        assert all(id(m) in memo for m in matrices)
+        assert np.array_equal(stack, np.array(matrices))
+
+
+#: the batch behind each structural fact: a graph passed to one computes it
+_STRUCTURAL_BATCHES = (
+    (graphs, "_degree_vectors"),
+    (graphs, "_distance_data"),
+    (graphs, "_squares"),
+    (graphs, "_triangle_counts"),
+    (deza, "_class_value_lists"),
+    (distreg, "_intersection_numbers"),
+)
+
+_KERNELS = ("all_pairs_distances", "class_values", "triangle_count", "intersection_counts")
+
+
+def _structural_graphs(monkeypatch):
+    """Per structural batch, every graph it computes its fact for from now on."""
+    seen = {}
+    for module, name in _STRUCTURAL_BATCHES:
+        seen[name] = []
+        _record(monkeypatch, module, name, seen[name], arg=0)
+    return seen
+
+
+def _kernel_stacks(monkeypatch):
+    """Per structural kernel, the stack of adjacency matrices of each call
+    from now on."""
+    stacks = {name: [] for name in _KERNELS}
+    for name, calls in stacks.items():
+        _record(monkeypatch, _kernels, name, calls, arg=0)
+    return stacks
+
+
+def _structural_chunk():
+    """Fresh graphs of orders 7 to 13: Deza graphs with b > a whose children
+    the prefill builds, non-quadratic ones (C7, C9), distance-regular graphs
+    of diameters 2 and 5, regular graphs failing at distances 1 and 2, the
+    path P10 (irregular), C5 + C5 (disconnected), K4 and an edgeless graph."""
+    return [
+        families.complete_multipartite([3, 3, 3]), families.disjoint_cliques(3, 3),
+        families.taylor_double_cover(families.paley(5)), families.cycle(7), families.cycle(9),
+        families.petersen(), families.cycle(10), parse_graph6("ImW{~?feW"),
+        parse_graph6("ILh?kCDQG"), Graph.from_edges(10, [(v, v + 1) for v in range(9)]),
+        graphs.disjoint_union([families.cycle(5), families.cycle(5)]), families.paley(13),
+        families.complete(4), Graph(np.zeros((8, 8), dtype=np.uint8)),
+    ]
+
+
+def test_prefill_leaves_the_reports_no_structural_kernel(monkeypatch):
+    chunk = _structural_chunk()
+    expected = [build_report(Graph(g.adj), str(i)) for i, g in enumerate(chunk)]
+    stacks = _kernel_stacks(monkeypatch)
+    report.prefill_reports(chunk)
+    # one call per order and kernel, with every graph that its report reads
+    # the fact of in the stack: distances and triangles for all, the
+    # intersection numbers of the connected graphs, and the class values of
+    # the graphs detect_deza reads them for, then of the prefilled children
+    def shapes(calls):
+        return sorted(stack.shape for stack in calls)
+
+    def one_stack_per_order(members):
+        return sorted((sum(g.n == n for g in members), n, n) for n in {g.n for g in members})
+
+    assert shapes(stacks["all_pairs_distances"]) == one_stack_per_order(chunk)
+    assert shapes(stacks["triangle_count"]) == one_stack_per_order(chunk)
+    connected = [g for g in chunk if graphs.is_connected(g)]
+    assert shapes(stacks["intersection_counts"]) == one_stack_per_order(connected)
+    may_be_deza = [g for g in chunk if deza._may_be_deza(g)]
+    read = stacks["class_values"][: len({g.n for g in may_be_deza})]
+    assert shapes(read) == one_stack_per_order(may_be_deza)
+    # the reports compute no structural fact of a chunk graph, nor M^2 or
+    # its class values for a child the prefill built
+    children = [child for g in chunk if deza.children.memo_key in g._facts
+                for child in (deza.children(g).child_a, deza.children(g).child_b)]
+    computed = _structural_graphs(monkeypatch)
+    reports = [build_report(g, str(i)) for i, g in enumerate(chunk)]
+    assert reports == expected
+    late = {name: {id(g) for batch in calls for g in batch} for name, calls in computed.items()}
+    assert not {id(g) for g in chunk} & set().union(*late.values())
+    assert not {id(g) for g in children} & (late["_squares"] | late["_class_value_lists"])
+    # K_{3,3,3}, 3K3, Taylor-Paley(5), Petersen, C10, C5 + C5 and Paley(13)
+    assert len(children) == 2 * 7
+
+
+def test_a_graph_at_the_cap_runs_as_a_stack_of_one(monkeypatch):
+    big = families.paley(257)
+    rng = random.Random(2)
+    perm = rng.sample(range(big.n), big.n)
+    chunk = [big, families.petersen(), Graph(big.adj[np.ix_(perm, perm)]), families.cycle(10)]
+    stacks = _kernel_stacks(monkeypatch)
+    report.prefill_reports(chunk)
+    # from n = 81 on a graph would run alone (2 n^3 > STACK_ELEMENTS), so
+    # the prefill leaves its structural facts to its report and the chunk
+    # holds no M^2 or distances of order 257: its kernels ran the stacks of
+    # order 10 alone (Petersen and C10, then for the class values the
+    # children of both)
+    assert 2 * 81**3 > graphs.STACK_ELEMENTS >= 2 * 80**3
+    assert all(stack.shape[1] == 10 for calls in stacks.values() for stack in calls)
+    large = [g for g in chunk if g.n == 257]
+    held = (graphs.common_neighbour_matrix, graphs.distance_data, graphs.triangle_count,
+            deza._class_values, distreg.intersection_numbers)
+    assert not any(fact.memo_key in g._facts for g in large for fact in held)
+    # each report then runs its graph, and the children it builds, as a
+    # stack of one
+    for g in large:
+        assert report_inconsistencies(build_report(g)) == []
+    for name, calls in stacks.items():
+        shapes = [stack.shape for stack in calls if stack.shape[1] == 257]
+        assert shapes and set(shapes) == {(1, 257, 257)}, name
