@@ -221,11 +221,11 @@ def is_divisible_design(g: Graph) -> DdgParams | None:
 def _transfer_value(theta: Eigenvalue, num_const: int, den: int) -> Eigenvalue:
     """(num_const - theta^2) / den as an exact eigenvalue."""
     if theta.is_integer:
-        z = theta.as_int()
-        value = Fraction(num_const - z * z, den)
-        if value.denominator != 1:
-            raise ValueError(f"child eigenvalue {value} is not an integer")
-        return Eigenvalue.integer(int(value))
+        num = num_const - theta.as_int() ** 2
+        value, rem = divmod(num, den)
+        if rem:
+            raise ValueError(f"child eigenvalue {Fraction(num, den)} is not an integer")
+        return Eigenvalue.integer(value)
     p, u, d, q = theta.p, theta.u, theta.d, theta.q
     return Eigenvalue.quadratic(
         num_const * q * q - p * p - u * u * d, -2 * p * u, d, den * q * q
@@ -248,12 +248,12 @@ def child_spectra_formula(spec: Spectrum, params: DezaParams) -> tuple[Spectrum,
     principal = Eigenvalue.integer(k)
     if spec.multiplicity(principal) < 1 or spec.n != n:
         raise ValueError("spectrum does not belong to a Deza graph with these parameters")
-    alpha = Fraction(b * (n - 1) - k * (k - 1), b - a)
-    beta = Fraction(a * (n - 1) - k * (k - 1), a - b)
-    if alpha.denominator != 1 or beta.denominator != 1:
+    alpha, rem_a = divmod(b * (n - 1) - k * (k - 1), b - a)
+    beta, rem_b = divmod(a * (n - 1) - k * (k - 1), a - b)
+    if rem_a or rem_b:
         raise ValueError("child degrees are not integers")
-    pairs_a: list[tuple[Eigenvalue, int]] = [(Eigenvalue.integer(int(alpha)), 1)]
-    pairs_b: list[tuple[Eigenvalue, int]] = [(Eigenvalue.integer(int(beta)), 1)]
+    pairs_a: list[tuple[Eigenvalue, int]] = [(Eigenvalue.integer(alpha), 1)]
+    pairs_b: list[tuple[Eigenvalue, int]] = [(Eigenvalue.integer(beta), 1)]
     for theta, mult in spec:
         if theta == principal:
             mult -= 1

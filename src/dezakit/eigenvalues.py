@@ -6,6 +6,14 @@ gcd(p, u, q) = 1, and the minimal polynomial x^2 - (2p/q) x + (p^2 - u^2 d)/q^2
 must have integer coefficients (adjacency eigenvalues are algebraic
 integers).  Comparisons and all identity checks are exact; floats never
 decide anything.
+
+Why q is 1 or 2.  An odd prime r dividing q divides p, as q divides 2p;
+then r^2 divides q^2, p^2 and so u^2 d, and as d is squarefree r divides
+u: r divides gcd(p, u, q) = 1.  Likewise 4 dividing q makes p even, then
+4 divides u^2 d and u is even.  So twice a value's parts, 2p/q and 2u/q,
+and four times its square's rational part, 4(p^2 + u^2 d)/q^2, are
+integers, and the sums below (sums_to_zero, Spectrum.sum_of_squares)
+accumulate them as plain ints.
 """
 
 from __future__ import annotations
@@ -245,12 +253,14 @@ class Eigenvalue:
 
 def sums_to_zero(terms) -> bool:
     """Whether the sum of c * theta over (theta, c) pairs is exactly zero:
-    its rational part and its coefficient of each sqrt(d) all vanish."""
-    acc: dict[int, Fraction] = {}
+    its rational part and its coefficient of each sqrt(d) all vanish.  Each
+    is summed twice over, in ints, as q is 1 or 2 (module docstring)."""
+    acc: dict[int, int] = {1: 0}
     for ev, c in terms:
-        acc[1] = acc.get(1, 0) + Fraction(ev.p * c, ev.q)
+        twice = 2 // ev.q * c
+        acc[1] += twice * ev.p
         if not ev.is_integer:
-            acc[ev.d] = acc.get(ev.d, 0) + Fraction(ev.u * c, ev.q)
+            acc[ev.d] = acc.get(ev.d, 0) + twice * ev.u
     return not any(acc.values())
 
 
@@ -262,7 +272,7 @@ class Spectrum:
     times multiplicity) is exactly zero.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_abs_count")
 
     def __init__(self, entries) -> None:
         items = [(ev, int(m)) for ev, m in entries]
@@ -280,6 +290,7 @@ class Spectrum:
         if not sums_to_zero(items):
             raise ValueError("spectrum trace is not zero")
         self.entries = tuple(items)
+        self._abs_count = None
 
     @property
     def n(self) -> int:
@@ -295,7 +306,11 @@ class Spectrum:
         return len(self.entries)
 
     def distinct_abs_count(self) -> int:
-        return len({abs(ev) for ev, _ in self.entries})
+        """The number of distinct absolute values, counted on first call:
+        one Spectrum serves every graph that shares its factor table."""
+        if self._abs_count is None:
+            self._abs_count = len({abs(ev) for ev, _ in self.entries})
+        return self._abs_count
 
     def is_integral(self) -> bool:
         return all(ev.is_integer for ev, _ in self.entries)
@@ -308,8 +323,12 @@ class Spectrum:
 
     def sum_of_squares(self) -> int:
         """Exact sum of m * value^2; equals twice the edge count.  The sqrt(d)
-        parts of balanced conjugates cancel, and a pair adds b^2 - 2c."""
-        return int(sum(m * ev.square_parts()[0] for ev, m in self.entries))
+        parts of balanced conjugates cancel, and a pair adds b^2 - 2c.  Four
+        times each rational part is summed in ints, as q is 1 or 2 (module
+        docstring)."""
+        total = sum(4 // (ev.q * ev.q) * m * (ev.p * ev.p + ev.u * ev.u * ev.d)
+                    for ev, m in self.entries)
+        return total // 4
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrum):

@@ -192,18 +192,19 @@ def prefill_reports(graphs) -> None:
 
 def report_inconsistencies(report: dict) -> list[str]:
     """Reportable internal inconsistencies: a false formula-vs-direct match
-    flag or any recorded contradiction.  Always empty on healthy inputs."""
+    flag or any recorded contradiction.  Always empty on healthy inputs.
+    A contradiction is recorded only by _attempt, whose entries are the
+    distance_regular cases and the theorems, so only those are read."""
     issues = []
     sd = report.get("strongly_deza")
     if sd and sd.get("formula_spectra_match") is False:
         issues.append("child spectra formula disagrees with constructed children")
-    def walk(node, path):
-        if isinstance(node, dict):
-            if "contradiction" in node:
-                issues.append(f"{path}: {node['contradiction']}")
-            for key, value in node.items():
-                walk(value, f"{path}.{key}" if path else key)
-    walk(report, "")
+    dr = report.get("distance_regular") or {}
+    entries = [(f"distance_regular.{key}", dr[key])
+               for key in ("deza_case", "ddg_case") if key in dr]
+    entries += [(f"theorems.{name}", entry) for name, entry in report.get("theorems", {}).items()]
+    issues += [f"{path}: {entry['contradiction']}" for path, entry in entries
+               if "contradiction" in entry]
     return issues
 
 

@@ -97,8 +97,13 @@ graphs with equal (f, k) share one: relabelled copies, cospectral mates of
 equal maximum degree, the children that many Deza graphs have in common.
 One store (_TableStore) keeps the last FACTOR_TABLES tables by (f, k); a
 lookup computes every table it lacks at once (_crt_tables), with one
-stacked step.  Each graph still runs its own trace check.  A graph's table,
-from either route, is a per-graph fact (_spectrum_table), so a
+stacked step.  The Spectrum is a function of the table too, so the table
+builds it and its sum of squared eigenvalues once, on first read
+(FactorTable.spectrum), and every graph that holds the table reads that
+one object; it lives as long as the table, in the store or on a graph.
+The trace check stays per graph: exact_spectrum compares the table's sum
+of squares with twice the edge count of each graph that reads it.  A
+graph's table, from either route, is a per-graph fact (_spectrum_table), so a
 non-quadratic residual is found once per graph, and exact_spectrum raises
 it on every call.  One batch function gives the CRT route's tables
 (_crt_route_tables): _spectrum_table calls it on one graph and its
@@ -504,13 +509,36 @@ def crt_route(n: int, bound: int) -> bool:
     return len(primes_for(n, bound)) <= CERTIFY_ABOVE_PRIMES
 
 
-class FactorTable(NamedTuple):
-    """What a route makes of a characteristic polynomial."""
+class FactorTable:
+    """What a route makes of a characteristic polynomial, and the Spectrum
+    that gives, built on first read and then shared by every graph that
+    holds the table."""
 
-    #: read-only {monic factor: multiplicity}
-    factors: MappingProxyType
-    #: what no factor divides: (1,), or a non-quadratic residual
-    residual: tuple[int, ...]
+    __slots__ = ("factors", "residual", "_spectrum")
+
+    def __init__(self, factors, residual) -> None:
+        #: read-only {monic factor: multiplicity}
+        self.factors = MappingProxyType(factors)
+        #: what no factor divides: (1,), or a non-quadratic residual
+        self.residual = tuple(residual)
+        self._spectrum = None
+
+    def spectrum(self) -> tuple[Spectrum, int]:
+        """The table's Spectrum and its sum of squared eigenvalues, built
+        once (a race between threads can only build equal ones twice).
+        Raises NonQuadraticSpectrumError when a residual is left."""
+        if len(self.residual) > 1:
+            raise NonQuadraticSpectrumError(self.residual)
+        if self._spectrum is None:
+            entries = []
+            for f, m in self.factors.items():
+                if len(f) == 2:
+                    entries.append((Eigenvalue.integer(-f[0]), m))
+                else:
+                    entries += [(root, m) for root in Eigenvalue.quadratic_roots(-f[1], f[0])]
+            spec = Spectrum(entries)
+            self._spectrum = (spec, spec.sum_of_squares())
+        return self._spectrum
 
 
 def _crt_tables(keys, steps) -> list[FactorTable]:
@@ -537,7 +565,7 @@ def _crt_tables(keys, steps) -> list[FactorTable]:
     for rem, found, step in zip(rems, mults, steps):
         if len(rem) > 1:
             rem = _divide_out(rem, step.factors, found)
-        tables.append(FactorTable(MappingProxyType(found), rem))
+        tables.append(FactorTable(found, rem))
     return tables
 
 
@@ -626,7 +654,7 @@ def _spectrum_table(g: Graph) -> FactorTable:
     (step,) = _gfp_step([(fp, bound, p)])
     certified = _certificate(g, fp, p, step)
     if certified is not None:
-        return FactorTable(MappingProxyType(certified), (1,))
+        return FactorTable(certified, (1,))
     return _crt_tables([(char_poly(g).coeffs, bound)], [step])[0]
 
 
@@ -637,23 +665,9 @@ def exact_spectrum(g: Graph) -> Spectrum:
     Raises NonQuadraticSpectrumError when an eigenvalue of algebraic degree
     three or more is present (e.g. the 7-cycle).
     """
-    table = _spectrum_table(g)
-    if len(table.residual) > 1:
-        raise NonQuadraticSpectrumError(table.residual)
-    return _checked_spectrum(g, table.factors)
-
-
-def _checked_spectrum(g: Graph, mults) -> Spectrum:
-    """The Spectrum of a table {monic factor: multiplicity}, checked by the
-    trace of M^2; the multiplicities sum to n, by either route."""
-    entries = []
-    for f, m in mults.items():
-        if len(f) == 2:
-            entries.append((Eigenvalue.integer(-f[0]), m))
-        else:
-            entries += [(root, m) for root in Eigenvalue.quadratic_roots(-f[1], f[0])]
-    spec = Spectrum(entries)
-    if spec.sum_of_squares() != 2 * g.edge_count():
+    spec, squares = _spectrum_table(g).spectrum()
+    # the trace of M^2, checked per graph: the table may be another graph's
+    if squares != 2 * g.edge_count():
         raise ArithmeticError("sum of squared eigenvalues is not 2|E|")
     return spec
 

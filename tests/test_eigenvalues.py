@@ -1,6 +1,7 @@
 """Exact eigenvalue arithmetic: canonical forms, ordering, spectra."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from dezakit.eigenvalues import (
     is_perfect_square,
     sign_radical,
     squarefree_decompose,
+    sums_to_zero,
 )
 
 
@@ -177,3 +179,58 @@ def test_spectrum_accessors():
     assert spec.sum_of_squares() == 25 + 15 + 5 + 15
     assert str(spec) == "{5^1, (√5)^3, (-1)^5, (-√5)^3}"
     assert Spectrum.from_json(spec.to_json()) == spec
+
+
+def test_quadratic_denominators_are_one_or_two():
+    seen = set()
+    for p in range(-8, 9):
+        for u in range(-4, 5):
+            for d in range(1, 13):
+                for q in range(-8, 9):
+                    try:
+                        ev = Eigenvalue.quadratic(p, u, d, q)
+                    except ValueError:  # q = 0, or not an algebraic integer
+                        continue
+                    seen.add(ev.q)
+    assert seen == {1, 2}
+
+
+def _fraction_sum(terms):
+    """sum of c * theta over (theta, c): its rational part and its
+    coefficient of each sqrt(d), in Fractions."""
+    acc = {1: Fraction(0)}
+    for ev, c in terms:
+        acc[1] += Fraction(ev.p * c, ev.q)
+        if not ev.is_integer:
+            acc[ev.d] = acc.get(ev.d, 0) + Fraction(ev.u * c, ev.q)
+    return acc
+
+
+# conjugate pairs with q = 2 (the golden ratio, Paley(13)) and q = 1
+_PAIRS = [Eigenvalue.quadratic_roots(b, c) for b, c in ((-1, -1), (-1, -3), (1, -1), (2, -2))]
+_PAIRS += [Eigenvalue.sqrt_pair(m) for m in (2, 5)]
+
+
+def test_integer_sums_match_a_fraction_oracle():
+    assert {ev.q for pair in _PAIRS for ev in pair} == {1, 2}
+    rng = random.Random(25)
+    zero = 0
+    for _ in range(300):
+        terms = [(ev, rng.randrange(-4, 5)) for pair in rng.sample(_PAIRS, 3) for ev in pair]
+        terms += [(Eigenvalue.integer(rng.randrange(-6, 7)), rng.randrange(-4, 5))]
+        if rng.random() < 0.5:  # a sum that vanishes
+            terms += [(-ev, c) for ev, c in terms]
+        rng.shuffle(terms)
+        expected = not any(_fraction_sum(terms).values())
+        zero += expected
+        assert sums_to_zero(terms) is expected
+
+        # a spectrum: balanced conjugates, the trace made zero by an integer
+        pairs = [(ev, m) for pair in rng.sample(_PAIRS, 2)
+                 for m in [rng.randrange(1, 5)] for ev in pair]
+        trace = _fraction_sum(pairs)[1]
+        spec = Spectrum(pairs + [(Eigenvalue.integer(-int(trace)), 1)])
+        squares = sum(m * Fraction(ev.p * ev.p + ev.u * ev.u * ev.d, ev.q * ev.q)
+                      for ev, m in spec)
+        assert squares.denominator == 1 and spec.sum_of_squares() == squares
+    assert 100 < zero < 300

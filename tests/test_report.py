@@ -10,7 +10,7 @@ import pytest
 
 from dezakit import _kernels, charpoly, deza, distreg, families, graphs, report, spectra
 from dezakit.graph6 import parse_graph6
-from dezakit.graphs import Graph
+from dezakit.graphs import Graph, disjoint_union
 from dezakit.report import (
     SCHEMA,
     build_report,
@@ -87,6 +87,27 @@ def test_report_two_pentagons():
     assert rep["deza"] == {"n": 10, "k": 2, "b": 1, "a": 0}
     assert rep["theorems"]["eigenvalue_count"]["witness"]["kind"] == "union-srg"
     assert report_inconsistencies(rep) == []
+
+
+def test_inconsistencies_read_each_attempted_entry_in_order(heawood, c5):
+    # every entry _attempt can write: the formula flag first, then the two
+    # distance-regular cases, then the theorems in report order
+    rep = build_report(heawood, source="heawood")
+    rep["strongly_deza"]["formula_spectra_match"] = False
+    rep["distance_regular"]["deza_case"] = {"contradiction": "d"}
+    rep["distance_regular"]["ddg_case"] = {"contradiction": "g"}
+    rep["theorems"]["singular"] = {"contradiction": "s"}
+    rep["theorems"]["witness"] = {"contradiction": "w"}
+    assert report_inconsistencies(rep) == [
+        "child spectra formula disagrees with constructed children",
+        "distance_regular.deza_case: d", "distance_regular.ddg_case: g",
+        "theorems.singular: s", "theorems.witness: w",
+    ]
+    # a disconnected graph has no distance-regular entry
+    rep = build_report(disjoint_union([c5, c5]), source="2c5")
+    assert rep["distance_regular"] is None
+    rep["theorems"]["eigenvalue_count"] = {"contradiction": "e"}
+    assert report_inconsistencies(rep) == ["theorems.eigenvalue_count: e"]
 
 
 def test_report_ddg_fields(heawood):

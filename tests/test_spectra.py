@@ -550,9 +550,14 @@ def _certificate(g):
 
 
 def _certified(g):
-    """The certificate's spectrum of g, or None when it declines."""
+    """The certificate's spectrum of g, trace-checked, or None when it
+    declines."""
     table = _certificate(g)
-    return None if table is None else spectra._checked_spectrum(g, table)
+    if table is None:
+        return None
+    spec, squares = spectra.FactorTable(table, (1,)).spectrum()
+    assert squares == 2 * g.edge_count()
+    return spec
 
 
 def _crt_route(monkeypatch, g):
@@ -715,6 +720,63 @@ def test_relabelled_copy_reuses_the_table(monkeypatch):
     assert (info.hits, info.misses) == (1, 1)
 
 
+def test_relabelled_copies_share_one_spectrum_object():
+    g = families.paley(13)
+    copy = _relabelled(g, 3)
+    assert char_poly(g) == char_poly(copy)
+    assert exact_spectrum(copy) is exact_spectrum(g)
+    assert spectra._spectrum_table(copy) is spectra._spectrum_table(g)
+
+
+def test_a_shared_spectrum_still_checks_each_graphs_trace(monkeypatch):
+    g = families.paley(13)
+    copy = _relabelled(g, 4)
+    spec = exact_spectrum(g)  # the table's spectrum, read by another graph
+    edge_count = Graph.edge_count
+    monkeypatch.setattr(Graph, "edge_count", lambda h: edge_count(h) + (h is copy))
+    with pytest.raises(ArithmeticError, match=r"not 2\|E\|"):
+        exact_spectrum(copy)
+    assert spectra._spectrum_table(copy) is spectra._spectrum_table(g)
+    assert exact_spectrum(g) is spec
+
+
+def _spectrum_builds(monkeypatch):
+    """Record each Spectrum built while exact_spectrum runs."""
+    builds, init = [], Spectrum.__init__
+
+    def counted(self, entries):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not spectra.exact_spectrum.memo_key.__code__:
+            frame = frame.f_back
+        if frame is not None:
+            builds.append(self)
+        init(self, entries)
+
+    monkeypatch.setattr(Spectrum, "__init__", counted)
+    return builds
+
+
+def test_a_stream_builds_one_spectrum_per_table(monkeypatch):
+    # seeded relabellings of regular graphs, Deza graphs whose children the
+    # reports compare with the formula, and C7, as analyze reads them
+    rng = random.Random(25)
+    pool = [random_regular_graph(rng, n, k) for n, k in ((8, 3), (10, 3), (9, 4), (12, 5))]
+    pool += [families.complete_multipartite([3, 3, 3]), families.disjoint_cliques(3, 3),
+             families.taylor_double_cover(families.paley(5)), families.petersen(),
+             families.cycle(7)]
+    stream = [_relabelled(g, rng.randrange(1 << 30)) for g in rng.choices(pool, k=60)]
+    builds = _spectrum_builds(monkeypatch)
+    report.prefill_reports(stream)
+    for i, g in enumerate(stream):
+        report.build_report(g, str(i))
+    read = stream + [c for g in stream if report._compares_children(g)
+                     for c in (deza.children(g).child_a, deza.children(g).child_b)]
+    quadratic = [g for g in read if len(spectra._spectrum_table(g).residual) == 1]
+    tables = {id(spectra._spectrum_table(g)) for g in quadratic}
+    assert len(builds) == len(tables) < len(quadratic) // 4
+    assert {id(exact_spectrum(g)) for g in quadratic} == {id(spec) for spec in builds}
+
+
 def test_a_cached_residual_still_raises(c7, monkeypatch):
     steps = _spy(monkeypatch, "_gfp_step")
     residuals = []
@@ -732,6 +794,7 @@ def test_cospectral_graphs_of_unequal_degree_take_two_entries():
     square = disjoint_union([families.cycle(4), families.complete(1)])
     assert char_poly(star) == char_poly(square)
     assert exact_spectrum(star) == exact_spectrum(square)
+    assert exact_spectrum(star) is not exact_spectrum(square)
     assert str(exact_spectrum(star)) == "{2^1, 0^3, (-2)^1}"
     info = spectra._TABLES.info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
