@@ -9,10 +9,10 @@ guessed; see char_poly.  Polynomials are ascending coefficient tuples.
 
 char_poly_mod is the one Hessenberg kernel: det(xI - M_s) mod p_s for a
 stack of adjacency matrices M_s of one order, one prime p_s per row.
-char_poly runs it on one graph, one row per prime of primes_for(n, k), and
-spectra's one-prime certificate on one graph at a single prime.  char_polys
-runs many graphs at once: one stack per order, each graph filling a row per
-prime, so a stream of small graphs pays the kernel's per-column overhead
+char_poly runs it on graphs, each filling one row per prime of
+primes_for(n, k), and spectra's one-prime certificate on one graph at a
+single prime.  char_poly.fill runs many graphs at once: one stack per
+order, so a stream of small graphs pays the kernel's per-column overhead
 once per order instead of once per graph.  A stack is split into passes of
 at most graphs.STACK_ELEMENTS entries, which bounds its memory whatever the
 stream; graphs.stacked groups and splits rows so, for these passes, for the
@@ -21,10 +21,10 @@ stacked powers of spectra's GF(p) step and for the structural kernels.
 char_poly serves the spectra the certificate declines or that need few
 primes anyway (spectra.exact_spectrum), and the check of verify-paper's
 criterion 14 against exact determinants.  char_poly is a per-graph fact
-(graphs.per_graph): it is memoised on the graph, so criterion 14 reads the
-polynomial that exact_spectrum already computed instead of running a second
-pass, and char_polys stores its results in that memo, so a graph it has
-served runs no pass of its own.
+declared by its batch (graphs.batched): it is memoised on the graph, so
+criterion 14 reads the polynomial that exact_spectrum already computed
+instead of running a second pass, and char_poly.fill stores its results in
+that memo, so a graph it has served runs no pass of its own.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from functools import cache
 
 import numpy as np
 
-from .graphs import Graph, fill_facts, per_graph, stacked
+from .graphs import batched, stacked
 
 # -- integer polynomial helpers (ascending coefficients) -------------------
 
@@ -264,31 +264,20 @@ def _lift(residues: list[list[int]], primes) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
-def _char_polys(graphs) -> list[CharPoly]:
-    """det(xI - M) of each graph, in order: each graph fills one (M, prime)
-    row per prime, the rows of one order run as stacked passes (stacked),
-    and each graph's rows are lifted together."""
-    primes = [primes_for(g.n, int(g.degrees().max(initial=0))) for g in graphs]
-    rows = [(g.adj, p) for g, ps in zip(graphs, primes) for p in ps]
-    residues = stacked(lambda stack: char_poly_mod(*zip(*stack)).tolist(), rows,
-                       lambda row: row[0].shape)
-    rest = iter(residues)
-    return [_lift([next(rest) for _ in ps], ps) for ps in primes]
-
-
-@per_graph
-def char_poly(g: Graph) -> CharPoly:
-    """det(xI - M) computed exactly by multi-modular arithmetic; a per-graph
-    fact, so each graph runs its Hessenberg pass once.
+@batched
+def char_poly(graphs) -> list[CharPoly]:
+    """det(xI - M) of each graph, computed exactly by multi-modular
+    arithmetic; a per-graph fact, so each graph runs its Hessenberg pass
+    once.
 
     Algorithm.  For every prime p of a prefix of modular_primes() (a fixed
     descending list of primes below 2^26) M is reduced to upper Hessenberg
     form by a similarity over GF(p), and det(xI - M) mod p is read off the
-    Hessenberg recurrence.  All primes run together as one stack of int64
-    matrices, split into passes of at most graphs.STACK_ELEMENTS entries
-    (char_polys stacks many graphs of one order the same way).  The
-    residues are combined by the Chinese remainder theorem and lifted to the
-    symmetric range (-P/2, P/2], P the product of primes.
+    Hessenberg recurrence.  Each graph fills one (M, prime) row per prime,
+    and the rows of one order run together as stacks of int64 matrices,
+    split into passes of at most graphs.STACK_ELEMENTS entries (stacked).
+    Each graph's residues are combined by the Chinese remainder theorem and
+    lifted to the symmetric range (-P/2, P/2], P the product of its primes.
 
     Bound.  The coefficient of x^(n-i) is, up to sign, the sum of the
     C(n, i) principal i x i minors of M.  A row of such a minor holds at
@@ -305,11 +294,9 @@ def char_poly(g: Graph) -> CharPoly:
     and a sum of n such products fits int64 while n <= MAX_ORDER (it stays
     below 2^61 at the graph6 cap of n = 258).
     """
-    return _char_polys([g])[0]
-
-
-def char_polys(graphs) -> list[CharPoly]:
-    """char_poly of each graph, storing it on every graph that lacks it:
-    those graphs run one stacked pass per order (split at graphs.STACK_ELEMENTS)
-    instead of one pass each, and their memo serves every later char_poly."""
-    return fill_facts(char_poly, graphs, _char_polys)
+    primes = [primes_for(g.n, int(g.degrees().max(initial=0))) for g in graphs]
+    rows = [(g.adj, p) for g, ps in zip(graphs, primes) for p in ps]
+    residues = stacked(lambda stack: char_poly_mod(*zip(*stack)).tolist(), rows,
+                       lambda row: row[0].shape)
+    rest = iter(residues)
+    return [_lift([next(rest) for _ in ps], ps) for ps in primes]

@@ -21,9 +21,10 @@ from .eigenvalues import Eigenvalue, Spectrum
 from .graphs import (
     Graph,
     adjacency_stack,
+    batched,
     by_order,
     common_neighbour_matrix,
-    fill_facts,
+    degree_vector,
     is_disjoint_clique_union,
     per_graph,
     square_stack,
@@ -95,16 +96,13 @@ class StronglyDezaResult:
     child_b_srg: SrgParams | None
 
 
-def _class_value_lists(graphs) -> list[tuple[list[int], list[int]]]:
+@batched
+def _class_values(graphs) -> list[tuple[list[int], list[int]]]:
+    """Distinct common-neighbour counts over adjacent and over non-adjacent
+    pairs, each ascending: the one scan of M^2's values per graph, by one
+    kernel call per stack."""
     return by_order(
         lambda gs: _kernels.class_values(adjacency_stack(gs), square_stack(gs)), graphs)
-
-
-@per_graph
-def _class_values(g: Graph) -> tuple[list[int], list[int]]:
-    """Distinct common-neighbour counts over adjacent and over non-adjacent
-    pairs, each ascending: the one scan of M^2's values per graph."""
-    return _class_value_lists([g])[0]
 
 
 def _may_be_deza(g: Graph) -> bool:
@@ -115,9 +113,11 @@ def _may_be_deza(g: Graph) -> bool:
 
 
 def fill_class_values(graphs) -> None:
-    """Store on each graph that detect_deza reads them for (_may_be_deza)
-    its class values, by one M^2 product and one kernel call per stack."""
-    fill_facts(_class_values, [g for g in graphs if _may_be_deza(g)], _class_value_lists)
+    """Store on each graph its degrees, and on each that detect_deza reads
+    them for (_may_be_deza) its class values, by one row sum, one M^2
+    product and one kernel call per stack."""
+    degree_vector.fill(graphs)
+    _class_values.fill([g for g in graphs if _may_be_deza(g)])
 
 
 @per_graph
@@ -135,7 +135,6 @@ def detect_deza(g: Graph) -> DezaParams | None:
     return DezaParams(g.n, g.regular_degree(), values[-1], values[0])
 
 
-@per_graph
 def children(g: Graph) -> ChildPair:
     """Children of a Deza graph (A joins the a-pairs, B the b-pairs).
 
@@ -144,6 +143,14 @@ def children(g: Graph) -> ChildPair:
     own children).  M^2 = a*A + b*B + k*I holds, as detect_deza found M^2's
     diagonal to be k and its other entries in {a, b}.
     """
+    return ChildPair(*(g if child is None else child for child in _children(g)))
+
+
+@per_graph
+def _children(g: Graph) -> tuple[Graph | None, Graph | None]:
+    """The children of g, None for a child equal to g: g's memo holds no
+    reference to g, so no cycle keeps g and its facts alive after its last
+    reference goes."""
     params = detect_deza(g)
     if params is None:
         raise ValueError("children need a Deza graph")
@@ -156,8 +163,7 @@ def children(g: Graph) -> ChildPair:
     else:
         adj_a = ((m2 == a) & offdiag).astype(np.uint8)
         adj_b = ((m2 == b) & offdiag).astype(np.uint8)
-    pair = [g if np.array_equal(adj, g.adj) else Graph(adj) for adj in (adj_a, adj_b)]
-    return ChildPair(*pair)
+    return tuple(None if np.array_equal(adj, g.adj) else Graph(adj) for adj in (adj_a, adj_b))
 
 
 @per_graph

@@ -28,15 +28,13 @@ from .graphs import (
     DistanceData,
     Graph,
     adjacency_stack,
+    batched,
     by_order,
     components,
     distance_data,
     distance_stack,
     equal_cliques,
-    fill_distance_data,
-    fill_facts,
     is_bipartite,
-    per_graph,
     triangle_count,
 )
 from .spectra import exact_spectrum
@@ -84,12 +82,20 @@ class IntersectionArray:
         return "{" + bs + ";" + cs + "}"
 
 
-def _intersection_numbers(graphs) -> list:
+@batched
+def intersection_numbers(
+    graphs,
+) -> list[tuple[IntersectionArray | None, tuple[int, int] | None]]:
+    """(array, None) for each distance-regular graph, else (None, witness
+    pair), by one kernel call per stack; every graph must be connected.  The
+    graphs lacking distances get them first, the same way."""
+    if not all(dd.connected for dd in distance_data.fill(graphs)):
+        raise ValueError("intersection numbers need a connected graph")
+
     def run(gs):
-        data = [distance_data(g) for g in gs]
         found = _kernels.intersection_counts(adjacency_stack(gs), distance_stack(gs))
-        return [(None, witness) if counts is None else (_array_of(dd, *counts), None)
-                for dd, (counts, witness) in zip(data, found)]
+        return [(None, witness) if counts is None else (_array_of(distance_data(g), *counts), None)
+                for g, (counts, witness) in zip(gs, found)]
 
     return by_order(run, graphs)
 
@@ -103,21 +109,11 @@ def _array_of(dd: DistanceData, b, c, a) -> IntersectionArray:
     return IntersectionArray(d, tuple(b[:d]), tuple(c[1:]), tuple(a[1:]), k_i)
 
 
-@per_graph
-def intersection_numbers(
-    g: Graph,
-) -> tuple[IntersectionArray | None, tuple[int, int] | None]:
-    """(array, None) for a distance-regular graph, else (None, witness pair)."""
-    if not distance_data(g).connected:
-        raise ValueError("intersection numbers need a connected graph")
-    return _intersection_numbers([g])[0]
-
-
 def fill_intersection_numbers(graphs) -> None:
-    """Store on each connected graph its intersection numbers, by one kernel
-    call per stack; the graphs lacking distances get them first, the same way."""
-    connected = [g for g, dd in zip(graphs, fill_distance_data(graphs)) if dd.connected]
-    fill_facts(intersection_numbers, connected, _intersection_numbers)
+    """Store on each graph its distances, and on each connected one its
+    intersection numbers, by one kernel call per stack each."""
+    data = distance_data.fill(graphs)
+    intersection_numbers.fill([g for g, dd in zip(graphs, data) if dd.connected])
 
 
 def intersection_array(g: Graph) -> IntersectionArray | None:

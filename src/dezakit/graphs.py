@@ -8,11 +8,12 @@ A graph is also its analysis context: a ``per_graph`` function stores its
 result on the graph, so each fact is computed once and dropped with the
 graph.  Threads need no lock: a race can only compute one value twice.
 
-A batch fills a fact for many graphs at once (``fill_facts``): the
-structural facts here -- the degree vector, M^2, the distances and the
-triangle count -- each run once per stack of graphs of one order
-(``by_order``), and the single-graph fact is the batch of one.  Each graph
-keeps its own copy of its row of a stack.
+A fact declared by its batch (``batched``) is computed for many graphs at
+once: ``fact.fill(graphs)`` stores it on the graphs that lack it by one
+batch call, and ``fact(g)`` is the batch of one.  The structural facts here
+-- the degree vector, M^2, the distances and the triangle count -- each run
+once per stack of graphs of one order (``by_order``), and each graph keeps
+its own copy of its row of a stack.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """The read-only int64 degree vector, computed once per graph."""
-        return _degrees(self)
+        return degree_vector(self)
 
     def regular_degree(self) -> int | None:
         """The common degree, or None if the graph is not regular."""
@@ -138,6 +139,16 @@ def fill_facts(fact, graphs, compute) -> list:
     for g, value in zip(lacking, compute(lacking), strict=True):
         g._facts[key] = value
     return [g._facts[key] for g in graphs]
+
+
+def batched(batch):
+    """The per_graph fact that batch(graphs) computes, one value per graph
+    in order: fact(g) is batch([g])[0], and fact.fill(graphs) is each
+    graph's fact, in order, stored on the graphs that lack it by one call
+    batch(lacking) (fill_facts)."""
+    fact = per_graph(functools.wraps(batch)(lambda g: batch([g])[0]))
+    fact.fill = lambda graphs: fill_facts(fact, graphs, batch)
+    return fact
 
 
 #: a stacked pass holds at most this many matrix entries (8 MB of int64), so
@@ -203,13 +214,11 @@ def _unstack(stack: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _degree_vectors(graphs) -> list[np.ndarray]:
+@batched
+def degree_vector(graphs) -> list[np.ndarray]:
+    """The read-only int64 degree vector of each graph, by one row sum per
+    stack."""
     return by_order(lambda gs: _unstack(adjacency_stack(gs).sum(axis=2, dtype=np.int64)), graphs)
-
-
-@per_graph
-def _degrees(g: Graph) -> np.ndarray:
-    return _degree_vectors([g])[0]
 
 
 @per_graph
@@ -217,12 +226,6 @@ def _regular_degree(g: Graph) -> int | None:
     deg = g.degrees()
     k = int(deg[0])
     return k if bool((deg == k).all()) else None
-
-
-def fill_degrees(graphs) -> list[np.ndarray]:
-    """Each graph's degree vector, stored on the graphs that lack it by one
-    row sum per stack."""
-    return fill_facts(_degrees, graphs, _degree_vectors)
 
 
 @dataclass(frozen=True)
@@ -253,7 +256,10 @@ def common_neighbours(g: Graph, u: int, v: int) -> int:
     return int((g.adj[u] & g.adj[v]).sum())
 
 
-def _squares(graphs) -> list[np.ndarray]:
+@batched
+def common_neighbour_matrix(graphs) -> list[np.ndarray]:
+    """M^2 of each graph as a read-only int64 matrix (diagonal holds the
+    degrees), by one stacked product per stack."""
     def run(gs):
         a = adjacency_stack(gs).astype(np.int64)
         return _unstack(a @ a)
@@ -261,22 +267,10 @@ def _squares(graphs) -> list[np.ndarray]:
     return by_order(run, graphs)
 
 
-@per_graph
-def common_neighbour_matrix(g: Graph) -> np.ndarray:
-    """M^2 as a read-only int64 matrix (diagonal holds the degrees)."""
-    return _squares([g])[0]
-
-
-def fill_common_neighbour_matrices(graphs) -> list[np.ndarray]:
-    """Each graph's M^2, stored on the graphs that lack it by one stacked
-    product per stack."""
-    return fill_facts(common_neighbour_matrix, graphs, _squares)
-
-
 def square_stack(graphs) -> np.ndarray:
     """The M^2s of graphs of one order, as one int64 stack; the graphs that
-    lack theirs get it first (fill_common_neighbour_matrices)."""
-    return _stack(fill_common_neighbour_matrices(graphs))
+    lack theirs get it first (common_neighbour_matrix.fill)."""
+    return _stack(common_neighbour_matrix.fill(graphs))
 
 
 def complement(g: Graph) -> Graph:
@@ -306,7 +300,9 @@ def line_graph(g: Graph) -> Graph:
     return meet_graph(g.n, edges, 1)
 
 
-def _distance_data(graphs) -> list[DistanceData]:
+@batched
+def distance_data(graphs) -> list[DistanceData]:
+    """The distances of each graph, by one kernel call per stack."""
     def run(gs):
         dists = _kernels.all_pairs_distances(adjacency_stack(gs))
         reach = (dists >= 0).all(axis=(1, 2)).tolist()
@@ -315,17 +311,6 @@ def _distance_data(graphs) -> list[DistanceData]:
                 for dist, reached, diameter in zip(_unstack(dists), reach, diameters)]
 
     return by_order(run, graphs)
-
-
-@per_graph
-def distance_data(g: Graph) -> DistanceData:
-    return _distance_data([g])[0]
-
-
-def fill_distance_data(graphs) -> list[DistanceData]:
-    """Each graph's distances, stored on the graphs that lack them by one
-    kernel call per stack."""
-    return fill_facts(distance_data, graphs, _distance_data)
 
 
 def distance_stack(graphs) -> np.ndarray:
@@ -396,22 +381,13 @@ def halved_graphs(g: Graph) -> tuple[Graph, Graph]:
     return halves[0], halves[1]
 
 
-def _triangle_counts(graphs) -> list[int]:
+@batched
+def triangle_count(graphs) -> list[int]:
+    """The number of triangles of each graph, via closed-walk counting
+    (trace(M^3)/6), by one kernel call per stack; the graphs lacking M^2
+    get it first, by one product per stack."""
     return by_order(
         lambda gs: _kernels.triangle_count(adjacency_stack(gs), square_stack(gs)), graphs)
-
-
-@per_graph
-def triangle_count(g: Graph) -> int:
-    """Number of triangles, via closed-walk counting (trace(M^3)/6)."""
-    return _triangle_counts([g])[0]
-
-
-def fill_triangle_counts(graphs) -> list[int]:
-    """Each graph's triangle count, stored on the graphs that lack it by one
-    kernel call per stack; those lacking M^2 get it too, by one product per
-    stack."""
-    return fill_facts(triangle_count, graphs, _triangle_counts)
 
 
 def structural_profile(g: Graph) -> StructuralProfile:

@@ -15,7 +15,7 @@ from . import distreg
 from . import theorems
 from .eigenvalues import Eigenvalue
 from .errors import ContradictionError
-from .graphs import Graph, fill_degrees, fill_triangle_counts, shares_stack, structural_profile
+from .graphs import Graph, shares_stack, structural_profile, triangle_count
 from .spectra import NonQuadraticSpectrumError, crt_route, exact_spectrum, prefill_spectra
 
 SCHEMA = "deza-report/1"
@@ -158,35 +158,29 @@ def build_report(g: Graph, source: str = "graph") -> dict:
     return report
 
 
-def _prefill_deza(graphs) -> None:
-    """Store on the graphs their degrees and the M^2 values detect_deza
-    reads, one kernel call per order and stack."""
-    fill_degrees(graphs)
-    deza_mod.fill_class_values(graphs)
-
-
 def prefill_reports(graphs) -> None:
     """Store on a chunk of graphs, and on their children, the facts
     build_report reads, before the first report.  First the structural
     facts of the graphs that share a stack (graphs.shares_stack; a larger
     graph would run alone anyway, so it computes them in its report and
     the chunk never holds them), each by one kernel call per order and
-    stack: degrees, M^2 and the class values detect_deza reads, the
-    triangle count, then the distances and the intersection numbers of the
-    connected graphs (distreg.fill_intersection_numbers).  Then their
+    stack: degrees, M^2 and the class values detect_deza reads
+    (deza.fill_class_values), the triangle count, then the distances and
+    the intersection numbers of the connected graphs
+    (distreg.fill_intersection_numbers).  Then their
     CRT-route spectra (spectra.prefill_spectra), and then the class values
     and the spectra of the children whose spectra build_report compares with
     the formula (_compares_children).  A child has an edge, so it can take
     the CRT route only at an order where a graph of maximum degree 1 does;
     no other graph's children are built here."""
     small = [g for g in graphs if shares_stack(g)]
-    _prefill_deza(small)
-    fill_triangle_counts(small)
+    deza_mod.fill_class_values(small)
+    triangle_count.fill(small)
     distreg.fill_intersection_numbers(small)
     prefill_spectra(graphs)
     pairs = [deza_mod.children(g) for g in graphs if crt_route(g.n, 1) and _compares_children(g)]
     children = [child for pair in pairs for child in (pair.child_a, pair.child_b)]
-    _prefill_deza(children)
+    deza_mod.fill_class_values(children)
     prefill_spectra(children)
 
 

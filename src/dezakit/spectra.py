@@ -107,12 +107,14 @@ graph's table, from either route, is a per-graph fact (_spectrum_table), so a
 non-quadratic residual is found once per graph, and exact_spectrum raises
 it on every call.  One batch function gives the CRT route's tables
 (_crt_route_tables): _spectrum_table calls it on one graph and its
-char_poly, prefill_spectra on a chunk and its char_polys, and the prefill
-stores each table on its graph.  So exact_spectrum reads the graph, not the
-store, and the store only saves recomputing a table: its size decides how
-much is computed again, never what a spectrum reads.  The certificate reads
-M itself and shares nothing; when it declines, its step goes to _crt_tables
-too, past the store.
+char_poly, prefill_spectra on a chunk and their char_poly.fill, and the
+prefill stores each table on its graph.  So exact_spectrum reads the graph,
+not the store, and the store only saves recomputing a table: its size
+decides how much is computed again, never what a spectrum reads.  The
+certificate reads M itself and shares nothing; when it declines, the CRT
+route runs on the graph's char_poly past the store (_crt_tables), its step
+on the residual, so a declined table, which can weigh kilobytes, takes no
+place in the store.
 
 The certificate, and why it is a proof.  Let f_p = det(xI - M) mod p
 (charpoly.char_poly_mod, one Hessenberg pass), and run the GF(p) step on it.
@@ -165,7 +167,6 @@ from .charpoly import (
     MAX_ORDER,
     char_poly,
     char_poly_mod,
-    char_polys,
     poly_eval,
     poly_try_divide,
     primes_for,
@@ -541,12 +542,12 @@ class FactorTable:
         return self._spectrum
 
 
-def _crt_tables(keys, steps) -> list[FactorTable]:
+def _crt_tables(keys) -> list[FactorTable]:
     """The CRT route on each key (coeffs, bound), coeffs a monic integer
     polynomial and bound its graph's maximum degree: strip every integer
     root in [-bound, bound], then divide out what the GF(p) step proposes
-    for the rest, at p = _step_prime(bound, deg coeffs), or what steps[i]
-    proposed when it is not None.  The steps run as one stacked call."""
+    for the rest, at p = _step_prime(bound, deg coeffs).  The steps run as
+    one stacked call."""
     rems, mults = [], []
     for coeffs, bound in keys:
         rem, found = coeffs, {}
@@ -555,18 +556,12 @@ def _crt_tables(keys, steps) -> list[FactorTable]:
                 rem = _divide_out(rem, [(-z, 1)], found)
         rems.append(rem)
         mults.append(found)
-    steps = list(steps)
-    need = [i for i, (rem, step) in enumerate(zip(rems, steps)) if len(rem) > 1 and step is None]
+    need = [i for i, rem in enumerate(rems) if len(rem) > 1]
     rows = [(rems[i], keys[i][1], _step_prime(keys[i][1], len(keys[i][0]) - 1)) for i in need]
     if rows:
         for i, step in zip(need, _gfp_step(rows)):
-            steps[i] = step
-    tables = []
-    for rem, found, step in zip(rems, mults, steps):
-        if len(rem) > 1:
-            rem = _divide_out(rem, step.factors, found)
-        tables.append(FactorTable(found, rem))
-    return tables
+            rems[i] = _divide_out(rems[i], step.factors, mults[i])
+    return [FactorTable(found, rem) for found, rem in zip(mults, rems)]
 
 
 class TableInfo(NamedTuple):
@@ -599,7 +594,7 @@ class _TableStore:
                 self._tables.move_to_end(key)
         missing = [key for key in dict.fromkeys(keys) if key not in found]
         if missing:
-            found.update(zip(missing, _crt_tables(missing, [None] * len(missing))))
+            found.update(zip(missing, _crt_tables(missing)))
         with self._lock:
             for key in missing:
                 self._tables[key] = found[key]
@@ -634,18 +629,18 @@ def _crt_route_tables(graphs, polys) -> list[FactorTable]:
 def prefill_spectra(graphs) -> None:
     """Store on each graph that takes the CRT route and lacks it the table
     exact_spectrum reads (_spectrum_table): their char_poly as one stacked
-    Hessenberg pass per order (charpoly.char_polys), then their tables by
+    Hessenberg pass per order (char_poly.fill), then their tables by
     one _crt_route_tables call.  Certificate-route graphs are left alone,
     so no graph runs a pass or a step that exact_spectrum would not run."""
     crt = [g for g in graphs if crt_route(g.n, int(g.degrees().max(initial=0)))]
-    fill_facts(_spectrum_table, crt, lambda gs: _crt_route_tables(gs, char_polys(gs)))
+    fill_facts(_spectrum_table, crt, lambda gs: _crt_route_tables(gs, char_poly.fill(gs)))
 
 
 @per_graph
 def _spectrum_table(g: Graph) -> FactorTable:
     """The table of g's spectrum, from the route that decides it: the CRT
     route's (_crt_route_tables), or the certificate's, or on a decline the
-    CRT route's with the certificate's step."""
+    CRT route's past the store (_crt_tables)."""
     bound = int(g.degrees().max(initial=0))
     if crt_route(g.n, bound):
         return _crt_route_tables([g], [char_poly(g)])[0]
@@ -655,7 +650,7 @@ def _spectrum_table(g: Graph) -> FactorTable:
     certified = _certificate(g, fp, p, step)
     if certified is not None:
         return FactorTable(certified, (1,))
-    return _crt_tables([(char_poly(g).coeffs, bound)], [step])[0]
+    return _crt_tables([(char_poly(g).coeffs, bound)])[0]
 
 
 @per_graph

@@ -24,7 +24,7 @@ from . import spectra as spectra_mod
 from . import theorems
 from .charpoly import char_poly, poly_eval
 from .eigenvalues import Eigenvalue, Spectrum
-from .errors import SpectrumShapeError
+from .errors import ContradictionError, SpectrumShapeError
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph, bipartite_double, disjoint_union, line_graph
 
@@ -551,17 +551,23 @@ def _c7_detects() -> bool:
 
 
 def run_all() -> list[CheckRow]:
+    """Every check's row.  A contradiction, which means a bug, ends its
+    criterion with a failed row naming it; the other criteria still run."""
     # the corpus as one chunk, as analyze reads its input: stacked passes
     # for the spectra of its small graphs and of their children
     report_mod.prefill_reports(list(corpus().values()))
-    rows: list[CheckRow] = []
-    for fn in (
+    criteria = [(str(i), fn) for i, fn in enumerate((
         criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
         criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
         criterion_11, criterion_12, criterion_13, criterion_14, criterion_15,
-    ):
-        rows.extend(fn())
-    rows.extend(supplementary())
+    ), 1)] + [("S", supplementary)]
+    rows: list[CheckRow] = []
+    for criterion, fn in criteria:
+        try:
+            rows.extend(fn())
+        except ContradictionError as exc:
+            rows.append(CheckRow(criterion, "runs without a contradiction",
+                                 "no contradiction", str(exc), False))
     return rows
 
 

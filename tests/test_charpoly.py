@@ -211,11 +211,11 @@ def _stack_mix():
     ]
 
 
-def test_char_polys_match_char_poly_graph_by_graph():
+def test_char_poly_fill_matches_char_poly_graph_by_graph():
     mix = _stack_mix()
     assert sorted({_prime_count(g) for g in mix}) == [1, 2, 3]
     assert all(_prime_count(g) <= spectra.CERTIFY_ABOVE_PRIMES for g in mix)
-    stacked = charpoly.char_polys([Graph(g.adj) for g in mix])
+    stacked = char_poly.fill([Graph(g.adj) for g in mix])
     assert stacked == [char_poly(Graph(g.adj)) for g in mix]
     assert stacked[0].coeffs == (0, 1)  # K1
     assert stacked[1].coeffs == (0,) * 6 + (1,)  # edgeless
@@ -292,7 +292,7 @@ def test_prefill_leaves_the_reports_no_pass_and_no_step(monkeypatch):
     monkeypatch.setattr(spectra, "_TABLES", spectra._TableStore(1))
     report.prefill_reports(chunk)
     # the children of the non-quadratic parents are not built
-    assert [deza.children.memo_key in g._facts for g in chunk] == [True] * 3 + [False] * 2
+    assert [deza._children.memo_key in g._facts for g in chunk] == [True] * 3 + [False] * 2
     shapes = _count_passes(monkeypatch)
     steps = []
     step = spectra._gfp_step

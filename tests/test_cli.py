@@ -12,7 +12,7 @@ import pytest
 
 from conftest import random_regular_graph
 import dezakit
-from dezakit import cli, deza, families, spectra, theorems, verify
+from dezakit import cli, deza, distreg, families, spectra, theorems, verify
 from dezakit import report as report_mod
 from dezakit.cli import main
 from dezakit.eigenvalues import Spectrum
@@ -292,8 +292,7 @@ def test_a_stream_computes_no_table_twice(tmp_path, capsys, monkeypatch):
     path, _ = _chunk_stream(tmp_path)
     keys = []
     compute = spectra._crt_tables
-    monkeypatch.setattr(spectra, "_crt_tables",
-                        lambda ks, steps: keys.extend(ks) or compute(ks, steps))
+    monkeypatch.setattr(spectra, "_crt_tables", lambda ks: keys.extend(ks) or compute(ks))
     assert run(capsys, "analyze", "--json", str(path))[0] == 0
     assert len(keys) == len(set(keys)) == spectra._TABLES.info().misses
 
@@ -426,6 +425,23 @@ def test_verify_paper(tmp_path, capsys):
     written = tmp_path / "table.txt"
     assert run(capsys, "verify-paper", "-o", str(written)) == (0, "", "")
     assert written.read_bytes() == out.encode("utf-8")
+
+
+def test_verify_paper_reports_a_contradiction(capsys, monkeypatch):
+    # the cosp-triangles fault of tests/test_distreg.py: the cospectral
+    # Deza mate check of the supplementary rows then finds a contradiction
+    real = distreg.triangle_count
+    monkeypatch.setattr(distreg, "triangle_count", lambda g: real(g) + 1)
+    code, out, err = run(capsys, "verify-paper")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL  [ S] runs without a contradiction")
+    assert failed[0].endswith(
+        "expected=no contradiction actual=triangle count differs from n*k*b/6")
+    # every criterion still runs: each of 1 to 15 passes its rows
+    assert {f"[{i:>2}]" for i in range(1, 16)} <= {line[6:10] for line in lines
+                                                   if line.startswith("PASS")}
 
 
 def test_stdin_input(capsys, monkeypatch):

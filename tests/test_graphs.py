@@ -14,26 +14,28 @@ from conftest import (
     brute_distances,
     brute_triangles,
     random_graph,
+    random_regular_graph,
 )
-from dezakit import families
+from dezakit import deza, families, graphs as graphs_mod
+from dezakit.charpoly import char_poly
 from dezakit.deza import children
+from dezakit.distreg import intersection_numbers
 from dezakit.graphs import (
     UNREACHABLE,
+    DistanceData,
     Graph,
+    batched,
     bipartite_double,
     bipartition,
     common_neighbour_matrix,
     common_neighbours,
     complement,
     components,
+    degree_vector,
     disjoint_union,
     distance_data,
     distance_i_graph,
-    fill_common_neighbour_matrices,
-    fill_degrees,
-    fill_distance_data,
     fill_facts,
-    fill_triangle_counts,
     halved_graphs,
     induced_subgraph,
     is_bipartite,
@@ -139,6 +141,19 @@ def test_fill_facts_stores_what_the_fact_would_compute():
     assert fill_facts(wrapped, [held, a, b], batch) == [4, 50, 100]
     assert len(batches) == 1 and [id(g) for g in batches[0]] == [id(a), id(b)]
     assert fact(a) == 50 and fact(b) == 100 and len(calls) == 1
+
+    # a fact declared by its batch: one graph's fact is the batch of one,
+    # and a fill, through a wrapper too, computes the graphs lacking it
+    @batched
+    def declared(graphs):
+        batches.append(graphs)
+        return [10 * g.n for g in graphs]
+
+    assert declared(held) == 40 and [id(g) for g in batches[1]] == [id(held)]
+    assert functools.wraps(declared)(declared).fill([held, a, held, b]) == [40, 50, 40, 100]
+    assert [id(g) for g in batches[2]] == [id(a), id(b)]
+    assert declared(a) == 50 and declared.fill([b]) == [100] and len(batches) == 4
+    assert batches[3] == []
 
 def test_facts_are_dropped_with_the_graph():
     g = families.paley(13)
@@ -317,17 +332,29 @@ def test_bipartition_matches_bfs():
                for g, sides in zip(graphs, outcomes))
 
 
-def test_structural_fillers_match_the_oracles():
+def _same(a, b) -> bool:
+    """Equal facts: arrays (also a DistanceData's) by dtype and entries."""
+    if isinstance(a, DistanceData):
+        return a.diameter == b.diameter and _same(a.dist, b.dist)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+def test_structural_fillers_match_the_oracles(monkeypatch):
     # 300 graphs of orders 1 to 12, so each filler runs stacks of many graphs
     # of one order, connected and not
     rng = random.Random(29)
     graphs = [random_graph(rng, rng.randint(1, 12), rng.choice((0.1, 0.3, 0.6)))
               for _ in range(300)]
     graphs.append(disjoint_union([families.cycle(4), families.cycle(8)]))
-    degrees = fill_degrees(graphs)
-    squares = fill_common_neighbour_matrices(graphs)
-    data = fill_distance_data(graphs)
-    triangles = fill_triangle_counts(graphs)
+    # regular graphs of the same orders, some of them Deza graphs
+    graphs += [random_regular_graph(rng, n, k) for n in range(5, 13) for k in (2, 3, 4)
+               if n * k % 2 == 0 and k < n - 1 for _ in range(3)]
+    degrees = degree_vector.fill(graphs)
+    squares = common_neighbour_matrix.fill(graphs)
+    data = distance_data.fill(graphs)
+    triangles = triangle_count.fill(graphs)
     for g, deg, m2, dd, tri in zip(graphs, degrees, squares, data, triangles):
         a = g.adj.astype(np.int64)
         assert np.array_equal(deg, a.sum(axis=1)) and np.array_equal(m2, a @ a)
@@ -338,6 +365,29 @@ def test_structural_fillers_match_the_oracles():
         for fact in (deg, m2, dd.dist):
             assert fact.flags.owndata and not fact.flags.writeable
     assert {dd.connected for dd in data} == {True, False}
+
+    # every batched fact on the graphs it is defined for: a fill equals the
+    # fact of a fresh copy of each graph, and stores it on the graph
+    connected = [g for g, dd in zip(graphs, data) if dd.connected]
+    may_be_deza = [g for g in graphs if deza._may_be_deza(g)]
+    facts = [(degree_vector, graphs), (common_neighbour_matrix, graphs),
+             (distance_data, graphs), (triangle_count, graphs),
+             (deza._class_values, may_be_deza), (intersection_numbers, connected),
+             (char_poly, graphs)]
+    assert len({g.n for g in may_be_deza}) >= 8 and len(may_be_deza) > 50
+    assert len({deza.detect_deza(g) is None for g in may_be_deza}) == 2
+    for fact, members in facts:
+        values = fact.fill(members)
+        assert all(fact.memo_key in g._facts for g in members)
+        assert all(_same(value, fact(Graph(g.adj))) for g, value in zip(members, values))
+    # a second fill computes none of them again: each batch is handed no graph
+    lacking = []
+    fill = graphs_mod.fill_facts
+    monkeypatch.setattr(graphs_mod, "fill_facts", lambda fact, gs, batch: fill(
+        fact, gs, lambda rest: lacking.append(rest) or batch(rest)))
+    for fact, members in facts:
+        assert all(a is b for a, b in zip(fact.fill(members), fact.fill(members)))
+    assert len(lacking) >= 2 * len(facts) and not any(lacking)
 
 
 def _clique_union_by_components(g):

@@ -1,6 +1,7 @@
 """Report building, JSON round trips, expectation matching."""
 
 import functools
+import gc
 import json
 import random
 import sys
@@ -110,6 +111,26 @@ def test_inconsistencies_read_each_attempted_entry_in_order(heawood, c5):
     assert report_inconsistencies(rep) == ["theorems.eigenvalue_count: e"]
 
 
+def test_a_report_leaves_no_cyclic_garbage():
+    # Paley(13) is strongly regular with lambda != mu, so it is one of its
+    # own children; its report, once dropped, must be freed by reference
+    # counting alone, with nothing for the cyclic collector to find
+    gc.collect()
+    g = Graph(families.paley(13).adj)
+    assert deza.children(g).child_a is g
+    build_report(g)
+    del g
+    debug = gc.get_debug()
+    gc.set_debug(debug | gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        graphs_found = [obj for obj in gc.garbage if isinstance(obj, Graph)]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    assert graphs_found == []
+
+
 def test_report_ddg_fields(heawood):
     rep = build_report(heawood, source="hw")
     assert rep["ddg"]["m"] == 2 and rep["ddg"]["n"] == 7
@@ -140,7 +161,7 @@ def _count_computations(monkeypatch, fact):
     so a fact that is not memoised counts once per call."""
     computed = []
 
-    @functools.wraps(fact)  # keeps memo_key, so fill_facts takes it too
+    @functools.wraps(fact)  # keeps memo_key and fill, which fill the fact's memo
     def counted(g):
         fresh = fact.__wrapped__ not in g._facts
         value = fact(g)
@@ -162,6 +183,26 @@ def _record(monkeypatch, module, name, calls, arg=-1):
     monkeypatch.setattr(module, name, lambda *args: calls.append(args[arg]) or original(*args))
 
 
+def _batches(monkeypatch):
+    """Per structural fact, the (graph, value) pairs its batch computes from
+    now on.  Every structural batch runs through graphs.by_order, with a run
+    function defined inside the batch, so the qualified name of that
+    function begins with the fact's name."""
+    computed = {}
+    by_order = graphs.by_order
+
+    def spy(run, gs):
+        values = by_order(run, gs)
+        computed.setdefault(run.__qualname__.partition(".")[0], []).extend(zip(gs, values))
+        return values
+
+    for name, module in list(sys.modules.items()):
+        if name == "dezakit" or name.startswith("dezakit."):
+            if vars(module).get("by_order") is by_order:
+                monkeypatch.setattr(module, "by_order", spy)
+    return computed
+
+
 def _matrices(stacks):
     """The matrices of the recorded kernel stacks, one list."""
     return [matrix for stack in stacks for matrix in stack]
@@ -180,25 +221,17 @@ def _unique(matrices) -> bool:
 def test_report_computes_each_fact_once(make, hessenberg_passes, monkeypatch):
     g = Graph(make().adj)  # no fact computed yet
     # M^2 is computed by the stacked product, whichever fact asks for it
-    m2 = []
-    squares = graphs._squares
-
-    def counted_squares(gs):
-        values = squares(gs)
-        m2.extend(zip(gs, values))
-        return values
-
-    monkeypatch.setattr(graphs, "_squares", counted_squares)
+    batches = _batches(monkeypatch)
     # the M^2s handed out for each kernel call's stack
     handed = []
-    fill = graphs.fill_common_neighbour_matrices
+    fill = graphs.common_neighbour_matrix.fill
 
     def recorded_fill(gs):
         values = fill(gs)
         handed.append(values)
         return values
 
-    monkeypatch.setattr(graphs, "fill_common_neighbour_matrices", recorded_fill)
+    monkeypatch.setattr(graphs.common_neighbour_matrix, "fill", recorded_fill)
     facts = [
         _count_computations(monkeypatch, fact)
         for fact in (deza.is_strongly_deza, graphs.bipartition, graphs.components)
@@ -222,6 +255,7 @@ def test_report_computes_each_fact_once(make, hessenberg_passes, monkeypatch):
         _record(monkeypatch, module, "char_poly_mod", polys, arg=0)
     report = build_report(g)
     assert report_inconsistencies(report) == []
+    m2 = batches["common_neighbour_matrix"]
     # once per Graph object; each graph owns its adjacency array, and the
     # lists keep them alive, so no id is reused
     assert m2 and len({id(h) for h, _ in m2}) == len(m2)
@@ -247,26 +281,11 @@ def test_report_computes_each_fact_once(make, hessenberg_passes, monkeypatch):
         assert np.array_equal(stack, np.array(matrices))
 
 
-#: the batch behind each structural fact: a graph passed to one computes it
-_STRUCTURAL_BATCHES = (
-    (graphs, "_degree_vectors"),
-    (graphs, "_distance_data"),
-    (graphs, "_squares"),
-    (graphs, "_triangle_counts"),
-    (deza, "_class_value_lists"),
-    (distreg, "_intersection_numbers"),
-)
+#: the structural facts, each declared by its batch
+_STRUCTURAL_FACTS = {"degree_vector", "distance_data", "common_neighbour_matrix",
+                     "triangle_count", "_class_values", "intersection_numbers"}
 
 _KERNELS = ("all_pairs_distances", "class_values", "triangle_count", "intersection_counts")
-
-
-def _structural_graphs(monkeypatch):
-    """Per structural batch, every graph it computes its fact for from now on."""
-    seen = {}
-    for module, name in _STRUCTURAL_BATCHES:
-        seen[name] = []
-        _record(monkeypatch, module, name, seen[name], arg=0)
-    return seen
 
 
 def _kernel_stacks(monkeypatch):
@@ -297,7 +316,10 @@ def test_prefill_leaves_the_reports_no_structural_kernel(monkeypatch):
     chunk = _structural_chunk()
     expected = [build_report(Graph(g.adj), str(i)) for i, g in enumerate(chunk)]
     stacks = _kernel_stacks(monkeypatch)
-    report.prefill_reports(chunk)
+    with pytest.MonkeyPatch.context() as m:
+        prefilled = _batches(m)
+        report.prefill_reports(chunk)
+    assert set(prefilled) == _STRUCTURAL_FACTS
     # one call per order and kernel, with every graph that its report reads
     # the fact of in the stack: distances and triangles for all, the
     # intersection numbers of the connected graphs, and the class values of
@@ -317,14 +339,15 @@ def test_prefill_leaves_the_reports_no_structural_kernel(monkeypatch):
     assert shapes(read) == one_stack_per_order(may_be_deza)
     # the reports compute no structural fact of a chunk graph, nor M^2 or
     # its class values for a child the prefill built
-    children = [child for g in chunk if deza.children.memo_key in g._facts
+    children = [child for g in chunk if deza._children.memo_key in g._facts
                 for child in (deza.children(g).child_a, deza.children(g).child_b)]
-    computed = _structural_graphs(monkeypatch)
+    computed = _batches(monkeypatch)
     reports = [build_report(g, str(i)) for i, g in enumerate(chunk)]
     assert reports == expected
-    late = {name: {id(g) for batch in calls for g in batch} for name, calls in computed.items()}
+    late = {name: {id(g) for g, _ in pairs} for name, pairs in computed.items()}
     assert not {id(g) for g in chunk} & set().union(*late.values())
-    assert not {id(g) for g in children} & (late["_squares"] | late["_class_value_lists"])
+    assert not {id(g) for g in children} & (
+        late.get("common_neighbour_matrix", set()) | late.get("_class_values", set()))
     # K_{3,3,3}, 3K3, Taylor-Paley(5), Petersen, C10, C5 + C5 and Paley(13)
     assert len(children) == 2 * 7
 

@@ -496,7 +496,8 @@ def test_agrees_with_float_oracle():
 
 @pytest.mark.parametrize("make, prime, residual_degree", [
     # k = 2: the order dominates 8 k^2 = 32; both take 13 CRT primes, so
-    # the step runs once, on det(xI - M) mod the certificate's prime
+    # the step runs on det(xI - M) mod the certificate's prime, and when the
+    # certificate declines (C250), again at that prime on the CRT residual
     pytest.param(lambda: disjoint_union([families.cycle(5)] * 50), 251, None, id="50xC5"),
     pytest.param(lambda: families.cycle(250), 251, 240, id="C250"),
 ])
@@ -504,7 +505,7 @@ def test_small_step_prime_end_to_end(monkeypatch, make, prime, residual_degree):
     g = make()
     calls = _spy(monkeypatch, "_gfp_step")
     exact = _spectrum_or_residual(g)
-    assert [p for _, _, p in _step_rows(calls)] == [prime]
+    assert [p for _, _, p in _step_rows(calls)] == [prime] * (1 if residual_degree is None else 2)
     assert exact == float_spectrum_or_residual(g)
     if residual_degree is None:
         assert isinstance(exact, Spectrum) and len(exact.to_json()) == 3
@@ -691,8 +692,10 @@ def test_non_quadratic_cycles_keep_their_error(n, primes, certificate_runs, monk
     with pytest.raises(NonQuadraticSpectrumError) as info:
         exact_spectrum(families.cycle(n))
     assert bool(calls) == certificate_runs
-    # one step prime per graph, and a decline runs no second step
-    assert primes == [(2, n)] and [q for _, _, q in _step_rows(steps)] == [p]
+    # one step prime per graph: the certificate's step, when it runs, and
+    # then the CRT route's on the residual of its char_poly
+    runs = 1 + certificate_runs
+    assert primes == [(2, n)] * runs and [q for _, _, q in _step_rows(steps)] == [p] * runs
     assert str(info.value) == (
         "spectrum contains non-quadratic eigenvalues; unfactored residual has degree "
         f"{n - 1}")
