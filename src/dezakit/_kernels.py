@@ -17,7 +17,10 @@ adjacent and over non-adjacent pairs (``class_values``: a Deza graph's a
 and b are the least and the greatest over both lists, an SRG's lambda and
 mu the one value in each), the number of triangles, and the intersection
 numbers b_i, c_i, a_i or a pair that shows there are none
-(``intersection_counts``).
+(``intersection_counts``: every pair's b - c and b + c from two stacked
+int64 products of the distance and adjacency matrices, then one stable
+sort of each graph's pairs by distance, so its memory is a few n^2
+matrices per graph whatever the diameter).
 """
 
 from __future__ import annotations
@@ -75,66 +78,48 @@ def triangle_count(adjs: np.ndarray, m2s: np.ndarray) -> list[int]:
 def intersection_counts(adjs: np.ndarray, dists: np.ndarray) -> list:
     """For each connected graph of the stack, with dists its distance
     matrices: ((b, c, a), None) with one list per count for i = 0..diameter,
-    or (None, (x, y)).  At the first distance i where one of b_i, c_i, a_i
-    (tested in that order) is not constant, (x, y) is the first pair at
-    distance i, in np.argwhere order, whose count differs from the first
-    pair's.
+    or (None, (x, y)).  At the first distance i where b_i or c_i (tested in
+    that order) is not constant, (x, y) is the first pair at distance i, in
+    np.argwhere order, whose count differs from the first pair's.
+
+    Every neighbour z of y has d(x, z) = d(x, y) + e with e in {-1, 0, 1},
+    so with A the adjacency matrix, D the distance matrix and * the
+    entrywise product, S = D A and Q = (D * D) A give every pair's
+    b - c = S - deg(y) D and b + c = Q - 2 D * S + deg(y) D * D, by two
+    stacked products.  a_i needs no test: b_0 is the degree, so a graph
+    whose b_0 is constant is k-regular, and then a_i = k - b_i - c_i is
+    constant wherever b_i and c_i are, so it never fails first.
     """
     stack, n, _ = dists.shape
-    # row g * n + x of the flattened stack is row x of graph g, so one index
-    # array gathers the rows of every graph
-    flat = dists.reshape(stack * n, n)
-    amask = adjs.reshape(stack * n, n).astype(bool)
-    degrees = amask.sum(axis=1)
-    witnesses: list = [None] * stack
-    alive = np.ones(stack, dtype=bool)
-    levels = []  # per distance i: b_i, c_i, a_i of every graph, -1 for none
-    for i in range(int(dists.max(initial=0)) + 1):
-        rows, ys = np.nonzero(flat == i)  # np.argwhere order within a graph
-        graphs = rows // n
-        if not alive.all():
-            keep = alive[graphs]
-            rows, ys, graphs = rows[keep], ys[keep], graphs[keep]
-        if not rows.size:
-            break
-        # each graph's pairs are consecutive, its first at its offset
-        sizes = np.bincount(graphs, minlength=stack)
-        members = np.flatnonzero(sizes)
-        first = (sizes.cumsum() - sizes)[members]
-        # neighbour-distance histogram for every (x, y) at distance i
-        dn = flat[rows]  # rows: distances from x
-        ys += graphs * n  # rows of the flattened stack
-        nb = amask[ys]  # rows: neighbours of y
-        level = np.full((3, stack), -1, dtype=np.int64)
-        found = []
-        for slot, step in enumerate((1, -1, 0)):
-            if step:
-                counts = ((dn == i + step) & nb).sum(axis=1)
-            else:
-                # each neighbour of y is at distance i - 1, i or i + 1 from x
-                counts = degrees[ys] - found[0] - found[1]
-            found.append(counts)
-            level[slot, members] = counts[first]
-            differs = counts != np.repeat(counts[first], sizes[members])
-            if not differs.any():
-                continue
-            # each failing graph's first differing pair, unless it failed at
-            # an earlier count of this distance
-            at = np.flatnonzero(differs)
-            failing = graphs[at]
-            lead = np.diff(failing, prepend=-1) != 0
-            for pair, g in zip(at[lead].tolist(), failing[lead].tolist()):
-                if alive[g]:
-                    alive[g] = False
-                    witnesses[g] = (None, (int(rows[pair] % n), int(ys[pair] % n)))
-        levels.append(level)
-        # free this level's (pairs, n) rows before the next level gathers its
-        # own, so two levels' rows never coexist
-        del dn, nb, found, counts
-    table = np.stack(levels, axis=2)  # (count, graph, distance)
-    depth = (table[0] >= 0).sum(axis=1).tolist()
-    table = table.tolist()
-    return [
-        witnesses[g] or (tuple(counts[g][: depth[g]] for counts in table), None)
-        for g in range(stack)
-    ]
+    a = adjs.astype(np.int64)
+    d = dists.astype(np.int64)
+    k = a.sum(axis=1)[:, None, :]  # deg(y) along each column y
+    s = d @ a
+    minus = s - k * d  # b - c
+    plus = (d * d) @ a - 2 * d * s + k * d * d  # b + c
+    # each graph's pairs by distance, stably, so that each distance's pairs
+    # keep np.argwhere order
+    d = d.reshape(stack, n * n)
+    order = np.argsort(d, axis=1, kind="stable")
+    level = np.take_along_axis(d, order, axis=1)
+    counts = np.stack([plus + minus, plus - minus]).reshape(2, stack, n * n) // 2
+    counts = np.take_along_axis(counts, order[None], axis=2)  # b, c
+    heads = np.diff(level, axis=1, prepend=-1) != 0  # each distance's first pair
+    firsts = counts[:, heads]  # (count, distances of every graph)
+    sizes = np.diff(np.append(np.flatnonzero(heads), heads.size))
+    differs = (counts.reshape(2, -1) != np.repeat(firsts, sizes, axis=1)).reshape(counts.shape)
+    # each graph's first differing pair of each count, at its distance (n
+    # for none); c is chosen only at a distance below b's
+    graphs = np.arange(stack)
+    first = differs.argmax(axis=2)
+    at = np.where(differs.any(axis=2), level[graphs, first], n)
+    pairs = order[graphs, np.where(at[1] < at[0], first[1], first[0])].tolist()
+    failed = (at < n).any(axis=0).tolist()
+    b, c = firsts.tolist()
+    ends = heads.sum(axis=1).cumsum().tolist()
+    out = []
+    for g, (start, end) in enumerate(zip([0, *ends], ends)):
+        bs, cs = b[start:end], c[start:end]
+        out.append((None, divmod(pairs[g], n)) if failed[g]
+                   else ((bs, cs, [bs[0] - x - y for x, y in zip(bs, cs)]), None))
+    return out

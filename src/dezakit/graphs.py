@@ -176,10 +176,10 @@ def stacked(run, rows, shape) -> list:
 
 def by_order(run, graphs) -> list:
     """run(graphs) on stacks of the graphs, one order per stack, with the
-    results put back in order.  A graph counts n^3 entries, the size of the
-    largest temporary of a structural kernel (intersection_counts gathers a
-    row of n distances for each of up to n^2 pairs), so a graph with n >= 81
-    runs alone."""
+    results put back in order.  A graph counts n^3 entries, the multiply-adds
+    of one product of its n x n matrices (all_pairs_distances runs one per
+    level, intersection_counts two), so a stack's product does at most
+    STACK_ELEMENTS of them, and a graph with n >= 81 runs alone."""
     return stacked(run, graphs, _order_shape)
 
 

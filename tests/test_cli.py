@@ -442,6 +442,11 @@ def test_verify_paper_reports_a_contradiction(capsys, monkeypatch):
     # every criterion still runs: each of 1 to 15 passes its rows
     assert {f"[{i:>2}]" for i in range(1, 16)} <= {line[6:10] for line in lines
                                                    if line.startswith("PASS")}
+    # and only the section that raised loses rows: the two cospectral Deza
+    # mate rows of the 179 give way to the one failed row
+    rows = [line for line in lines if line.startswith(("PASS", "FAIL"))]
+    assert len(rows) == 178 and sum(line.startswith("PASS") for line in rows) == 177
+    assert not any("cospectral Deza mate" in line for line in rows)
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -20,6 +20,7 @@ from conftest import (
     brute_intersection_counts,
     brute_triangles,
     random_graph,
+    random_regular_graph,
 )
 from dezakit import _kernels, families
 from dezakit.graph6 import parse_graph6
@@ -30,6 +31,7 @@ from dezakit.graphs import (
     disjoint_union,
     distance_data,
 )
+from dezakit.report import build_report
 
 
 def _random_graphs(count=12, max_n=25, seed=97):
@@ -171,15 +173,25 @@ def _check_intersection_counts(g, dist, found):
 
 
 def test_intersection_counts_agree(petersen, heawood, c7, cube, desargues):
+    # seeded random graphs, most of them irregular, beside random regular
+    # ones, which pass distance 0 and fail later or not at all
     rng = random.Random(3)
-    graphs = [random_graph(rng, rng.randint(2, 15), 0.6) for _ in range(10)]
+    graphs = [random_graph(rng, rng.randint(2, 16), rng.choice((0.2, 0.4, 0.6, 0.8)))
+              for _ in range(300)]
+    for _ in range(100):
+        n = rng.randint(4, 16)
+        k = rng.choice([k for k in range(2, n - 1) if n * k % 2 == 0])
+        graphs.append(random_regular_graph(rng, n, k))
     graphs += [petersen, heawood, c7, cube, desargues]
     connected = [g for g in graphs if (brute_distances(g) >= 0).all()]
+    failed = []
     for stack in _by_order(connected):
         dists = _dists(stack)
         for g, dist, found in zip(stack, dists,
                                   _kernels.intersection_counts(_adjs(stack), dists)):
-            _check_intersection_counts(g, dist, found)
+            failed.append(_check_intersection_counts(g, dist, found))
+    assert len(connected) > 250
+    assert {None, (0, "b"), (1, "b")} <= set(failed)
 
 
 def test_kernels_agree_on_a_mixed_stack_of_one_order():
@@ -226,20 +238,18 @@ def test_distances_match_floyd_warshall():
         assert np.array_equal(distance_data(g).dist, brute_distances(g))
 
 
-def test_intersection_counts_hold_one_level_of_rows_at_a_time():
-    # Paley(101) has 5050 ordered pairs at each of the distances 1 and 2; a
-    # level gathers, per pair, the distances from x (int32) and the
-    # neighbours of y (bool), and works on two boolean rows of that size
-    g = families.paley(101)
-    adjs, dists = g.adj[None], distance_data(g).dist[None]
-    level_rows = 5050 * 101 * (4 + 1)
-    tracemalloc.start()
-    try:
-        _kernels.intersection_counts(adjs, dists)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one level with its temporaries peaks at about 1.3 level_rows; keeping
-    # the last level's rows while the next level gathers reaches 1.9
-    assert peak < 1.6 * level_rows
-
+def test_a_report_at_the_cap_peaks_at_a_few_square_matrices():
+    # build_report on Paley(257) and J(12,3) (n = 257 and 220) holds the
+    # graph's facts, a few n x n matrices, beside one kernel's temporaries:
+    # a few int64 n x n matrices, 0.5 MB each at n = 257.  16 MiB leaves room
+    # for both; a kernel that gathered a row of n distances for each pair of
+    # a distance level would hold close to n^3 entries, about 50 MB on
+    # Paley(257).
+    for g in (families.paley(257), families.johnson(12, 3)):
+        tracemalloc.start()
+        try:
+            build_report(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
