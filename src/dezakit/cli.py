@@ -34,13 +34,10 @@ EXIT_INPUT = 2
 EXIT_USAGE = 64
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a filter stopped by a closed pipe
 
-#: analyze and spectrum read this many graphs at a time and store the chunk's
-#: facts on its graphs first: for analyze the structural facts of the graphs
-#: that share a stack (n <= 80), one kernel call per order and stack
-#: (report.prefill_reports); for both the spectra,
-#: one stacked Hessenberg pass per order, then one stacked GF(p) step for
-#: the factor tables the store lacks (spectra.prefill_spectra); and for
-#: analyze the class values and spectra of the children build_report checks
+#: analyze and spectrum read this many graphs at a time and prefill each
+#: chunk before its first report: enough that each order of a mixed stream
+#: fills a stacked pass, and few enough to bound what a chunk holds until
+#: its reports are built
 CHUNK = 256
 
 

@@ -16,7 +16,7 @@ from . import theorems
 from .eigenvalues import Eigenvalue
 from .errors import ContradictionError
 from .graphs import Graph, shares_stack, structural_profile, triangle_count
-from .spectra import NonQuadraticSpectrumError, crt_route, exact_spectrum, prefill_spectra
+from .spectra import NonQuadraticSpectrumError, exact_spectrum, prefill_spectra
 
 SCHEMA = "deza-report/1"
 
@@ -44,20 +44,6 @@ def _record(value):
     if isinstance(value, tuple):
         return [_record(item) for item in value]
     return value
-
-
-def _compares_children(g: Graph) -> bool:
-    """Whether g's report compares the spectra of g's children with the
-    closed formula: g has Deza parameters with b > a and a quadratic
-    spectrum."""
-    params = deza_mod.detect_deza(g)
-    if params is None or params.b == params.a:
-        return False
-    try:
-        exact_spectrum(g)
-    except NonQuadraticSpectrumError:
-        return False
-    return True
 
 
 def build_report(g: Graph, source: str = "graph") -> dict:
@@ -108,7 +94,7 @@ def build_report(g: Graph, source: str = "graph") -> dict:
             "child_b_spectrum": None,
             "formula_spectra_match": None,
         }
-        if _compares_children(g):
+        if spec is not None:
             entry["formula_spectra_match"] = deza_mod.verify_child_formula(g)
             pair = deza_mod.children(g)
             entry["child_a_spectrum"] = exact_spectrum(pair.child_a).to_json()
@@ -160,28 +146,33 @@ def build_report(g: Graph, source: str = "graph") -> dict:
 
 def prefill_reports(graphs) -> None:
     """Store on a chunk of graphs, and on their children, the facts
-    build_report reads, before the first report.  First the structural
-    facts of the graphs that share a stack (graphs.shares_stack; a larger
-    graph would run alone anyway, so it computes them in its report and
-    the chunk never holds them), each by one kernel call per order and
-    stack: degrees, M^2 and the class values detect_deza reads
-    (deza.fill_class_values), the triangle count, then the distances and
-    the intersection numbers of the connected graphs
-    (distreg.fill_intersection_numbers).  Then their
-    CRT-route spectra (spectra.prefill_spectra), and then the class values
-    and the spectra of the children whose spectra build_report compares with
-    the formula (_compares_children).  A child has an edge, so it can take
-    the CRT route only at an order where a graph of maximum degree 1 does;
-    no other graph's children are built here."""
+    build_report reads, before the first report.  Only the graphs that
+    share a stack (graphs.shares_stack, n <= 80) get structural facts
+    here; a larger graph would run alone anyway, so it computes them in
+    its report and the chunk never holds them.  For those graphs, each
+    fact by one kernel call per order and stack: degrees, M^2 and the
+    class values detect_deza reads (deza.fill_class_values), the triangle
+    count, the distances and the intersection numbers of the connected
+    graphs (distreg.fill_intersection_numbers).  Then the children of each
+    of them with b > a, which its report builds, and their degrees, M^2
+    and class values.  Last, the CRT-route spectra of the chunk and the
+    children (spectra.prefill_spectra), so each order runs one Hessenberg
+    pass per stack.  A child equal to its parent (an SRG with lambda !=
+    mu) is passed once.  The children of a non-quadratic parent get a
+    factor table that no report reads (its report reads only their class
+    values, in is_strongly_deza): that buys the one pass per order, and at
+    worst the chunk holds the M^2 of both children of every b > a graph
+    up to n = 80."""
     small = [g for g in graphs if shares_stack(g)]
     deza_mod.fill_class_values(small)
     triangle_count.fill(small)
     distreg.fill_intersection_numbers(small)
-    prefill_spectra(graphs)
-    pairs = [deza_mod.children(g) for g in graphs if crt_route(g.n, 1) and _compares_children(g)]
-    children = [child for pair in pairs for child in (pair.child_a, pair.child_b)]
+    pairs = [(g, deza_mod.children(g)) for g in small
+             if (params := deza_mod.detect_deza(g)) is not None and params.b > params.a]
+    children = [child for g, pair in pairs for child in (pair.child_a, pair.child_b)
+                if child is not g]
     deza_mod.fill_class_values(children)
-    prefill_spectra(children)
+    prefill_spectra([*graphs, *children])
 
 
 def report_inconsistencies(report: dict) -> list[str]:

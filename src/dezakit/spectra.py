@@ -181,7 +181,7 @@ CERTIFY_ABOVE_PRIMES = 3
 
 #: how many factor tables the CRT route keeps across graphs (least recently
 #: used first out): more than a 1001-graph stream of small random regular
-#: graphs makes (517-530 with their children), so such a stream computes
+#: graphs makes (523-541 with their children), so such a stream computes
 #: each table once; README gives the memory this bounds
 FACTOR_TABLES = 768
 

@@ -536,8 +536,8 @@ def run_all() -> list[CheckRow]:
     yields its rows; a contradiction, which means a bug, ends its section
     with a failed row naming it, after the rows it had made, and the other
     sections still run."""
-    # the corpus as one chunk, as analyze reads its input: stacked passes
-    # for the spectra of its small graphs and of their children
+    # the corpus as one chunk, as analyze reads its input: one stacked
+    # pass per order for the spectra of its small graphs and their children
     report_mod.prefill_reports(list(corpus().values()))
     criteria = [(str(i), fn) for i, fn in enumerate((
         criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

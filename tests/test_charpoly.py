@@ -275,11 +275,30 @@ def test_stacks_stay_within_the_element_budget(monkeypatch):
 
 
 def _prefill_chunk():
-    """Fresh copies of a chunk: quadratic Deza graphs with b > a, one of them
-    its own child, and two non-quadratic ones (C7, C9)."""
+    """Fresh copies of a chunk: quadratic Deza graphs with b > a, two of them
+    their own child (K_{3,3,3}, 3K3), and two non-quadratic ones (C7, C9)."""
     return [families.complete_multipartite([3, 3, 3]), families.disjoint_cliques(3, 3),
             families.taylor_double_cover(families.paley(5)), families.cycle(7),
             families.cycle(9)]
+
+
+def test_prefill_runs_one_pass_per_order_over_a_chunk_and_its_children(monkeypatch):
+    paley = families.paley(13)
+    chunk = _prefill_chunk()[:4] + [paley]
+    shapes = _count_passes(monkeypatch)
+    report.prefill_reports(chunk)
+    pairs = [deza.children(g) for g in chunk]
+    # K_{3,3,3}, 3K3 and Paley(13) are each their own child, passed once
+    children = [c for g, pair in zip(chunk, pairs) for c in (pair.child_a, pair.child_b)
+                if c is not g]
+    assert len(children) == 2 * len(chunk) - 3
+    assert all(spectra.crt_route(g.n, int(g.degrees().max())) for g in chunk + children)
+    rows: dict[int, int] = {}
+    for g in chunk + children:
+        rows[g.n] = rows.get(g.n, 0) + _prime_count(g)
+    assert sorted(shapes) == sorted((count, n, n) for n, count in rows.items())
+    # Paley(13) and its complement: one row per prime each
+    assert rows[13] == 2 * len(charpoly.primes_for(13, 6))
 
 
 def test_prefill_leaves_the_reports_no_pass_and_no_step(monkeypatch):
@@ -291,8 +310,8 @@ def test_prefill_leaves_the_reports_no_pass_and_no_step(monkeypatch):
     # tables the prefill stored on the graphs and their children
     monkeypatch.setattr(spectra, "_TABLES", spectra._TableStore(1))
     report.prefill_reports(chunk)
-    # the children of the non-quadratic parents are not built
-    assert [deza._children.memo_key in g._facts for g in chunk] == [True] * 3 + [False] * 2
+    # every parent's children are built, the non-quadratic parents' too
+    assert all(deza._children.memo_key in g._facts for g in chunk)
     shapes = _count_passes(monkeypatch)
     steps = []
     step = spectra._gfp_step
@@ -301,9 +320,9 @@ def test_prefill_leaves_the_reports_no_pass_and_no_step(monkeypatch):
     reports = [report.build_report(g, str(i)) for i, g in enumerate(chunk)]
     assert reports == expected
     assert shapes == [] and steps == [] and spectra._TABLES.info() == lookups
-    # the children that build_report read hold the prefilled polynomials;
-    # the non-quadratic parents' children get no char_poly
-    for g, quadratic in zip(chunk, [True] * 3 + [False] * 2):
+    # every child holds its prefilled polynomial and table, also the
+    # children of C7 and C9, whose spectra no report reads
+    for g in chunk:
         pair = deza.children(g)
-        computed = [char_poly.memo_key in c._facts for c in (pair.child_a, pair.child_b)]
-        assert computed == [quadratic, quadratic]
+        assert all(fact.memo_key in c._facts for c in (pair.child_a, pair.child_b)
+                   for fact in (char_poly, spectra._spectrum_table))

@@ -348,8 +348,9 @@ def test_prefill_leaves_the_reports_no_structural_kernel(monkeypatch):
     assert not {id(g) for g in chunk} & set().union(*late.values())
     assert not {id(g) for g in children} & (
         late.get("common_neighbour_matrix", set()) | late.get("_class_values", set()))
-    # K_{3,3,3}, 3K3, Taylor-Paley(5), Petersen, C10, C5 + C5 and Paley(13)
-    assert len(children) == 2 * 7
+    # K_{3,3,3}, 3K3, Taylor-Paley(5), C7, C9, Petersen, C10, C5 + C5 and
+    # Paley(13): every b > a graph, quadratic or not
+    assert len(children) == 2 * 9
 
 
 def test_a_graph_at_the_cap_runs_as_a_stack_of_one(monkeypatch):

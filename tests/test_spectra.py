@@ -772,7 +772,11 @@ def test_a_stream_builds_one_spectrum_per_table(monkeypatch):
     report.prefill_reports(stream)
     for i, g in enumerate(stream):
         report.build_report(g, str(i))
-    read = stream + [c for g in stream if report._compares_children(g)
+    # the children whose spectra the reports read: those of the b > a graphs
+    # with a quadratic spectrum
+    read = stream + [c for g in stream
+                     if (params := deza.detect_deza(g)) is not None and params.b > params.a
+                     and len(spectra._spectrum_table(g).residual) == 1
                      for c in (deza.children(g).child_a, deza.children(g).child_b)]
     quadratic = [g for g in read if len(spectra._spectrum_table(g).residual) == 1]
     tables = {id(spectra._spectrum_table(g)) for g in quadratic}
