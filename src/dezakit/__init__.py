@@ -37,7 +37,7 @@ from .distreg import (
 )
 from .errors import ContradictionError, InfeasibleError, SpectrumShapeError
 from .eigenvalues import Eigenvalue, Spectrum
-from .graph6 import Graph6Error, parse_graph6, write_graph6
+from .graph6 import Graph6Error, parse_graph6, parse_graph6s, write_graph6, write_graph6s
 from .graphs import (
     UNREACHABLE,
     DistanceData,

@@ -6,6 +6,13 @@ byte N+63 for n <= 62, otherwise 126 followed by three bytes holding an
 x(0,1), x(0,2), x(1,2), x(0,3), ... padded with zeros to a multiple of
 six bits, each six-bit group offset by 63.  Only graph6 is supported (no
 sparse6/digraph6) and the vertex count is capped at MAX_N = 258.
+
+parse_graph6 and write_graph6 take one line or one graph.  The batch forms,
+parse_graph6s and write_graph6s, take many, and decode or encode the ones of
+each order as one stack, with the results in input order; parse_graph6s
+checks each line on its own and in order first, so a bad line raises what
+parse_graph6 raises for it.  Both forms run one codec: a line is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import re
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, adjacency_stack, graphs_from_stack, stacked
 
 HEADER = ">>graph6<<"
 MAX_N = 258
@@ -31,17 +38,31 @@ class Graph6Error(ValueError):
 
 
 # graph6 lists the pairs in column order, x(0,1), x(0,2), x(1,2), ...: the
-# lower triangle in row-major order, which a boolean mask selects.  The mask
-# of order n is the leading n x n block of the mask for MAX_N, so one table
+# lower triangle in row-major order, whatever the order n.  Unpacked eight
+# bits per byte (a six-bit group sits in the high six bits of its byte, as
+# _GROUP_BITS puts it), the p-th pair's bit is at 8 (p // 6) + p % 6.  The
+# table holds that position at (v, u) and at (u, v), and -1 on the diagonal,
+# which names a zero bit kept after a line's bits: a stack of lines decodes
+# by one gather through the table, and encodes by one scatter.  The table of
+# order n is the leading n x n block of the table for MAX_N, so one table
 # serves every order by a slice.
-_LOWER = np.tril(np.ones((MAX_N, MAX_N), dtype=bool), -1)
-_LOWER.setflags(write=False)
+def _pair_bit_table() -> np.ndarray:
+    p = np.arange(MAX_N * (MAX_N - 1) // 2)
+    lower = np.tri(MAX_N, k=-1, dtype=bool)
+    table = np.full((MAX_N, MAX_N), -1)
+    table[lower] = p // 6 * 8 + p % 6
+    table.T[lower] = table[lower]
+    table.setflags(write=False)
+    return table
 
 
-def _column_order_mask(n: int) -> np.ndarray:
-    """The pairs of order n in graph6's column order, as a read-only n x n
-    mask whose row-major True entries are (v, u) for the pair u < v."""
-    return _LOWER[:n, :n]
+_PAIR_BIT = _pair_bit_table()
+
+
+def _pair_bits(n: int) -> np.ndarray:
+    """The bit of each pair of order n, as a read-only n x n block of
+    _PAIR_BIT."""
+    return _PAIR_BIT[:n, :n]
 
 
 # a byte outside 63..126 ('?'..'~')
@@ -51,8 +72,9 @@ _GROUP_BITS = bytes(((c - 63) << 2) & 255 for c in range(256))
 _GROUP_CHAR = bytes((c >> 2) + 63 for c in range(256))
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (an optional >>graph6<< header is allowed)."""
+def _read(text: str) -> tuple[int, bytes]:
+    """The vertex count and the adjacency bytes of one graph6 line (an
+    optional >>graph6<< header is allowed), checked byte by byte."""
     line = text.rstrip("\r\n")
     base = 0
     if line.startswith(HEADER):
@@ -99,24 +121,59 @@ def parse_graph6(text: str) -> Graph:
     # the low 6 * nbytes - nbits bits of the last group are padding
     if nbytes and (body[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
         raise Graph6Error("nonzero padding bits", body_base + nbytes - 1)
-    groups = np.frombuffer(body.translate(_GROUP_BITS), dtype=np.uint8)
-    bits = np.unpackbits(groups.reshape(-1, 1), axis=1, count=6).reshape(-1)
-    adj = np.zeros((n, n), dtype=np.uint8)
-    adj[_column_order_mask(n)] = bits[:nbits]
-    return Graph(adj | adj.T)
+    return n, body
 
 
-def write_graph6(g: Graph) -> str:
-    """Encode in canonical graph6 (no header, shortest legal size prefix)."""
-    n = g.n
+def _decode(n: int, bodies: list[bytes]) -> list[Graph]:
+    """The graphs of order n whose checked adjacency bytes are bodies, in
+    order, decoded as one stack."""
+    # each line's bytes and then a zero group, "?", whose last bit the
+    # diagonal names
+    groups = np.frombuffer((b"?".join(bodies) + b"?").translate(_GROUP_BITS), dtype=np.uint8)
+    bits = np.unpackbits(groups.reshape(len(bodies), -1), axis=1)
+    return graphs_from_stack(bits.take(_pair_bits(n), axis=1))
+
+
+def _encode(adj: np.ndarray) -> list[str]:
+    """The canonical graph6 line (no header, shortest legal size prefix) of
+    each matrix of a k x n x n stack of symmetric adjacency matrices, in
+    order."""
+    k, n = adj.shape[:2]
     if n > MAX_N:
         raise Graph6Error(f"vertex count {n} exceeds cap {MAX_N}")
     if n <= 62:
         prefix = bytes([n + 63])
     else:
         prefix = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    nbits = n * (n - 1) // 2
-    bits = np.zeros(((nbits + 5) // 6, 6), dtype=np.uint8)
-    bits.reshape(-1)[:nbits] = g.adj[_column_order_mask(n)]
-    body = np.packbits(bits, axis=1).tobytes().translate(_GROUP_CHAR)
-    return (prefix + body).decode("ascii")
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    # a pair's bit is written from both (u, v) and (v, u), with one value
+    bits = np.zeros((k, 8 * nbytes + 1), dtype=np.uint8)
+    bits[:, _pair_bits(n)] = adj
+    body = np.packbits(bits[:, :-1], axis=1).tobytes().translate(_GROUP_CHAR)
+    return [(prefix + body[i * nbytes : (i + 1) * nbytes]).decode("ascii") for i in range(k)]
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 line (an optional >>graph6<< header is allowed)."""
+    n, body = _read(text)
+    return _decode(n, [body])[0]
+
+
+def parse_graph6s(texts) -> list[Graph]:
+    """Decode graph6 lines, each checked as parse_graph6 checks it and in
+    order, so a bad line raises parse_graph6's error; the graphs of each
+    order are decoded as one stack and returned in the order of texts."""
+    read = [_read(text) for text in texts]
+    return stacked(lambda rows: _decode(rows[0][0], [body for _, body in rows]),
+                   read, lambda row: (row[0], row[0]))
+
+
+def write_graph6(g: Graph) -> str:
+    """Encode in canonical graph6 (no header, shortest legal size prefix)."""
+    return _encode(g.adj[None])[0]
+
+
+def write_graph6s(graphs) -> list[str]:
+    """write_graph6 of each graph, in order; the graphs of each order are
+    encoded as one stack."""
+    return stacked(lambda gs: _encode(adjacency_stack(gs)), list(graphs), lambda g: (g.n, g.n))

@@ -4,6 +4,10 @@ Vertices are always 0..n-1.  Adjacency is kept as a read-only symmetric
 uint8 matrix with zero diagonal; at the supported sizes (n <= 258) dense
 storage keeps every operation matrix-shaped and kernel-friendly.
 
+A stack of adjacency matrices of one order becomes graphs by
+graphs_from_stack, which checks the whole stack at once as Graph checks
+one matrix.
+
 A graph is also its analysis context: a ``per_graph`` function stores its
 result on the graph, so each fact is computed once and dropped with the
 graph.  Threads need no lock: a race can only compute one value twice.
@@ -39,29 +43,13 @@ class Graph:
         a = np.asarray(adj)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency matrix must be square")
-        n = int(a.shape[0])
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
-        # tested before the uint8 cast, which would truncate 0.5 to 0 and
-        # wrap 257 to 1; a bool or unsigned entry is 0 or 1 when none exceeds 1
-        if a.dtype.kind in "bu":
-            inexact = a.max() > 1
-        else:
-            inexact = ((a != 0) & (a != 1)).any()
-        if inexact:
-            raise ValueError("adjacency entries must be 0 or 1")
-        # a private copy, so later writes to the caller's array cannot reach it
-        a = a.astype(np.uint8, order="C")
-        # the two structural tests compare bytes, which costs less at the
-        # supported sizes than a numpy reduction per test
-        data = a.tobytes()
-        if data[:: n + 1] != bytes(n):
-            raise ValueError("loops are not allowed")
-        if data != a.T.tobytes():
-            raise ValueError("adjacency matrix must be symmetric")
-        a.setflags(write=False)
+        self._adopt(a.shape[0], _checked_bytes(a))
+
+    def _adopt(self, n: int, data: bytes) -> None:
+        """Take the checked bytes of an n x n adjacency matrix as the graph's
+        own read-only adjacency, which the caller's array cannot reach."""
         self.n = n
-        self.adj = a
+        self.adj = np.ndarray((n, n), np.uint8, data)
         self._hash = hash((n, data))
         self._facts: dict = {}
 
@@ -110,6 +98,53 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+#: the dtypes whose cast to uint8 keeps every entry, so that the entries can
+#: be tested on the bytes of the cast
+_BYTE_DTYPES = (np.dtype(np.uint8), np.dtype(bool))
+
+
+def _checked_bytes(a: np.ndarray) -> bytes:
+    """The bytes of a, an n x n matrix or a stack of them, cast to uint8,
+    once every matrix passes a graph's checks: n >= 1, entries 0 or 1, no
+    loop and symmetry.  The tests after the cast compare bytes, which costs
+    less at the supported sizes than a numpy reduction per test."""
+    n = a.shape[-1]
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    # the cast would truncate 0.5 to 0 and wrap 257 to 1, so other dtypes
+    # are tested before it
+    if a.dtype not in _BYTE_DTYPES and ((a != 0) & (a != 1)).any():
+        raise ValueError("adjacency entries must be 0 or 1")
+    # a private copy, so later writes to the caller's array cannot reach it
+    a = a.astype(np.uint8, order="C")
+    data = a.tobytes()
+    if data.translate(None, b"\0\1"):
+        raise ValueError("adjacency entries must be 0 or 1")
+    if a.diagonal(0, -2, -1).tobytes() != bytes(a.size // n):
+        raise ValueError("loops are not allowed")
+    if data != a.swapaxes(-2, -1).tobytes():
+        raise ValueError("adjacency matrix must be symmetric")
+    return data
+
+
+def graphs_from_stack(stack) -> list[Graph]:
+    """The graphs of a k x n x n stack of adjacency matrices, in order.  The
+    stack is checked as Graph(row) checks each row, once for all rows, and
+    each graph owns a copy of its row."""
+    a = np.asarray(stack)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("adjacency matrices must be square")
+    n = a.shape[1]
+    data = _checked_bytes(a)
+    size = n * n
+    out = []
+    for start in range(0, len(data), size):
+        g = Graph.__new__(Graph)
+        g._adopt(n, data[start : start + size])
+        out.append(g)
+    return out
 
 
 def per_graph(fn):

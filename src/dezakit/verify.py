@@ -26,7 +26,7 @@ from . import theorems
 from .charpoly import char_poly, poly_eval
 from .eigenvalues import Eigenvalue, Spectrum
 from .errors import ContradictionError, SpectrumShapeError
-from .graph6 import parse_graph6, write_graph6
+from .graph6 import parse_graph6s, write_graph6s
 from .graphs import Graph, bipartite_double, disjoint_union, line_graph
 
 
@@ -46,25 +46,58 @@ def _row(criterion: str, name: str, expected, actual) -> CheckRow:
 
 def bareiss_determinant(matrix) -> int:
     """Fraction-free exact determinant of an integer matrix (the
-    independent oracle for characteristic-polynomial evaluations).  The
-    entries are Python ints in an object array, so no step can overflow."""
-    m = np.asarray(matrix).astype(object)
-    n = len(m)
-    sign = 1
-    prev = 1
+    independent oracle for characteristic-polynomial evaluations)."""
+    return bareiss_determinants([matrix])[0]
+
+
+def bareiss_determinants(mats) -> list[int]:
+    """The exact determinant of each integer matrix of a stack of one shape,
+    by fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of all of
+    them at once.
+
+    A step replaces each entry x of the block below and right of the pivot
+    p by (x p - y z) / q, where y and z are entries of the pivot's column
+    and row and q is the previous pivot, and the quotient is exact.  All of
+    x, p, y and z lie in the step's trailing block (the pivot's rows and
+    columns onwards), so with t the largest |entry| of that block across
+    the stack, |x p| and |y z| are at most t^2, the difference at most 2t^2
+    and the quotient no more.  So while 2t^2 < 2^63 the step runs in int64
+    without overflow; once it does not, the stack moves to Python ints for
+    good, and a stack with an entry outside int64 starts in them.  t is
+    max(max, -min): abs would wrap at -2^63.
+
+    A zero pivot swaps in the first row below it with a nonzero entry in
+    its column, in its own matrix only.  A matrix with none is singular:
+    its block is set to zero and its pivot to 1, so every later step of it
+    is exact and its determinant comes out 0."""
+    try:
+        m = np.asarray(mats).astype(np.int64, casting="safe")
+    except TypeError:
+        m = np.array(mats, dtype=object)
+    k, n = m.shape[:2]
+    sign = np.ones(k, dtype=np.int64)
+    prev = np.ones(k, dtype=m.dtype)
     for col in range(n - 1):
-        if m[col, col] == 0:
-            below = np.flatnonzero(m[col + 1 :, col])
-            if not below.size:
-                return 0
-            r = col + 1 + int(below[0])
-            m[[col, r]] = m[[r, col]]
-            sign = -sign
-        pivot = m[col, col]
-        rest = m[col + 1 :, col + 1 :]
-        rest[...] = (rest * pivot - np.outer(m[col + 1 :, col], m[col, col + 1 :])) // prev
+        if m.dtype != object:
+            block = m[:, col:, col:]
+            t = max(int(block.max()), -int(block.min()))
+            if 2 * t * t >= 1 << 63:
+                m, prev = m.astype(object), prev.astype(object)
+        for i in np.flatnonzero(m[:, col, col] == 0):
+            below = np.flatnonzero(m[i, col + 1 :, col])
+            if below.size:
+                r = col + 1 + int(below[0])
+                m[i, [col, r]] = m[i, [r, col]]
+                sign[i] = -sign[i]
+            else:
+                m[i, col:, col:] = 0
+                m[i, col, col] = 1
+        pivot = m[:, col, col].copy()
+        rest = m[:, col + 1 :, col + 1 :]
+        rest[...] = (rest * pivot[:, None, None]
+                     - m[:, col + 1 :, col, None] * m[:, None, col, col + 1 :]) // prev[:, None, None]
         prev = pivot
-    return sign * m[n - 1, n - 1]
+    return (m[:, n - 1, n - 1] * sign).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +374,8 @@ def criterion_13() -> Iterator[CheckRow]:
 
 def criterion_14() -> Iterator[CheckRow]:
     rng = random.Random(181181)
-    failures = 0
-    for _ in range(1000):
-        n = rng.randint(1, 40)
-        g6 = write_graph6(_random_graph(rng, n))
-        if write_graph6(parse_graph6(g6)) != g6:
-            failures += 1
+    lines = write_graph6s(_random_graphs(rng, (rng.randint(1, 40) for _ in range(1000))))
+    failures = sum(a != b for a, b in zip(write_graph6s(parse_graph6s(lines)), lines, strict=True))
     yield _row("14", "graph6 round trip on 1000 random graphs", 0, failures)
 
     bad_traces = 0
@@ -362,13 +391,12 @@ def criterion_14() -> Iterator[CheckRow]:
     yield _row("14", f"trace and norm identities on all {spectral_assets} "
                "spectral assets", 0, bad_traces)
 
-    bad_evals = 0
-    for g in corpus().values():
-        cp = char_poly(g)
-        identity = np.eye(g.n, dtype=np.int64)
-        for x in (-2, -1, 0, 1, 2):
-            if poly_eval(cp.coeffs, x) != bareiss_determinant(x * identity - g.adj):
-                bad_evals += 1
+    # every (asset, point) matrix, eliminated in one stack per order
+    evals = [(char_poly(g).coeffs, x, x * np.eye(g.n, dtype=np.int64) - g.adj)
+             for g in corpus().values() for x in (-2, -1, 0, 1, 2)]
+    dets = graphs_mod.stacked(bareiss_determinants, [m for _, _, m in evals], np.shape)
+    bad_evals = sum(poly_eval(coeffs, x) != det
+                    for (coeffs, x, _), det in zip(evals, dets, strict=True))
     yield _row("14", "char poly vs exact determinant at 5 points per asset",
                0, bad_evals)
 
@@ -390,23 +418,39 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(n, 1)
 
 
-def _random_graph(rng: random.Random, n: int) -> Graph:
-    """G(n, 1/2): one rng.random() draw per pair u < v, in row-major order.
+def _random_graphs(rng: random.Random, orders) -> list[Graph]:
+    """G(n, 1/2) for each n of orders, in order: one rng.random() draw per
+    pair u < v, in row-major order.  orders may be lazy, so each order can
+    be drawn from rng after the graph before it.
 
-    The draws are made in one call: getrandbits(64 m) is filled, least
+    A graph's draws are made in one call: getrandbits(64 m) is filled, least
     significant first, with the same 2m Mersenne-Twister words that m calls
     of random() consume, and random() < 0.5 exactly when the first word of
     its pair has bit 31 clear.  So the edges and the generator state after
-    the graph are those of the per-pair draws.
+    each graph are those of the per-pair draws.  The graphs of each order
+    are built as one stack.
     """
-    rows, cols = _upper_pairs(n)
-    m = len(rows)
-    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u4")
-    edges = words[::2] < 1 << 31
-    a = np.zeros((n, n), dtype=np.uint8)
-    a[rows, cols] = edges
-    a[cols, rows] = edges
-    return Graph(a)
+    draws = []
+    for n in orders:
+        m = n * (n - 1) // 2
+        draws.append((n, rng.getrandbits(64 * m).to_bytes(8 * m, "little")))
+
+    def build(batch):
+        n = batch[0][0]
+        words = np.frombuffer(b"".join(chunk for _, chunk in batch), "<u4")
+        edges = (words[::2] < 1 << 31).reshape(len(batch), -1)
+        rows, cols = _upper_pairs(n)
+        a = np.zeros((len(batch), n, n), dtype=np.uint8)
+        a[:, rows, cols] = edges
+        a[:, cols, rows] = edges
+        return graphs_mod.graphs_from_stack(a)
+
+    return graphs_mod.stacked(build, draws, lambda draw: (draw[0], draw[0]))
+
+
+def _random_graph(rng: random.Random, n: int) -> Graph:
+    """G(n, 1/2) by _random_graphs, as its batch of one."""
+    return _random_graphs(rng, [n])[0]
 
 
 # ---------------------------------------------------------------------------

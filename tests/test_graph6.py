@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from conftest import random_graph
 from dezakit import families
-from dezakit.graph6 import MAX_N, Graph6Error, _column_order_mask, parse_graph6, write_graph6
+from dezakit.graph6 import (
+    MAX_N,
+    Graph6Error,
+    _pair_bits,
+    parse_graph6,
+    parse_graph6s,
+    write_graph6,
+    write_graph6s,
+)
 from dezakit.graphs import Graph
 
 
@@ -99,16 +107,20 @@ def test_non_ascii():
         parse_graph6("Aé")
 
 
-def test_column_order_masks_are_blocks_of_one_read_only_table():
+def test_pair_bits_are_blocks_of_one_read_only_table():
+    # the pairs u < v in graph6's column order, (0, 1), (0, 2), (1, 2), (0, 3),
+    # ...: those of order n come first, so they are the first n(n-1)/2
+    us, vs = map(np.array, zip(*[(u, v) for v in range(MAX_N) for u in range(v)]))
+    p = np.arange(len(us))
+    # the bit of the p-th pair, with each six-bit group unpacked to eight bits
+    position = 8 * (p // 6) + p % 6
     for n in range(1, MAX_N + 1):
-        mask = _column_order_mask(n)
-        # the row-major True entries are (v, u) for the pairs u < v in
-        # graph6's column order: (0, 1), (0, 2), (1, 2), (0, 3), ...
-        vs, us = np.nonzero(mask)
-        order = [(u, v) for v in range(n) for u in range(v)]
-        assert list(zip(us.tolist(), vs.tolist())) == order
+        bits, m = _pair_bits(n), n * (n - 1) // 2
+        assert bits.shape == (n, n) and (bits == bits.T).all()
+        assert (bits[vs[:m], us[:m]] == position[:m]).all()
+        assert (bits.diagonal() == -1).all()
     with pytest.raises(ValueError, match="read-only"):
-        _column_order_mask(5)[1, 0] = False
+        _pair_bits(5)[1, 0] = 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 62, 63, MAX_N])
@@ -120,9 +132,34 @@ def test_round_trip_where_the_size_prefix_changes(n):
 
 def test_seeded_round_trips():
     rng = random.Random(7)
+    graphs = []
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 40))
         assert parse_graph6(write_graph6(g)) == g
+        graphs.append(g)
+    # the batch forms over mixed orders, each prefix length among them:
+    # one stack per order, the results in input order
+    graphs += [random_graph(rng, n) for n in (1, 2, 62, 63, MAX_N, 63, 1, MAX_N)]
+    rng.shuffle(graphs)
+    texts = write_graph6s(graphs)
+    assert texts == [write_graph6(g) for g in graphs]
+    assert parse_graph6s(texts) == graphs
+    assert [g.n for g in parse_graph6s(texts)] == [g.n for g in graphs]
+
+
+def test_a_batch_raises_its_first_bad_lines_error():
+    first, second = "A" + chr(32), "C"
+    with pytest.raises(Graph6Error) as single:
+        parse_graph6(first)
+    with pytest.raises(Graph6Error) as batch:
+        parse_graph6s(["C~", "A_", first, "@", second])
+    assert str(batch.value) == str(single.value) == (
+        "character 32 out of graph6 range (byte offset 1)"
+    )
+    assert batch.value.offset == single.value.offset == 1
+    with pytest.raises(Graph6Error, match="need 1 adjacency bytes") as batch:
+        parse_graph6s(["C~", second, first])
+    assert batch.value.offset == 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -36,6 +36,7 @@ from dezakit.graphs import (
     distance_data,
     distance_i_graph,
     fill_facts,
+    graphs_from_stack,
     halved_graphs,
     induced_subgraph,
     is_bipartite,
@@ -90,6 +91,32 @@ def test_graph_copies_its_input():
     Graph(a)
     a[0, 1] = a[1, 0] = 1
     assert Graph(a).edge_count() == 1
+
+
+def test_graphs_from_a_stack_are_the_graphs_of_its_rows():
+    rng = random.Random(41)
+    stack = np.array([random_graph(rng, 9).adj for _ in range(6)])
+    rows = [Graph(row) for row in stack]
+    graphs = graphs_from_stack(stack)
+    assert graphs == rows and [hash(g) for g in graphs] == [hash(g) for g in rows]
+    for g in graphs:
+        with pytest.raises(ValueError, match="read-only"):
+            g.adj[0, 1] ^= 1
+    # each graph owns a copy of its row, which later writes to the stack miss
+    stack[:] = 0
+    assert graphs == rows
+    assert graphs_from_stack(rows[0].adj[None].astype(bool)) == rows[:1]
+
+    # one bad member refuses the stack, with Graph's message for it
+    loop, asymmetric, two = (np.array([g.adj for g in rows]) for _ in range(3))
+    loop[2, 4, 4] = 1
+    asymmetric[5, 0, 8] ^= 1
+    two[1, 3, 6] = two[1, 6, 3] = 2
+    for bad, message in ((loop, "loops"), (asymmetric, "symmetric"), (two, "0 or 1")):
+        with pytest.raises(ValueError, match=message):
+            graphs_from_stack(bad)
+    with pytest.raises(ValueError, match="square"):
+        graphs_from_stack(np.zeros((2, 3, 4), dtype=np.uint8))
 
 
 def test_per_graph_memoises_on_the_graph():

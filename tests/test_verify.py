@@ -11,10 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dezakit import charpoly, verify
+from dezakit import charpoly, graph6, verify
 from dezakit.graph6 import write_graph6
 from dezakit.graphs import Graph
-from dezakit.verify import bareiss_determinant
+from dezakit.verify import bareiss_determinant, bareiss_determinants
 
 #: sha256 of verify-paper --json: json.dumps of the 179 rows, indent=1
 VERIFY_SHA256 = "7ac1ec515c10cb320ed9bd0c80561f4bfe54d519597485bbe2f2caa64a4a3d7f"
@@ -41,6 +41,28 @@ def test_run_all_stacks_the_passes_of_the_corpus(monkeypatch):
     # one pass per order for the corpus graphs, one for their children, and
     # none of a graph at a time
     assert max(Counter(orders).values()) <= 2
+
+
+def test_criterion_14_runs_one_stack_per_order(monkeypatch):
+    calls = {"decode": [], "encode": [], "eliminate": []}
+    decode, encode = graph6._decode, graph6._encode
+    monkeypatch.setattr(graph6, "_decode", lambda n, bodies: calls["decode"].append(
+        (n, len(bodies))) or decode(n, bodies))
+    monkeypatch.setattr(graph6, "_encode", lambda adj: calls["encode"].append(
+        (adj.shape[1], len(adj))) or encode(adj))
+    monkeypatch.setattr(verify, "bareiss_determinants", lambda mats: calls["eliminate"].append(
+        (len(mats[0]), len(mats))) or bareiss_determinants(mats))
+    assert all(row.passed for row in verify.criterion_14())
+    # the 1000 graphs decoded in one stack per order present and encoded in
+    # two, and the 125 determinants in one stack per corpus order
+    orders = Counter(n for n, _ in calls["decode"])
+    assert set(orders.values()) == {1} and sum(k for _, k in calls["decode"]) == 1000
+    assert Counter(n for n, _ in calls["encode"]) == orders + orders
+    assert sum(k for _, k in calls["encode"]) == 2000
+    corpus_orders = Counter(n for n, _ in calls["eliminate"])
+    assert set(corpus_orders.values()) == {1}
+    assert set(corpus_orders) == {g.n for g in verify.corpus().values()}
+    assert sum(k for _, k in calls["eliminate"]) == 5 * len(verify.corpus())
 
 
 def test_criterion_14_sample_is_frozen():
@@ -121,3 +143,39 @@ def test_bareiss_is_exact_beyond_int64():
     det = bareiss_determinant(np.array(matrix, dtype=np.int64))
     assert isinstance(det, int) and abs(det) > 2**63
     assert det == _fraction_determinant(matrix)
+
+
+def test_bareiss_determinants_match_fraction_elimination_on_stacks():
+    rng = random.Random(1968)
+
+    def check(mats):
+        dets = bareiss_determinants(mats)
+        assert dets == [_fraction_determinant(m) for m in mats]
+        assert all(type(d) is int for d in dets)
+        return dets
+
+    # entries in -1..1: members whose first pivot is zero and needs a swap
+    # beside members whose does not, and singular members beside the rest
+    small = np.array([[[rng.randint(-1, 1) for _ in range(5)] for _ in range(5)]
+                      for _ in range(60)])
+    dets = check(small)
+    swaps = [m[0, 0] == 0 and m[1:, 0].any() for m in small]
+    assert any(swaps) and not all(swaps)
+    assert 0 in dets and any(dets)
+
+    # int64 entries below 2^21 beside a permutation matrix: the first step
+    # runs in int64, the next ones cannot, and the determinants leave int64
+    mixed = np.array([[[rng.randint(-2**20, 2**20) for _ in range(6)] for _ in range(6)]
+                      for _ in range(4)] + [np.eye(6, dtype=np.int64)[::-1]])
+    dets = check(mixed)
+    assert max(abs(d) for d in dets) >= 2**63 and dets[-1] == -1
+
+    # Python ints of 2^63 and beyond start in Python ints
+    huge = [[[rng.randint(-2**70, 2**70) for _ in range(4)] for _ in range(4)]
+            for _ in range(3)] + [[[2**63, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]
+    assert check(huge)[-1] == 2**63 - 1
+
+    # -2^63 fits int64, but its magnitude does not: abs would wrap it to
+    # itself, and the product below would overflow
+    edge = np.array([[[-2**63, 1], [1, 1]], [[0, 1], [1, 0]]], dtype=np.int64)
+    assert check(edge) == [-2**63 - 1, -1]
