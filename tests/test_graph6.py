@@ -144,7 +144,6 @@ def test_seeded_round_trips():
     texts = write_graph6s(graphs)
     assert texts == [write_graph6(g) for g in graphs]
     assert parse_graph6s(texts) == graphs
-    assert [g.n for g in parse_graph6s(texts)] == [g.n for g in graphs]
 
 
 def test_a_batch_raises_its_first_bad_lines_error():
