@@ -21,7 +21,8 @@ graphs.  The certificate would then save nothing when it succeeds and cost
 a pass of its own when it declines.  Above the gate the certificate costs
 no more than a stacked pass on a quadratic spectrum, the kind the graphs of
 the paper have, and less as n grows; a non-quadratic spectrum pays for the
-decline.  When it declines, the CRT route decides, so a non-quadratic
+decline.  When it declines, exact division decides: the graph's char_poly
+is divided by every factor its step proposed, and so a non-quadratic
 spectrum still reports the degree of its residual.
 
 The GF(p) step.  Both routes propose factors by one exact step over GF(p),
@@ -83,9 +84,13 @@ integer factor exactly.  Likewise an integer eigenvalue z has |z| <= k <
 p / 2, so it is a root of L that lifts back to z.  The step checks
 p > max(8 k^2, deg f) on each call.
 
-A proposal is never trusted.  In the CRT route exact division decides the
-result: a candidate that is no factor fails it, and as every division is
-exact, the factors divided out and the residual multiply back to f.
+A proposal is never trusted.  In the CRT route, and after the certificate
+declines, exact division decides the result: a candidate that is no factor
+fails it, and as every division is exact, the factors divided out and the
+residual multiply back to f.  A decline's step ran on f_p rather than on
+the residual the CRT route would leave after its integer roots, at the same
+prime; it proposes every integer eigenvalue and every quadratic factor of
+f, so dividing f by its proposals leaves that residual.
 
 Why the CRT route's table is a function of (f, k) alone.  The route reads
 nothing of the graph but f = char_poly(g) and its maximum degree k: it
@@ -95,12 +100,15 @@ proposes; every division is exact.  So the table {factor: multiplicity}
 and the residual it leaves depend on (f, k) and on nothing else, and
 graphs with equal (f, k) share one: relabelled copies, cospectral mates of
 equal maximum degree, the children that many Deza graphs have in common.
-One store (_TableStore) keeps the last FACTOR_TABLES tables by (f, k); a
-lookup computes every table it lacks at once (_crt_tables), with one
-stacked step.  The Spectrum is a function of the table too, so the table
-builds it and its sum of squared eigenvalues once, on first read
-(FactorTable.spectrum), and every graph that holds the table reads that
-one object; it lives as long as the table, in the store or on a graph.
+One dict (_TABLES) keeps the tables by (f, k), and _crt_route_tables alone
+reads it and adds to it: it computes every table a call lacks at once
+(_crt_tables), with one stacked step, and clears the dict first when they
+would take it past FACTOR_TABLES.  Threads share it with no lock: a race
+can only compute a table twice.  The Spectrum is a function of the table
+too, so the table builds it and its sum of squared eigenvalues once, on
+first read (FactorTable.spectrum), and every graph that holds the table
+reads that one object; it lives as long as the table, in _TABLES or on a
+graph.
 The trace check stays per graph: exact_spectrum compares the table's sum
 of squares with twice the edge count of each graph that reads it.  A
 graph's table, from either route, is a per-graph fact (_spectrum_table), so a
@@ -109,12 +117,11 @@ it on every call.  One batch function gives the CRT route's tables
 (_crt_route_tables): _spectrum_table calls it on one graph and its
 char_poly, prefill_spectra on a chunk and their char_poly.fill, and the
 prefill stores each table on its graph.  So exact_spectrum reads the graph,
-not the store, and the store only saves recomputing a table: its size
-decides how much is computed again, never what a spectrum reads.  The
-certificate reads M itself and shares nothing; when it declines, the CRT
-route runs on the graph's char_poly past the store (_crt_tables), its step
-on the residual, so a declined table, which can weigh kilobytes, takes no
-place in the store.
+not _TABLES, and _TABLES only saves recomputing a table: its size decides
+how much is computed again, never what a spectrum reads.  The certificate
+reads M itself and shares nothing; when it declines, its table is made past
+_TABLES, so a declined table, which can weigh kilobytes, takes no place
+there.
 
 The certificate, and why it is a proof.  Let f_p = det(xI - M) mod p
 (charpoly.char_poly_mod, one Hessenberg pass), and run the GF(p) step on it.
@@ -156,8 +163,6 @@ eigenvalues is 2|E|.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -179,10 +184,11 @@ from .graphs import Graph, common_neighbour_matrix, fill_facts, per_graph, stack
 #: module docstring says why it does not run below
 CERTIFY_ABOVE_PRIMES = 3
 
-#: how many factor tables the CRT route keeps across graphs (least recently
-#: used first out): more than a 1001-graph stream of small random regular
-#: graphs makes (523-541 with their children), so such a stream computes
-#: each table once; README gives the memory this bounds
+#: how many factor tables the CRT route keeps across graphs (_TABLES is
+#: cleared when a call's new tables would pass it): more than a 1001-graph
+#: stream of small random regular graphs makes (523-541 with their
+#: children), so such a stream computes each table once; README gives the
+#: memory this bounds
 FACTOR_TABLES = 768
 
 
@@ -564,66 +570,25 @@ def _crt_tables(keys) -> list[FactorTable]:
     return [FactorTable(found, rem) for found, rem in zip(mults, rems)]
 
 
-class TableInfo(NamedTuple):
-    """A table store's counts, as functools.lru_cache reports its own."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-class _TableStore:
-    """The CRT route's tables by (coeffs, bound), the maxsize most recently
-    used kept.  One lock guards the tables and the counts, so threads need
-    none of their own; a table is computed outside it, and two threads that
-    both miss a key compute equal tables."""
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._tables: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = self._misses = 0
-
-    def lookup(self, keys) -> list[FactorTable]:
-        """The table of each key, in order.  The keys the store lacks are
-        computed by one _crt_tables call, each once, and stored."""
-        with self._lock:
-            found = {key: self._tables[key] for key in keys if key in self._tables}
-            for key in found:
-                self._tables.move_to_end(key)
-        missing = [key for key in dict.fromkeys(keys) if key not in found]
-        if missing:
-            found.update(zip(missing, _crt_tables(missing)))
-        with self._lock:
-            for key in missing:
-                self._tables[key] = found[key]
-                self._tables.move_to_end(key)
-            while len(self._tables) > self.maxsize:
-                self._tables.popitem(last=False)
-            self._misses += len(missing)
-            self._hits += len(keys) - len(missing)
-        return [found[key] for key in keys]
-
-    def info(self) -> TableInfo:
-        with self._lock:
-            return TableInfo(self._hits, self._misses, self.maxsize, len(self._tables))
-
-    def clear(self) -> None:
-        with self._lock:
-            self._tables.clear()
-            self._hits = self._misses = 0
-
-
-_TABLES = _TableStore(FACTOR_TABLES)
+#: the CRT route's tables by (coeffs, bound), shared across graphs
+_TABLES: dict = {}
 
 
 def _crt_route_tables(graphs, polys) -> list[FactorTable]:
     """The CRT route's table of each graph, polys[i] being its char_poly: the
-    store's table of (char_poly, maximum degree), the tables it lacks
-    computed with one stacked GF(p) step."""
-    return _TABLES.lookup([(poly.coeffs, int(g.degrees().max(initial=0)))
-                           for g, poly in zip(graphs, polys)])
+    table of (char_poly, maximum degree) from _TABLES, the tables it lacks
+    computed, each once, with one stacked GF(p) step.  _TABLES is cleared
+    first when they would take it past FACTOR_TABLES."""
+    keys = [(poly.coeffs, int(g.degrees().max(initial=0))) for g, poly in zip(graphs, polys)]
+    found = {key: _TABLES.get(key) for key in keys}
+    missing = [key for key, table in found.items() if table is None]
+    if missing:
+        new = dict(zip(missing, _crt_tables(missing)))
+        if len(_TABLES) + len(new) > FACTOR_TABLES:
+            _TABLES.clear()
+        _TABLES.update(new)
+        found.update(new)
+    return [found[key] for key in keys]
 
 
 def prefill_spectra(graphs) -> None:
@@ -639,8 +604,9 @@ def prefill_spectra(graphs) -> None:
 @per_graph
 def _spectrum_table(g: Graph) -> FactorTable:
     """The table of g's spectrum, from the route that decides it: the CRT
-    route's (_crt_route_tables), or the certificate's, or on a decline the
-    CRT route's past the store (_crt_tables)."""
+    route's (_crt_route_tables), or the certificate's, or on a decline
+    char_poly(g) divided by the factors of the certificate's own step, past
+    _TABLES."""
     bound = int(g.degrees().max(initial=0))
     if crt_route(g.n, bound):
         return _crt_route_tables([g], [char_poly(g)])[0]
@@ -650,7 +616,8 @@ def _spectrum_table(g: Graph) -> FactorTable:
     certified = _certificate(g, fp, p, step)
     if certified is not None:
         return FactorTable(certified, (1,))
-    return _crt_tables([(char_poly(g).coeffs, bound)])[0]
+    mults: dict = {}
+    return FactorTable(mults, _divide_out(char_poly(g).coeffs, step.factors, mults))
 
 
 @per_graph

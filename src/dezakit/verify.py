@@ -44,12 +44,6 @@ def _row(criterion: str, name: str, expected, actual) -> CheckRow:
     return CheckRow(criterion, name, str(expected), str(actual), passed)
 
 
-def bareiss_determinant(matrix) -> int:
-    """Fraction-free exact determinant of an integer matrix (the
-    independent oracle for characteristic-polynomial evaluations)."""
-    return bareiss_determinants([matrix])[0]
-
-
 def bareiss_determinants(mats) -> list[int]:
     """The exact determinant of each integer matrix of a stack of one shape,
     by fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of all of
@@ -446,11 +440,6 @@ def _random_graphs(rng: random.Random, orders) -> list[Graph]:
         return graphs_mod.graphs_from_stack(a)
 
     return graphs_mod.stacked(build, draws, lambda draw: (draw[0], draw[0]))
-
-
-def _random_graph(rng: random.Random, n: int) -> Graph:
-    """G(n, 1/2) by _random_graphs, as its batch of one."""
-    return _random_graphs(rng, [n])[0]
 
 
 # ---------------------------------------------------------------------------

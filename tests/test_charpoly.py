@@ -13,7 +13,7 @@ from dezakit import charpoly, deza, families, graphs, report, spectra
 from dezakit.charpoly import CharPoly, char_poly, poly_divmod_monic, poly_eval, poly_mul, poly_try_divide
 from dezakit.graph6 import MAX_N
 from dezakit.graphs import Graph, complement
-from dezakit.verify import bareiss_determinant, corpus
+from dezakit.verify import bareiss_determinants, corpus
 
 
 def _prime_count(g):
@@ -57,7 +57,7 @@ def test_matches_bareiss_determinant():
                 [x * (i == j) - int(g.adj[i, j]) for j in range(g.n)]
                 for i in range(g.n)
             ]
-            assert cp(x) == bareiss_determinant(xi_minus_m)
+            assert cp(x) == bareiss_determinants([xi_minus_m])[0]
 
 
 def test_char_poly_is_a_per_graph_fact(monkeypatch):
@@ -306,20 +306,26 @@ def test_prefill_leaves_the_reports_no_pass_and_no_step(monkeypatch):
     assert all(spectra.crt_route(g.n, int(g.degrees().max())) for g in chunk)
     assert all(deza.detect_deza(g).b > deza.detect_deza(g).a for g in chunk)
     expected = [report.build_report(Graph(g.adj), str(i)) for i, g in enumerate(chunk)]
-    # a store of one table keeps none of the chunk's: the reports read the
-    # tables the prefill stored on the graphs and their children
-    monkeypatch.setattr(spectra, "_TABLES", spectra._TableStore(1))
+    # a store of one table, emptied after the prefill, keeps none of the
+    # chunk's: the reports read the tables the prefill stored on the graphs
+    # and their children
+    monkeypatch.setattr(spectra, "FACTOR_TABLES", 1)
+    monkeypatch.setattr(spectra, "_TABLES", {})
     report.prefill_reports(chunk)
+    spectra._TABLES.clear()
     # every parent's children are built, the non-quadratic parents' too
     assert all(deza._children.memo_key in g._facts for g in chunk)
     shapes = _count_passes(monkeypatch)
     steps = []
     step = spectra._gfp_step
     monkeypatch.setattr(spectra, "_gfp_step", lambda rows: steps.append(rows) or step(rows))
-    lookups = spectra._TABLES.info()
+    # with the store empty, a lookup would compute a table and keep it
+    tables = []
+    compute = spectra._crt_tables
+    monkeypatch.setattr(spectra, "_crt_tables", lambda keys: tables.append(keys) or compute(keys))
     reports = [report.build_report(g, str(i)) for i, g in enumerate(chunk)]
     assert reports == expected
-    assert shapes == [] and steps == [] and spectra._TABLES.info() == lookups
+    assert shapes == [] and steps == [] and tables == [] and spectra._TABLES == {}
     # every child holds its prefilled polynomial and table, also the
     # children of C7 and C9, whose spectra no report reads
     for g in chunk:

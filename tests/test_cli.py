@@ -294,7 +294,9 @@ def test_a_stream_computes_no_table_twice(tmp_path, capsys, monkeypatch):
     compute = spectra._crt_tables
     monkeypatch.setattr(spectra, "_crt_tables", lambda ks: keys.extend(ks) or compute(ks))
     assert run(capsys, "analyze", "--json", str(path))[0] == 0
-    assert len(keys) == len(set(keys)) == spectra._TABLES.info().misses
+    # under the cap nothing is cleared: the store holds every table computed
+    assert len(keys) == len(set(keys)) == len(spectra._TABLES)
+    assert set(keys) == set(spectra._TABLES)
 
 
 def test_children(tmp_path, capsys):

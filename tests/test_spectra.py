@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -496,8 +497,8 @@ def test_agrees_with_float_oracle():
 
 @pytest.mark.parametrize("make, prime, residual_degree", [
     # k = 2: the order dominates 8 k^2 = 32; both take 13 CRT primes, so
-    # the step runs on det(xI - M) mod the certificate's prime, and when the
-    # certificate declines (C250), again at that prime on the CRT residual
+    # the step runs once, on det(xI - M) mod the certificate's prime, and
+    # when the certificate declines (C250), its factors divide char_poly
     pytest.param(lambda: disjoint_union([families.cycle(5)] * 50), 251, None, id="50xC5"),
     pytest.param(lambda: families.cycle(250), 251, 240, id="C250"),
 ])
@@ -505,7 +506,7 @@ def test_small_step_prime_end_to_end(monkeypatch, make, prime, residual_degree):
     g = make()
     calls = _spy(monkeypatch, "_gfp_step")
     exact = _spectrum_or_residual(g)
-    assert [p for _, _, p in _step_rows(calls)] == [prime] * (1 if residual_degree is None else 2)
+    assert [p for _, _, p in _step_rows(calls)] == [prime]
     assert exact == float_spectrum_or_residual(g)
     if residual_degree is None:
         assert isinstance(exact, Spectrum) and len(exact.to_json()) == 3
@@ -692,10 +693,9 @@ def test_non_quadratic_cycles_keep_their_error(n, primes, certificate_runs, monk
     with pytest.raises(NonQuadraticSpectrumError) as info:
         exact_spectrum(families.cycle(n))
     assert bool(calls) == certificate_runs
-    # one step prime per graph: the certificate's step, when it runs, and
-    # then the CRT route's on the residual of its char_poly
-    runs = 1 + certificate_runs
-    assert primes == [(2, n)] * runs and [q for _, _, q in _step_rows(steps)] == [p] * runs
+    # one step per graph: the certificate's, when it runs, whose factors
+    # then divide its char_poly; else the CRT route's
+    assert primes == [(2, n)] and [q for _, _, q in _step_rows(steps)] == [p]
     assert str(info.value) == (
         "spectrum contains non-quadratic eigenvalues; unfactored residual has degree "
         f"{n - 1}")
@@ -710,7 +710,7 @@ def _relabelled(g, seed):
 
 
 def test_relabelled_copy_reuses_the_table(monkeypatch):
-    steps = _spy(monkeypatch, "_gfp_step")
+    steps, computed = _spy(monkeypatch, "_gfp_step"), _spy(monkeypatch, "_crt_tables")
     g = families.paley(13)
     copy = _relabelled(g, 1)
     assert not np.array_equal(g.adj, copy.adj)
@@ -719,8 +719,9 @@ def test_relabelled_copy_reuses_the_table(monkeypatch):
     # no second GF(p) step, and an equal spectrum
     assert exact_spectrum(copy) == spec and str(exact_spectrum(copy)) == str(spec)
     assert len(_step_rows(steps)) == 1
-    info = spectra._TABLES.info()
-    assert (info.hits, info.misses) == (1, 1)
+    # each graph looks its table up once: g's misses and is computed, the
+    # copy's hits
+    assert [len(keys) for (keys,) in computed] == [1] and len(spectra._TABLES) == 1
 
 
 def test_relabelled_copies_share_one_spectrum_object():
@@ -795,53 +796,79 @@ def test_a_cached_residual_still_raises(c7, monkeypatch):
     assert len(_step_rows(steps)) == 1
 
 
-def test_cospectral_graphs_of_unequal_degree_take_two_entries():
+def test_cospectral_graphs_of_unequal_degree_take_two_entries(monkeypatch):
     # K_{1,4} and C4 + K1: both det(xI - M) = x^5 - 4x^3, maximum degrees 4, 2
+    computed = _spy(monkeypatch, "_crt_tables")
     star = families.complete_multipartite([1, 4])
     square = disjoint_union([families.cycle(4), families.complete(1)])
     assert char_poly(star) == char_poly(square)
     assert exact_spectrum(star) == exact_spectrum(square)
     assert exact_spectrum(star) is not exact_spectrum(square)
     assert str(exact_spectrum(star)) == "{2^1, 0^3, (-2)^1}"
-    info = spectra._TABLES.info()
-    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+    # each graph looks its table up once, and both miss: two tables
+    # computed, one key each, and both kept
+    assert [len(keys) for (keys,) in computed] == [1, 1] and len(spectra._TABLES) == 2
 
 
-def test_factor_tables_are_bounded():
+def _lookup(*polys):
+    """_crt_route_tables on bare polynomials, each key's bound 1: it reads
+    only a graph's maximum degree and a polynomial's coefficients."""
+    edge = families.complete(2)
+    return spectra._crt_route_tables([edge] * len(polys), [SimpleNamespace(coeffs=f) for f in polys])
+
+
+def test_factor_tables_are_bounded(monkeypatch):
     # (x - 1)^a (x + 1)^b x^c: integer roots alone, so no GF(p) step runs
     size = spectra.FACTOR_TABLES
     polys = [_product(*[(-1, 1)] * a, *[(1, 1)] * b, *[(0, 1)] * c)
              for a in range(1, 11) for b in range(10) for c in range(10)]
-    assert len(set(polys)) > size
-    for i, f in enumerate(polys[: size + 1]):
-        (table,) = spectra._TABLES.lookup([(f, 1)])
+    assert len(set(polys)) > size + 2
+    computed = _spy(monkeypatch, "_crt_tables")
+    for i, f in enumerate(polys[:size]):
+        (table,) = _lookup(f)
         assert table.residual == (1,) and sum(table.factors.values()) == len(f) - 1
-        assert spectra._TABLES.info().currsize == min(i + 1, size)
-    info = spectra._TABLES.info()
-    assert info.maxsize == size and info.currsize == size
-    # the least recently used went first: the first polynomial is computed again
-    assert info.misses == size + 1
-    spectra._TABLES.lookup([(polys[size], 1), (polys[0], 1)])
-    assert spectra._TABLES.info()[:2] == (1, size + 2)
+        assert len(spectra._TABLES) == i + 1
+    # a new table past the cap clears the dict first, then is added
+    (table,) = _lookup(polys[size])
+    assert len(spectra._TABLES) == 1 and spectra._TABLES[(polys[size], 1)] is table
+    assert len(computed) == size + 1
+    # so the first polynomial is computed again, and the last one read
+    assert _lookup(polys[size], polys[0])[0] is table
+    assert len(computed) == size + 2 and computed[-1] == ([(polys[0], 1)],)
+    assert len(spectra._TABLES) == 2
+    # one call's new tables are kept together, even past the cap
+    spectra._TABLES.clear()
+    _lookup(*polys[: size + 2])
+    assert len(spectra._TABLES) == size + 2 and len(computed) == size + 3
 
 
 def test_a_chunk_and_its_children_fit_the_store(monkeypatch):
     # the prefill stores each table on its graph, so a chunk and the children
     # its reports compare fit whatever the store keeps: here one table
-    monkeypatch.setattr(spectra, "_TABLES", spectra._TableStore(1))
+    monkeypatch.setattr(spectra, "FACTOR_TABLES", 1)
+    monkeypatch.setattr(spectra, "_TABLES", {})
+    computed = _spy(monkeypatch, "_crt_tables")
     chunk = [families.complete_multipartite([3, 3, 3]), families.disjoint_cliques(3, 3),
              families.taylor_double_cover(families.paley(5))]
     report.prefill_reports(chunk)
     pairs = [deza.children(g) for g in chunk]
     graphs = chunk + [c for pair in pairs for c in (pair.child_a, pair.child_b)]
     assert all(spectra._spectrum_table.memo_key in g._facts for g in graphs)
-    assert spectra._TABLES.info().currsize == 1
-    assert [exact_spectrum(g) for g in graphs] == [exact_spectrum(Graph(g.adj)) for g in graphs]
+    # the prefill's one call keeps its tables; the next new table clears them
+    ((keys,),) = computed
+    assert len(spectra._TABLES) == len(keys) > 1
+    c11 = families.cycle(11)
+    assert (char_poly(c11).coeffs, 2) not in keys
+    spectra._spectrum_table(c11)
+    assert len(spectra._TABLES) == 1 and len(computed) == 2
+    read = [exact_spectrum(g) for g in graphs]
+    assert len(computed) == 2
+    assert read == [exact_spectrum(Graph(g.adj)) for g in graphs]
 
 
 def test_a_cached_table_cannot_be_changed():
     g = families.petersen()
-    (table,) = spectra._TABLES.lookup([(char_poly(g).coeffs, 3)])
+    (table,) = spectra._crt_route_tables([g], [char_poly(g)])
     with pytest.raises(TypeError):
         table.factors[(-3, 1)] = 2
     with pytest.raises(TypeError):
@@ -849,7 +876,7 @@ def test_a_cached_table_cannot_be_changed():
     with pytest.raises(AttributeError):
         table.factors.clear()
     assert dict(table.factors) == {(-3, 1): 1, (-1, 1): 5, (2, 1): 4}
-    assert spectra._TABLES.lookup([(char_poly(g).coeffs, 3)])[0] is table
+    assert spectra._crt_route_tables([g], [char_poly(g)])[0] is table
 
 
 def test_threads_share_the_tables_without_a_lock():
@@ -881,7 +908,7 @@ def test_threads_share_the_tables_without_a_lock():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
     assert len(results) == 240 and all(text == expected[j] for j, text in results)
-    assert spectra._TABLES.info().currsize == len(bases)
+    assert len(spectra._TABLES) == len(bases)
 
 
 @pytest.mark.parametrize("make, text", [

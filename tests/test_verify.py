@@ -14,7 +14,7 @@ import pytest
 from dezakit import charpoly, graph6, verify
 from dezakit.graph6 import write_graph6
 from dezakit.graphs import Graph
-from dezakit.verify import bareiss_determinant, bareiss_determinants
+from dezakit.verify import bareiss_determinants
 
 #: sha256 of verify-paper --json: json.dumps of the 179 rows, indent=1
 VERIFY_SHA256 = "7ac1ec515c10cb320ed9bd0c80561f4bfe54d519597485bbe2f2caa64a4a3d7f"
@@ -70,7 +70,7 @@ def test_criterion_14_sample_is_frozen():
     digest = hashlib.sha256()
     for _ in range(1000):
         n = rng.randint(1, 40)
-        digest.update((write_graph6(verify._random_graph(rng, n)) + "\n").encode())
+        digest.update((write_graph6(verify._random_graphs(rng, [n])[0]) + "\n").encode())
     assert digest.hexdigest() == SAMPLE_SHA256
 
 
@@ -81,7 +81,7 @@ def test_random_graph_matches_the_per_pair_draws():
         for u in range(n):
             for v in range(u + 1, n):
                 expected[u, v] = expected[v, u] = reference.random() < 0.5
-        assert np.array_equal(verify._random_graph(rng, n).adj, expected)
+        assert np.array_equal(verify._random_graphs(rng, [n])[0].adj, expected)
         assert rng.getstate() == reference.getstate()
     assert rng.random() == reference.random()
 
@@ -119,8 +119,8 @@ def _fraction_determinant(matrix) -> int:
 ])
 def test_bareiss_on_worked_examples(matrix, det):
     assert _fraction_determinant(matrix) == det
-    assert bareiss_determinant(matrix) == det
-    assert bareiss_determinant(np.array(matrix, dtype=np.int64)) == det
+    assert bareiss_determinants([matrix])[0] == det
+    assert bareiss_determinants([np.array(matrix, dtype=np.int64)])[0] == det
 
 
 def test_bareiss_matches_fraction_elimination_on_random_matrices():
@@ -132,15 +132,15 @@ def test_bareiss_matches_fraction_elimination_on_random_matrices():
         matrix = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         expected = _fraction_determinant(matrix)
         singular += expected == 0
-        assert bareiss_determinant(matrix) == expected
-        assert bareiss_determinant(np.array(matrix, dtype=np.int64)) == expected
+        assert bareiss_determinants([matrix])[0] == expected
+        assert bareiss_determinants([np.array(matrix, dtype=np.int64)])[0] == expected
     assert singular
 
 
 def test_bareiss_is_exact_beyond_int64():
     rng = random.Random(31)
     matrix = [[rng.randint(-10**12, 10**12) for _ in range(8)] for _ in range(8)]
-    det = bareiss_determinant(np.array(matrix, dtype=np.int64))
+    (det,) = bareiss_determinants([np.array(matrix, dtype=np.int64)])
     assert isinstance(det, int) and abs(det) > 2**63
     assert det == _fraction_determinant(matrix)
 
