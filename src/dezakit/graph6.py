@@ -45,11 +45,11 @@ class Graph6Error(ValueError):
 # which names a zero bit kept after a line's bits: a stack of lines decodes
 # by one gather through the table, and encodes by one scatter.  The table of
 # order n is the leading n x n block of the table for MAX_N, so one table
-# serves every order by a slice.
+# serves every order by a slice.  Its largest entry, 44202, needs int32.
 def _pair_bit_table() -> np.ndarray:
     p = np.arange(MAX_N * (MAX_N - 1) // 2)
     lower = np.tri(MAX_N, k=-1, dtype=bool)
-    table = np.full((MAX_N, MAX_N), -1)
+    table = np.full((MAX_N, MAX_N), -1, dtype=np.int32)
     table[lower] = p // 6 * 8 + p % 6
     table.T[lower] = table[lower]
     table.setflags(write=False)

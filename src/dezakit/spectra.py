@@ -7,8 +7,8 @@ The CRT route computes the exact characteristic polynomial f = det(xI - M)
 (charpoly.char_poly), strips every integer root in [-k, k] by exact
 synthetic division (k = maximum degree, a hard bound on the spectral
 radius), then divides out every factor the GF(p) step proposes exactly.  Any
-residual of degree >= 3 that is left is reported as a non-quadratic
-spectrum.
+residual of degree >= 3 that is left is reported, by its degree, as a
+non-quadratic spectrum.
 
 The certificate (_certificate) settles a spectrum whose eigenvalues are all
 integers or quadratic irrationals at one prime, with no Chinese
@@ -96,38 +96,38 @@ Why the CRT route's table is a function of (f, k) alone.  The route reads
 nothing of the graph but f = char_poly(g) and its maximum degree k: it
 tries the integers in [-k, k] as roots, runs the GF(p) step at
 p = _step_prime(k, deg f) on what is left, and divides out what the step
-proposes; every division is exact.  So the table {factor: multiplicity}
-and the residual it leaves depend on (f, k) and on nothing else, and
-graphs with equal (f, k) share one: relabelled copies, cospectral mates of
-equal maximum degree, the children that many Deza graphs have in common.
-One dict (_TABLES) keeps the tables by (f, k), and _crt_route_tables alone
-reads it and adds to it: it computes every table a call lacks at once
-(_crt_tables), with one stacked step, and clears the dict first when they
-would take it past FACTOR_TABLES.  Threads share it with no lock: a race
-can only compute a table twice.  The Spectrum is a function of the table
-too, so the table builds it and its sum of squared eigenvalues once, on
-first read (FactorTable.spectrum), and every graph that holds the table
-reads that one object; it lives as long as the table, in _TABLES or on a
-graph.
-The trace check stays per graph: exact_spectrum compares the table's sum
+proposes; every division is exact.  So the factors {factor: multiplicity}
+and the residual they leave depend on (f, k) and on nothing else, and so
+does the table _spectrum_of makes of them: the Spectrum, or the degree of
+the residual when one is left.  Graphs with equal (f, k) share one table:
+relabelled copies, cospectral mates of equal maximum degree, the children
+that many Deza graphs have in common.  One dict (_TABLES) keeps the tables
+by (f, k), and _crt_route_tables alone reads it and adds to it: it computes
+every table a call lacks at once (_crt_tables), with one stacked step, and
+clears the dict first when they would take it past FACTOR_TABLES.  Threads
+share it with no lock: a race can only compute a table twice.  Every graph
+that holds a table reads its one Spectrum object, which lives as long as
+the table, in _TABLES or on a graph.
+The trace check stays per graph: exact_spectrum compares the Spectrum's sum
 of squares with twice the edge count of each graph that reads it.  A
 graph's table, from either route, is a per-graph fact (_spectrum_table), so a
 non-quadratic residual is found once per graph, and exact_spectrum raises
-it on every call.  One batch function gives the CRT route's tables
+its degree on every call.  One batch function gives the CRT route's tables
 (_crt_route_tables): _spectrum_table calls it on one graph and its
 char_poly, prefill_spectra on a chunk and their char_poly.fill, and the
 prefill stores each table on its graph.  So exact_spectrum reads the graph,
 not _TABLES, and _TABLES only saves recomputing a table: its size decides
 how much is computed again, never what a spectrum reads.  The certificate
-reads M itself and shares nothing; when it declines, its table is made past
-_TABLES, so a declined table, which can weigh kilobytes, takes no place
-there.
+reads M itself and shares nothing; its table, and a decline's, are made
+past _TABLES.
 
 The certificate, and why it is a proof.  Let f_p = det(xI - M) mod p
 (charpoly.char_poly_mod, one Hessenberg pass), and run the GF(p) step on it.
 - If the spectrum is quadratic, f is a product of linear and quadratic
   integer factors, and so f_p is a product of linear and quadratic factors
-  mod p: R = L Q.  When deg L + deg Q < deg R, the route declines at once.
+  mod p: R = L Q.  A step with deg L + deg Q < deg R therefore means an
+  eigenvalue of degree >= 3, a root of no candidate, and membership
+  declines it: P != 0.
 - Membership.  M is symmetric, so its minimal polynomial mu is the product
   of the distinct irreducible factors of f.  The candidates c are distinct
   monic irreducibles over the integers (x - z, or a quadratic with a
@@ -163,8 +163,6 @@ eigenvalues is 2|E|.
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -193,13 +191,14 @@ FACTOR_TABLES = 768
 
 
 class NonQuadraticSpectrumError(ValueError):
-    """Raised when some eigenvalue has algebraic degree three or more."""
+    """Raised when some eigenvalue has algebraic degree three or more;
+    .degree is the degree of the residual that no proposed factor divides."""
 
-    def __init__(self, residual) -> None:
-        self.residual = tuple(residual)
+    def __init__(self, degree: int) -> None:
+        self.degree = degree
         super().__init__(
             "spectrum contains non-quadratic eigenvalues; "
-            f"unfactored residual has degree {len(self.residual) - 1}"
+            f"unfactored residual has degree {degree}"
         )
 
 
@@ -364,21 +363,12 @@ def _step_prime(bound: int, deg: int) -> int:
     return p
 
 
-class Proposal(NamedTuple):
-    """What the GF(p) step proposes for a monic integer polynomial f: monic
-    integer factors, each a tuple of ascending coefficients."""
-
-    #: x - z for each root z of L lifted into [-bound, bound], ascending in z;
-    #: then x^2 - b x + c for each admissible (b, c), ascending in (b, c)
-    factors: list[tuple[int, ...]]
-    #: deg L + deg Q == deg R: f mod p has no irreducible factor of degree >= 3
-    complete: bool
-
-
-def _gfp_step(rows) -> list[Proposal]:
-    """The GF(p) step on each row (rem, bound, p), rem a monic integer
-    polynomial (or its residues mod p).  Every x - z with z in
-    [-bound, bound] and every admissible x^2 - b x + c that divides rem is
+def _gfp_step(rows) -> list[list[tuple[int, ...]]]:
+    """The factors the GF(p) step proposes for each row (rem, bound, p), rem a
+    monic integer polynomial (or its residues mod p): monic integer factors
+    as tuples of ascending coefficients, x - z for each root z of L lifted
+    into [-bound, bound], ascending in z, then x^2 - b x + c for each
+    admissible (b, c), ascending in (b, c).  Every such factor of rem is
     proposed; see the module docstring for why this holds at the prime p,
     and for the phases in which the rows run together."""
     radicals = []
@@ -417,11 +407,9 @@ def _gfp_step(rows) -> list[Proposal]:
             return v - p if v > half else v
 
         cands = {(lift(b), lift(c)) for b, c in pairs}
-        proposals.append(Proposal(
+        proposals.append(
             [(-z, 1) for z in sorted(z for z in map(lift, roots) if abs(z) <= bound)]
-            + [(c, -b, 1) for b, c in sorted(bc for bc in cands if _admissible(*bc, bound))],
-            len(linears[i]) + len(quadratics[i]) == len(radicals[i]) + 1,
-        ))
+            + [(c, -b, 1) for b, c in sorted(bc for bc in cands if _admissible(*bc, bound))])
     return proposals
 
 
@@ -472,19 +460,17 @@ def _nonzero_product(mats: list[np.ndarray], probe: np.ndarray) -> bool:
     return not mats or _product(mats + [probe]).any() or _product(mats).any()
 
 
-def _certificate(g: Graph, fp: list[int], p: int, step: Proposal):
+def _certificate(g: Graph, fp: list[int], p: int, factors) -> Spectrum | None:
     """The spectrum of g certified at the prime p, from f_p = det(xI - M)
-    mod p and the GF(p) step on it, as {factor: multiplicity}, or None when
-    the certificate declines.  The module docstring gives the proof and
-    each reason to decline."""
-    if not step.complete:
-        return None
+    mod p and the factors the GF(p) step on it proposes, or None when the
+    certificate declines.  The module docstring gives the proof and each
+    reason to decline."""
     n = g.n
     eye = np.eye(n, dtype=np.int64)
     powers = [eye, g.adj.astype(np.int64)]  # I, M and, for a quadratic, M^2
-    if any(len(f) == 3 for f in step.factors):
+    if any(len(f) == 3 for f in factors):
         powers.append(common_neighbour_matrix(g))
-    mats = [sum(c * m for c, m in zip(f, powers)) for f in step.factors]
+    mats = [sum(c * m for c, m in zip(f, powers)) for f in factors]
     if math.prod(max(int(np.abs(m).sum(axis=1).max()), 1) for m in mats) >= 1 << 62:
         return None
     probe = eye[:, sorted({v * (n - 1) // 3 for v in range(4)})]  # four vertices
@@ -493,11 +479,12 @@ def _certificate(g: Graph, fp: list[int], p: int, step: Proposal):
 
     mults = {
         f: _multiplicity_mod(fp, f, p)
-        for i, f in enumerate(step.factors)
+        for i, f in enumerate(factors)
         if _nonzero_product(mats[:i] + mats[i + 1 :], probe)  # else P_c = 0: no factor
     }
     # the sum is n, or above it when factors collide mod p
-    return mults if sum((len(f) - 1) * u for f, u in mults.items()) == n else None
+    counted = sum((len(f) - 1) * u for f, u in mults.items())
+    return _spectrum_of(mults, (1,)) if counted == n else None
 
 
 def _divide_out(rem, factors, mults):
@@ -516,39 +503,21 @@ def crt_route(n: int, bound: int) -> bool:
     return len(primes_for(n, bound)) <= CERTIFY_ABOVE_PRIMES
 
 
-class FactorTable:
-    """What a route makes of a characteristic polynomial, and the Spectrum
-    that gives, built on first read and then shared by every graph that
-    holds the table."""
-
-    __slots__ = ("factors", "residual", "_spectrum")
-
-    def __init__(self, factors, residual) -> None:
-        #: read-only {monic factor: multiplicity}
-        self.factors = MappingProxyType(factors)
-        #: what no factor divides: (1,), or a non-quadratic residual
-        self.residual = tuple(residual)
-        self._spectrum = None
-
-    def spectrum(self) -> tuple[Spectrum, int]:
-        """The table's Spectrum and its sum of squared eigenvalues, built
-        once (a race between threads can only build equal ones twice).
-        Raises NonQuadraticSpectrumError when a residual is left."""
-        if len(self.residual) > 1:
-            raise NonQuadraticSpectrumError(self.residual)
-        if self._spectrum is None:
-            entries = []
-            for f, m in self.factors.items():
-                if len(f) == 2:
-                    entries.append((Eigenvalue.integer(-f[0]), m))
-                else:
-                    entries += [(root, m) for root in Eigenvalue.quadratic_roots(-f[1], f[0])]
-            spec = Spectrum(entries)
-            self._spectrum = (spec, spec.sum_of_squares())
-        return self._spectrum
+def _spectrum_of(mults, residual) -> Spectrum | int:
+    """A route's table: the Spectrum that {monic factor: multiplicity} gives,
+    or the degree of the residual that no factor divides when one is left."""
+    if len(residual) > 1:
+        return len(residual) - 1
+    entries = []
+    for f, m in mults.items():
+        if len(f) == 2:
+            entries.append((Eigenvalue.integer(-f[0]), m))
+        else:
+            entries += [(root, m) for root in Eigenvalue.quadratic_roots(-f[1], f[0])]
+    return Spectrum(entries)
 
 
-def _crt_tables(keys) -> list[FactorTable]:
+def _crt_tables(keys) -> list[Spectrum | int]:
     """The CRT route on each key (coeffs, bound), coeffs a monic integer
     polynomial and bound its graph's maximum degree: strip every integer
     root in [-bound, bound], then divide out what the GF(p) step proposes
@@ -565,16 +534,16 @@ def _crt_tables(keys) -> list[FactorTable]:
     need = [i for i, rem in enumerate(rems) if len(rem) > 1]
     rows = [(rems[i], keys[i][1], _step_prime(keys[i][1], len(keys[i][0]) - 1)) for i in need]
     if rows:
-        for i, step in zip(need, _gfp_step(rows)):
-            rems[i] = _divide_out(rems[i], step.factors, mults[i])
-    return [FactorTable(found, rem) for found, rem in zip(mults, rems)]
+        for i, factors in zip(need, _gfp_step(rows)):
+            rems[i] = _divide_out(rems[i], factors, mults[i])
+    return [_spectrum_of(found, rem) for found, rem in zip(mults, rems)]
 
 
 #: the CRT route's tables by (coeffs, bound), shared across graphs
 _TABLES: dict = {}
 
 
-def _crt_route_tables(graphs, polys) -> list[FactorTable]:
+def _crt_route_tables(graphs, polys) -> list[Spectrum | int]:
     """The CRT route's table of each graph, polys[i] being its char_poly: the
     table of (char_poly, maximum degree) from _TABLES, the tables it lacks
     computed, each once, with one stacked GF(p) step.  _TABLES is cleared
@@ -602,22 +571,22 @@ def prefill_spectra(graphs) -> None:
 
 
 @per_graph
-def _spectrum_table(g: Graph) -> FactorTable:
-    """The table of g's spectrum, from the route that decides it: the CRT
-    route's (_crt_route_tables), or the certificate's, or on a decline
-    char_poly(g) divided by the factors of the certificate's own step, past
-    _TABLES."""
+def _spectrum_table(g: Graph) -> Spectrum | int:
+    """g's Spectrum, or the degree of its non-quadratic residual, from the
+    route that decides it: the CRT route's (_crt_route_tables), or the
+    certificate's, or on a decline char_poly(g) divided by the factors of
+    the certificate's own step, past _TABLES."""
     bound = int(g.degrees().max(initial=0))
     if crt_route(g.n, bound):
         return _crt_route_tables([g], [char_poly(g)])[0]
     p = _step_prime(bound, g.n)
     fp = char_poly_mod([g.adj], (p,))[0].tolist()
-    (step,) = _gfp_step([(fp, bound, p)])
-    certified = _certificate(g, fp, p, step)
+    (factors,) = _gfp_step([(fp, bound, p)])
+    certified = _certificate(g, fp, p, factors)
     if certified is not None:
-        return FactorTable(certified, (1,))
+        return certified
     mults: dict = {}
-    return FactorTable(mults, _divide_out(char_poly(g).coeffs, step.factors, mults))
+    return _spectrum_of(mults, _divide_out(char_poly(g).coeffs, factors, mults))
 
 
 @per_graph
@@ -627,9 +596,11 @@ def exact_spectrum(g: Graph) -> Spectrum:
     Raises NonQuadraticSpectrumError when an eigenvalue of algebraic degree
     three or more is present (e.g. the 7-cycle).
     """
-    spec, squares = _spectrum_table(g).spectrum()
+    spec = _spectrum_table(g)
+    if isinstance(spec, int):
+        raise NonQuadraticSpectrumError(spec)
     # the trace of M^2, checked per graph: the table may be another graph's
-    if squares != 2 * g.edge_count():
+    if spec.sum_of_squares() != 2 * g.edge_count():
         raise ArithmeticError("sum of squared eigenvalues is not 2|E|")
     return spec
 

@@ -560,7 +560,7 @@ def _c7_detects() -> bool:
     try:
         spectra_mod.exact_spectrum(corpus()["c7"])
     except spectra_mod.NonQuadraticSpectrumError as exc:
-        return len(exc.residual) - 1 == 6
+        return exc.degree == 6
     return False
 
 

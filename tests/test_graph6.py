@@ -119,6 +119,8 @@ def test_pair_bits_are_blocks_of_one_read_only_table():
         assert bits.shape == (n, n) and (bits == bits.T).all()
         assert (bits[vs[:m], us[:m]] == position[:m]).all()
         assert (bits.diagonal() == -1).all()
+    # int32 holds the largest entry
+    assert _pair_bits(MAX_N).dtype == np.int32 and _pair_bits(MAX_N).max() == 44202
     with pytest.raises(ValueError, match="read-only"):
         _pair_bits(5)[1, 0] = 0
 

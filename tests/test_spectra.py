@@ -87,7 +87,7 @@ def test_mixed_radicals():
 def test_c7_non_quadratic(c7):
     with pytest.raises(NonQuadraticSpectrumError) as info:
         exact_spectrum(c7)
-    assert len(info.value.residual) - 1 == 6
+    assert info.value.degree == 6
 
 
 def test_numeric_cross_validation(petersen, heawood, icosahedron, johnson63, taylor13, klein24):
@@ -216,14 +216,14 @@ def _split_nonsquares():
 
 
 def _step(rem, bound, p):
-    """The GF(p) step on the one row (rem, bound, p)."""
-    (proposal,) = spectra._gfp_step([(rem, bound, p)])
-    return proposal
+    """The factors the GF(p) step proposes for the one row (rem, bound, p)."""
+    (factors,) = spectra._gfp_step([(rem, bound, p)])
+    return factors
 
 
 def _quadratics(rem, bound, p):
     """The (b, c) of each x^2 - b x + c the GF(p) step proposes for rem."""
-    return [(-f[1], f[0]) for f in _step(rem, bound, p).factors if len(f) == 3]
+    return [(-f[1], f[0]) for f in _step(rem, bound, p) if len(f) == 3]
 
 
 def _spy(monkeypatch, name):
@@ -367,12 +367,17 @@ def test_quartic_with_quadratic_roots_is_left_over(monkeypatch):
     quartic = (1, 0, -10, 0, 1)
     rem = poly_mul(quartic, (-2, 0, 1))
     assert _quadratics(rem, 4, P) == [(0, -2)]
+    # dividing out what the step proposes at the CRT route's prime leaves it
+    p = spectra._step_prime(4, 6)
+    mults = {}
+    assert spectra._divide_out(rem, _step(rem, 4, p), mults) == quartic
+    assert mults == {(-2, 0, 1): 1}
     # a 4-regular graph on six vertices, whose det(xI - M) is replaced by rem
     g = families.complete_multipartite([2, 2, 2])
     monkeypatch.setattr(spectra, "char_poly", lambda g: CharPoly(rem))
     with pytest.raises(NonQuadraticSpectrumError) as info:
         exact_spectrum(g)
-    assert info.value.residual == quartic
+    assert info.value.degree == 4
 
 
 def test_prime_covers_max_order():
@@ -466,11 +471,18 @@ def test_mixed_quadratics_are_proposed_exactly(no_eigensolver):
 
 
 def _spectrum_or_residual(g):
-    # a fresh Graph, so no spectrum memoised on g is reused
+    """The exact spectrum of a fresh copy of g (so no spectrum memoised on g
+    is reused), or the degree of its non-quadratic residual."""
     try:
         return exact_spectrum(Graph(g.adj))
     except NonQuadraticSpectrumError as exc:
-        return exc.residual
+        return exc.degree
+
+
+def _float_spectrum_or_degree(g):
+    """conftest's float oracle, with its residual read as its degree."""
+    oracle = float_spectrum_or_residual(g)
+    return oracle if isinstance(oracle, Spectrum) else len(oracle) - 1
 
 
 def test_agrees_with_float_oracle():
@@ -484,10 +496,10 @@ def test_agrees_with_float_oracle():
     # n = 251: the powers run mod a radical of degree about 190
     graphs.append(disjoint_union([families.paley(61), random_regular_graph(rng, 190, 6)]))
     exact = [_spectrum_or_residual(g) for g in graphs]
-    assert exact == [float_spectrum_or_residual(g) for g in graphs]
-    assert isinstance(exact[-1], tuple) and len(exact[-1]) > 180
+    assert exact == [_float_spectrum_or_degree(g) for g in graphs]
+    assert isinstance(exact[-1], int) and exact[-1] > 179
     # both outcomes occur: spectra with quadratic eigenvalues and residuals
-    assert any(isinstance(r, tuple) for r in exact)
+    assert any(isinstance(r, int) for r in exact)
     assert any(isinstance(r, Spectrum) and any(not ev.is_integer for ev, _ in r)
                for r in exact)
 
@@ -507,11 +519,11 @@ def test_small_step_prime_end_to_end(monkeypatch, make, prime, residual_degree):
     calls = _spy(monkeypatch, "_gfp_step")
     exact = _spectrum_or_residual(g)
     assert [p for _, _, p in _step_rows(calls)] == [prime]
-    assert exact == float_spectrum_or_residual(g)
+    assert exact == _float_spectrum_or_degree(g)
     if residual_degree is None:
         assert isinstance(exact, Spectrum) and len(exact.to_json()) == 3
     else:
-        assert len(exact) - 1 == residual_degree
+        assert exact == residual_degree
 
 
 def test_every_admissible_quadratic_is_proposed_at_small_primes():
@@ -526,7 +538,7 @@ def test_every_admissible_quadratic_is_proposed_at_small_primes():
         # split mod p (through L) and inert mod p (through Q) both occur
         legendre = {pow((b * b - 4 * c) % p, (p - 1) // 2, p) for b, c in chosen}
         assert legendre == {1, p - 1}
-        factors = _step(rem, bound, p).factors
+        factors = _step(rem, bound, p)
         assert {(c, -b, 1) for b, c in chosen} <= set(factors)
         mults = {}
         assert spectra._divide_out(rem, factors, mults) == (1,)
@@ -554,11 +566,8 @@ def _certificate(g):
 def _certified(g):
     """The certificate's spectrum of g, trace-checked, or None when it
     declines."""
-    table = _certificate(g)
-    if table is None:
-        return None
-    spec, squares = spectra.FactorTable(table, (1,)).spectrum()
-    assert squares == 2 * g.edge_count()
+    spec = _certificate(g)
+    assert spec is None or spec.sum_of_squares() == 2 * g.edge_count()
     return spec
 
 
@@ -635,9 +644,8 @@ def test_certificate_declines_when_a_split_quadratic_meets_two_others():
     k, p = 13, 1367
     assert int(g.degrees().max()) == k and spectra._step_prime(k, g.n) == p
     fp = char_poly_mod([g.adj], (p,))[0].tolist()
-    step = _step(fp, k, p)
-    quadratics = [f for f in step.factors if len(f) == 3]
-    assert step.complete and quadratics == [(-30, -2, 1), (-93, -4, 1), (-22, -6, 1)]
+    quadratics = [f for f in _step(fp, k, p) if len(f) == 3]
+    assert quadratics == [(-30, -2, 1), (-93, -4, 1), (-22, -6, 1)]
     assert [spectra._multiplicity_mod(fp, f, p) for f in quadratics] == [1, 2, 1]
     assert _certificate(g) is None
     spec = exact_spectrum(g)
@@ -652,11 +660,11 @@ def test_certificate_declines_at_the_entry_bound():
     g = disjoint_union(parts)
     k = 18
     p = spectra._step_prime(k, g.n)
-    step = _step(char_poly_mod([g.adj], (p,))[0].tolist(), k, p)
-    assert step.complete and step.factors[:5] == [(-z, 1) for z in (2, 6, 8, 14, 18)]
+    factors = _step(char_poly_mod([g.adj], (p,))[0].tolist(), k, p)
+    assert factors[:5] == [(-z, 1) for z in (2, 6, 8, 14, 18)]
     a = g.adj.astype(np.int64)
     powers = (np.eye(g.n, dtype=np.int64), a, a @ a)
-    mats = [sum(c * m for c, m in zip(f, powers)) for f in step.factors]
+    mats = [sum(c * m for c, m in zip(f, powers)) for f in factors]
     assert len(mats) == 10
     assert math.prod(int(np.abs(m).sum(axis=1).max()) for m in mats) >= 2**62
     assert _certificate(g) is None
@@ -665,10 +673,10 @@ def test_certificate_declines_at_the_entry_bound():
 
 
 def test_c7_certificate_declines_at_membership(c7, monkeypatch):
-    # mod 43 the cubic factor of C7 splits, so the step is complete and the
-    # certificate declines at P != 0
+    # the step mod 43 proposes x - 2 alone, and the certificate declines at
+    # P != 0
     fp = char_poly_mod([c7.adj], (43,))[0].tolist()
-    assert spectra._step_prime(2, 7) == 43 and _step(fp, 2, 43).complete
+    assert spectra._step_prime(2, 7) == 43 and _step(fp, 2, 43) == [(-2, 1)]
     assert _certified(c7) is None
     # membership alone declines it: a count forced to n changes nothing
     with monkeypatch.context() as m:
@@ -680,14 +688,12 @@ def test_c7_certificate_declines_at_membership(c7, monkeypatch):
 @pytest.mark.parametrize("n, primes, certificate_runs", [
     # two CRT primes: the CRT route alone
     pytest.param(29, 2, False, id="C29"),
-    # four: the certificate declines at once, its step mod 71 incomplete
+    # four: the certificate declines at membership
     pytest.param(67, 4, True, id="C67"),
 ])
 def test_non_quadratic_cycles_keep_their_error(n, primes, certificate_runs, monkeypatch):
     assert len(spectra.primes_for(n, 2)) == primes
     p = spectra._step_prime(2, n)
-    fp = char_poly_mod([families.cycle(n).adj], (p,))[0].tolist()
-    assert not _step(fp, 2, p).complete
     calls, steps = _spy(monkeypatch, "_certificate"), _spy(monkeypatch, "_gfp_step")
     primes = _spy(monkeypatch, "_step_prime")
     with pytest.raises(NonQuadraticSpectrumError) as info:
@@ -696,9 +702,47 @@ def test_non_quadratic_cycles_keep_their_error(n, primes, certificate_runs, monk
     # one step per graph: the certificate's, when it runs, whose factors
     # then divide its char_poly; else the CRT route's
     assert primes == [(2, n)] and [q for _, _, q in _step_rows(steps)] == [p]
-    assert str(info.value) == (
+    assert info.value.degree == n - 1 and str(info.value) == (
         "spectrum contains non-quadratic eigenvalues; unfactored residual has degree "
         f"{n - 1}")
+
+
+def _has_factor_of_degree_three_or_more(f, p):
+    """Whether the monic f has an irreducible factor of degree >= 3 over
+    GF(p), p > deg f: the product of the distinct irreducible factors of
+    degree 1 and 2 of its radical R is gcd(R, x^(p^2) - x), a proper divisor
+    of R when it has one."""
+    radical = spectra._divmod_mod(
+        f, spectra._monic_gcd_mod(f, spectra._derivative_mod(f, p), p), p)[0]
+    power = powmod([0, 1], p * p, radical, p)
+    small = spectra._monic_gcd_mod(radical, spectra._sub_mod(power, [0, 1], p), p)
+    return len(small) < len(radical)
+
+
+@pytest.mark.parametrize("make, primes, p, candidates", [
+    # linear candidates only
+    pytest.param(lambda: families.cycle(67), 4, 71, [(-2, 1)], id="C67"),
+    # n = 80, k = 6: a quadratic candidate, so the certificate forms M^2
+    pytest.param(lambda: disjoint_union([families.cycle(67), families.paley(13)]), 6, 307,
+                 [(-2, 1), (-6, 1), (-3, 1, 1)], id="C67+paley-13"),
+])
+def test_an_incomplete_step_declines_at_membership(make, primes, p, candidates, monkeypatch):
+    # f mod p has an irreducible factor of degree >= 3, so f has one over
+    # the integers: its roots are eigenvalues of degree >= 3, roots of no
+    # candidate, and P != 0 declines the graph
+    g = make()
+    assert isinstance(float_spectrum_or_residual(g), tuple)
+    k = int(g.degrees().max())
+    assert len(spectra.primes_for(g.n, k)) == primes and spectra._step_prime(k, g.n) == p
+    fp = char_poly_mod([g.adj], (p,))[0].tolist()
+    assert _has_factor_of_degree_three_or_more(fp, p)
+    assert _step(fp, k, p) == candidates
+    squares = _spy(monkeypatch, "common_neighbour_matrix")
+    assert _certificate(g) is None
+    assert bool(squares) == any(len(f) == 3 for f in candidates)
+    with pytest.raises(NonQuadraticSpectrumError) as info:
+        exact_spectrum(g)
+    assert info.value.degree == _crt_route(monkeypatch, g) == 66
 
 
 # -- the CRT route's factor tables, shared across graphs ------------------------
@@ -745,14 +789,11 @@ def test_a_shared_spectrum_still_checks_each_graphs_trace(monkeypatch):
 
 
 def _spectrum_builds(monkeypatch):
-    """Record each Spectrum built while exact_spectrum runs."""
+    """Record each Spectrum that _spectrum_of builds."""
     builds, init = [], Spectrum.__init__
 
     def counted(self, entries):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code is not spectra.exact_spectrum.memo_key.__code__:
-            frame = frame.f_back
-        if frame is not None:
+        if sys._getframe(1).f_code is spectra._spectrum_of.__code__:
             builds.append(self)
         init(self, entries)
 
@@ -777,9 +818,9 @@ def test_a_stream_builds_one_spectrum_per_table(monkeypatch):
     # with a quadratic spectrum
     read = stream + [c for g in stream
                      if (params := deza.detect_deza(g)) is not None and params.b > params.a
-                     and len(spectra._spectrum_table(g).residual) == 1
+                     and isinstance(spectra._spectrum_table(g), Spectrum)
                      for c in (deza.children(g).child_a, deza.children(g).child_b)]
-    quadratic = [g for g in read if len(spectra._spectrum_table(g).residual) == 1]
+    quadratic = [g for g in read if isinstance(spectra._spectrum_table(g), Spectrum)]
     tables = {id(spectra._spectrum_table(g)) for g in quadratic}
     assert len(builds) == len(tables) < len(quadratic) // 4
     assert {id(exact_spectrum(g)) for g in quadratic} == {id(spec) for spec in builds}
@@ -787,12 +828,15 @@ def test_a_stream_builds_one_spectrum_per_table(monkeypatch):
 
 def test_a_cached_residual_still_raises(c7, monkeypatch):
     steps = _spy(monkeypatch, "_gfp_step")
-    residuals = []
-    for g in (c7, _relabelled(c7, 2)):
+    errors = []
+    for g in (c7, _relabelled(c7, 2), c7):
         with pytest.raises(NonQuadraticSpectrumError) as info:
             exact_spectrum(g)
-        residuals.append(info.value.residual)
-    assert residuals[0] == residuals[1] == _power((-1, -2, 1, 1), 2)
+        errors.append(info.value)
+    # the residual (x^3 + x^2 - 2x - 1)^2, by its degree; each call raises
+    # an error of its own
+    assert [exc.degree for exc in errors] == [6, 6, 6]
+    assert len({id(exc) for exc in errors}) == 3
     assert len(_step_rows(steps)) == 1
 
 
@@ -811,30 +855,32 @@ def test_cospectral_graphs_of_unequal_degree_take_two_entries(monkeypatch):
 
 
 def _lookup(*polys):
-    """_crt_route_tables on bare polynomials, each key's bound 1: it reads
+    """_crt_route_tables on bare polynomials, each key's bound 2: it reads
     only a graph's maximum degree and a polynomial's coefficients."""
-    edge = families.complete(2)
-    return spectra._crt_route_tables([edge] * len(polys), [SimpleNamespace(coeffs=f) for f in polys])
+    triangle = families.cycle(3)
+    return spectra._crt_route_tables([triangle] * len(polys),
+                                     [SimpleNamespace(coeffs=f) for f in polys])
 
 
 def test_factor_tables_are_bounded(monkeypatch):
-    # (x - 1)^a (x + 1)^b x^c: integer roots alone, so no GF(p) step runs
+    # (x - 1)^a (x + 1)^a (x - 2)^b (x + 2)^b x^c: integer roots alone, so no
+    # GF(p) step runs, and traceless, so each table is a Spectrum
     size = spectra.FACTOR_TABLES
-    polys = [_product(*[(-1, 1)] * a, *[(1, 1)] * b, *[(0, 1)] * c)
+    polys = [_product(*[(-1, 1), (1, 1)] * a, *[(-2, 1), (2, 1)] * b, *[(0, 1)] * c)
              for a in range(1, 11) for b in range(10) for c in range(10)]
     assert len(set(polys)) > size + 2
     computed = _spy(monkeypatch, "_crt_tables")
     for i, f in enumerate(polys[:size]):
         (table,) = _lookup(f)
-        assert table.residual == (1,) and sum(table.factors.values()) == len(f) - 1
+        assert isinstance(table, Spectrum) and table.n == len(f) - 1
         assert len(spectra._TABLES) == i + 1
     # a new table past the cap clears the dict first, then is added
     (table,) = _lookup(polys[size])
-    assert len(spectra._TABLES) == 1 and spectra._TABLES[(polys[size], 1)] is table
+    assert len(spectra._TABLES) == 1 and spectra._TABLES[(polys[size], 2)] is table
     assert len(computed) == size + 1
     # so the first polynomial is computed again, and the last one read
     assert _lookup(polys[size], polys[0])[0] is table
-    assert len(computed) == size + 2 and computed[-1] == ([(polys[0], 1)],)
+    assert len(computed) == size + 2 and computed[-1] == ([(polys[0], 2)],)
     assert len(spectra._TABLES) == 2
     # one call's new tables are kept together, even past the cap
     spectra._TABLES.clear()
@@ -869,13 +915,14 @@ def test_a_chunk_and_its_children_fit_the_store(monkeypatch):
 def test_a_cached_table_cannot_be_changed():
     g = families.petersen()
     (table,) = spectra._crt_route_tables([g], [char_poly(g)])
+    assert isinstance(table, Spectrum) and isinstance(table.entries, tuple)
     with pytest.raises(TypeError):
-        table.factors[(-3, 1)] = 2
+        table.entries[0] = (Eigenvalue.integer(3), 2)
     with pytest.raises(TypeError):
-        del table.factors[(-1, 1)]
+        del table.entries[0]
     with pytest.raises(AttributeError):
-        table.factors.clear()
-    assert dict(table.factors) == {(-3, 1): 1, (-1, 1): 5, (2, 1): 4}
+        table.entries.clear()
+    assert str(table) == "{3^1, 1^5, (-2)^4}"
     assert spectra._crt_route_tables([g], [char_poly(g)])[0] is table
 
 
